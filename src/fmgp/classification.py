@@ -8,11 +8,12 @@ targets: with concentration alpha_{i,c} = alpha_eps + 1{label_i = c},
 
 Each class is then an independent GP regression on one shared feature
 map, with per-point noise sigma_tilde_sq_{i,c} plus a learned per-class
-noise variance.  The per-point noise breaks the single-noise Woodbury
-form, so rows of the feature matrix and targets are divided by the
-per-point noise standard deviation, which restores a unit-noise low-rank
-problem; this whitening is checked against a dense heteroscedastic
-oracle in the tests.
+noise variance; training, caches and posterior are the C-column calls
+of the regression module's engine.  The per-point noise breaks the
+single-noise Woodbury form, so rows of the feature matrix and targets
+are divided by the per-point noise standard deviation, which restores a
+unit-noise low-rank problem; this whitening is checked against a dense
+heteroscedastic oracle in the tests.
 
 Class probabilities come from Monte-Carlo sampling of the per-class
 latent posteriors pushed through a temperature-scaled softmax; the
@@ -21,7 +22,6 @@ temperature is fitted on held-out data by multinomial log-likelihood.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -31,7 +31,7 @@ import scipy.optimize
 from . import features as ft
 from . import lowrank as lr
 from . import regression as reg
-from .errors import DataError, DomainError, NumericError, ShapeError, TrainingError
+from .errors import DomainError, ShapeError
 
 DEFAULT_ALPHA_EPS = 0.01
 DEFAULT_NUM_SAMPLES = 1024
@@ -100,99 +100,29 @@ class DirichletClassifier:
 
 
 @dataclass
-class ClassifierConfig:
-    hidden_widths: tuple = (512, 512)
-    output_dim: int = 64
-    normalization: str = "layer_norm"
-    rescale_to_unit: bool = True
-    iterations: int = 200
-    num_subsets: int = 4
-    subset_size: int = 20000
-    # matches the regression default; see FitConfig
-    learning_rate: float = 0.03
-    seed: int = 0
-    init_sigma_f_sq: float = 1.0
-    init_sigma_xi_sq: float = 0.1
+class ClassifierConfig(reg.FitConfig):
     alpha_eps: float = DEFAULT_ALPHA_EPS
-    decomp_batch_rows: int = 8192
 
 
 def fit_classifier(dataset, config=None, feature_map=None):
     """Train the shared feature map against the sum of per-class MLLs.
 
-    Each class contributes a heteroscedastic MLL with its surrogate noise
-    plus its learned noise variance; gradients through the shared feature
-    matrix sum over classes.  After training, one shared feature pass
-    builds all per-class whitened decomposition caches.
+    regression.train over the C surrogate columns, each with its surrogate
+    noise plus a learned noise variance.  C comes from the whole dataset,
+    so a class missing from the training split keeps its column.  One
+    shared feature pass then builds the per-class whitened caches.
     """
     config = config or ClassifierConfig()
-    train_idx = np.asarray(dataset.split["train"])
-    if train_idx.size < 1:
-        raise DataError("training split is empty")
-    X = np.asarray(dataset.X, dtype=np.float64)[train_idx]
-    labels = np.asarray(dataset.targets)[train_idx].astype(np.int64)
-    classes = np.unique(labels)
-    if classes.size < 2:
+    X, labels = reg.training_rows(dataset)
+    labels = labels.astype(np.int64)
+    if np.unique(labels).size < 2:
         raise DomainError("training data contains a single class")
-    num_classes = int(labels.max()) + 1
-    n, d = X.shape
-
+    num_classes = int(np.max(dataset.targets)) + 1
     y_tilde, s_tilde_sq = dirichlet_transform(labels, config.alpha_eps, num_classes)
-
-    if feature_map is None:
-        widths = [d, *config.hidden_widths, config.output_dim]
-        feature_map = ft.init_params(widths, config.seed,
-                                     normalization=config.normalization,
-                                     rescale_to_unit=config.rescale_to_unit)
-    elif feature_map.input_dim != d:
-        raise ShapeError(f"feature map expects {feature_map.input_dim} inputs, data has {d}")
-
-    rng = np.random.default_rng(config.seed)
-    subsets = reg.make_subsets(n, config.num_subsets, config.subset_size, rng)
-
-    log_sf2 = np.full(num_classes, np.log(config.init_sigma_f_sq))
-    log_sxi2 = np.full(num_classes, np.log(config.init_sigma_xi_sq))
-    params = feature_map.param_list() + [log_sf2, log_sxi2]
-    state = ft.AdamState.create(params, config.learning_rate)
-    trace = []
-    for t in range(config.iterations):
-        fmap_t = feature_map.replace_params(params[:-2])
-        idx = subsets[t % config.num_subsets]
-        n_sub = idx.size
-        try:
-            phi = ft.forward(fmap_t, X[idx])
-            total = 0.0
-            d_phi = np.zeros_like(phi)
-            d_sf = np.zeros(num_classes)
-            d_sx = np.zeros(num_classes)
-            for c in range(num_classes):
-                value, dp, dsf_c, dsx_c = reg.gaussian_mll_parts(
-                    phi, y_tilde[idx, c], params[-2][c], params[-1][c],
-                    extra_noise=s_tilde_sq[idx, c])
-                total += value
-                d_phi += dp
-                d_sf[c] = dsf_c
-                d_sx[c] = dsx_c
-            map_grads = ft.backward(fmap_t, X[idx], d_phi)
-        except NumericError as exc:
-            raise TrainingError(f"training diverged at iteration {t}: {exc}",
-                                iteration=t) from exc
-        scale = n_sub * num_classes
-        loss = -total / scale
-        if not np.isfinite(loss):
-            raise TrainingError(f"training diverged at iteration {t}", iteration=t)
-        trace.append(loss)
-        grads = [-g / scale for g in map_grads]
-        grads.append(-d_sf / scale)
-        grads.append(-d_sx / scale)
-        params, state = ft.adam_step(state, params, grads)
-
-    feature_map = feature_map.replace_params(params[:-2])
-    sigma_f_sq = np.exp(params[-2])
-    sigma_xi_sq = np.exp(params[-1])
-
-    caches = _build_class_caches(feature_map, X, y_tilde, s_tilde_sq, sigma_xi_sq,
-                                 config.decomp_batch_rows)
+    feature_map, sigma_f_sq, sigma_xi_sq, trace = reg.train(
+        feature_map, X, y_tilde, s_tilde_sq, config)
+    caches = reg.build_caches(feature_map, X, y_tilde, s_tilde_sq + sigma_xi_sq,
+                              config.decomp_batch_rows)
     return DirichletClassifier(feature_map, sigma_f_sq, sigma_xi_sq, caches,
                                num_classes, config.alpha_eps,
                                train_inputs_stats=getattr(dataset, "stats_dict",
@@ -202,44 +132,15 @@ def fit_classifier(dataset, config=None, feature_map=None):
                                label_map=getattr(dataset, "label_map", None))
 
 
-def _build_class_caches(feature_map, X, y_tilde, s_tilde_sq, sigma_xi_sq, batch_rows):
-    """One shared feature pass; per-class whitened Gram accumulators."""
-    n = X.shape[0]
-    num_classes = y_tilde.shape[1]
-    p = feature_map.output_dim
-    accs = [lr.GramAccumulator(p) for _ in range(num_classes)]
-    for start in range(0, n, batch_rows):
-        stop = min(start + batch_rows, n)
-        phi_b = ft.forward(feature_map, X[start:stop])
-        for c in range(num_classes):
-            s = np.sqrt(s_tilde_sq[start:stop, c] + sigma_xi_sq[c])
-            accs[c].add(phi_b / s[:, None], y_tilde[start:stop, c] / s)
-    return [lr.decompose(accs[c].gram, accs[c].phi_t_y, n) for c in range(num_classes)]
-
-
 def class_posteriors(clf, X_star):
-    """Per-class latent posterior means and variances at new inputs.
+    """Per-class latent posterior means and variances, both (n*, C).
 
-    Returns (means, variances), both (n*, C).  For class c with whitened
-    eigenpairs (U, lam) and scale v = sigma_f_sq_c:
-
-        mean = v * psi U (v lam + 1)^{-1} U^T Phi_w^T y_w
-        var  = v * |psi|^2 - v^2 * psi U diag(lam / (v lam + 1)) U^T psi^T
+    Class c is the regression posterior on its whitened cache: unit
+    noise against signal variance sigma_f_sq_c, i.e. noise-to-signal
+    ratio gamma_c = 1 / sigma_f_sq_c.
     """
     psi = ft.forward(clf.feature_map, X_star)
-    n_star = psi.shape[0]
-    means = np.empty((n_star, clf.num_classes))
-    variances = np.empty((n_star, clf.num_classes))
-    prior = np.sum(psi * psi, axis=1)
-    for c in range(clf.num_classes):
-        cache = clf.caches[c]
-        v = clf.sigma_f_sq[c]
-        au = psi @ cache.u
-        denom = v * cache.lam + 1.0
-        means[:, c] = v * (au @ (cache.proj_targets / denom))
-        core = v * prior - v * v * np.sum(au * au * (cache.lam / denom), axis=1)
-        variances[:, c] = reg._clamp_variance(core, v * prior)
-    return means, variances
+    return reg.posterior(psi, clf.caches, 1.0 / clf.sigma_f_sq, clf.sigma_f_sq)
 
 
 def _softmax(logits):
@@ -399,13 +300,7 @@ def classifier_to_json_dict(clf):
             {
                 "sigma_f_sq": float(clf.sigma_f_sq[c]),
                 "sigma_xi_sq": float(clf.sigma_xi_sq[c]),
-                "cache": {
-                    "u": clf.caches[c].u.tolist(),
-                    "eigenvalues": clf.caches[c].lam.tolist(),
-                    "proj_targets": clf.caches[c].proj_targets.tolist(),
-                    "n": clf.caches[c].n,
-                    "trace_phi_sq": clf.caches[c].trace_phi_sq,
-                },
+                "cache": clf.caches[c].to_json_dict(),
             }
             for c in range(clf.num_classes)
         ],
@@ -416,19 +311,8 @@ def classifier_to_json_dict(clf):
 
 
 def classifier_from_json_dict(doc):
-    if doc.get("schema") != reg.MODEL_SCHEMA:
-        raise DataError(f"unrecognized model schema {doc.get('schema')!r}")
-    if doc.get("task") != "classification":
-        raise DataError(f"expected a classification model, got {doc.get('task')!r}")
+    reg.check_model_doc(doc, "classification")
     per_class = doc["per_class"]
-    caches = []
-    for entry in per_class:
-        cache = entry["cache"]
-        caches.append(lr.FeatureDecomposition(
-            np.asarray(cache["u"], dtype=np.float64),
-            np.asarray(cache["eigenvalues"], dtype=np.float64),
-            np.asarray(cache["proj_targets"], dtype=np.float64),
-            cache["n"], cache["trace_phi_sq"]))
     label_map = doc.get("label_map")
     if label_map is not None:
         label_map = {float(k): int(v) for k, v in label_map.items()}
@@ -436,7 +320,8 @@ def classifier_from_json_dict(doc):
         ft.feature_map_from_json_dict(doc["feature_map"]),
         np.array([entry["sigma_f_sq"] for entry in per_class]),
         np.array([entry["sigma_xi_sq"] for entry in per_class]),
-        caches, doc["num_classes"],
+        [lr.FeatureDecomposition.from_json_dict(entry["cache"]) for entry in per_class],
+        doc["num_classes"],
         doc["surrogate_noise_policy"]["alpha_eps"],
         temperature=doc["temperature"],
         train_inputs_stats=doc.get("normalization"),
@@ -444,10 +329,8 @@ def classifier_from_json_dict(doc):
 
 
 def save_classifier(clf, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(classifier_to_json_dict(clf), fh)
+    reg.write_model_file(classifier_to_json_dict(clf), path)
 
 
 def load_classifier(path):
-    with open(path, encoding="utf-8") as fh:
-        return classifier_from_json_dict(json.load(fh))
+    return classifier_from_json_dict(reg.read_model_file(path))

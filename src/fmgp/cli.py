@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -203,41 +204,29 @@ def build_feature_map(config, input_dim):
     kind = config.composition.get("kind", "single")
     if kind == "single":
         return None
-    arch = config.architecture
-    hidden = list(arch.get("hidden_widths", (512, 512)))
-    p_total = int(arch.get("output_dim", 64))
-    dims = config.composition.get("output_dims") or [max(1, p_total // 2)] * 2
-    normalization = arch.get("normalization", "layer_norm")
-    rescale = bool(arch.get("rescale_to_unit", True))
-    seed = config.seed
-    left = ft.init_params([input_dim, *hidden, int(dims[0])], seed,
-                          normalization=normalization, rescale_to_unit=rescale)
-    right = ft.init_params([input_dim, *hidden, int(dims[1])], seed + 1,
-                           normalization=normalization, rescale_to_unit=rescale)
+    arch = _fit_config(config)
+    dims = config.composition.get("output_dims") or [max(1, arch.output_dim // 2)] * 2
+    left = ft.init_params([input_dim, *arch.hidden_widths, int(dims[0])], arch.seed,
+                          normalization=arch.normalization,
+                          rescale_to_unit=arch.rescale_to_unit)
+    right = ft.init_params([input_dim, *arch.hidden_widths, int(dims[1])], arch.seed + 1,
+                           normalization=arch.normalization,
+                           rescale_to_unit=arch.rescale_to_unit)
     if kind == "product":
         return ft.ProductFeatureMap(left, right)
     return ft.AdditiveFeatureMap(left, right)
 
 
-def _fit_config_kwargs(config):
-    arch = config.architecture
-    tr = config.training
-    kwargs = {}
-    if "hidden_widths" in arch:
-        kwargs["hidden_widths"] = tuple(arch["hidden_widths"])
-    if "output_dim" in arch:
-        kwargs["output_dim"] = int(arch["output_dim"])
-    if "normalization" in arch:
-        kwargs["normalization"] = arch["normalization"]
-    if "rescale_to_unit" in arch:
-        kwargs["rescale_to_unit"] = bool(arch["rescale_to_unit"])
-    for key in ("iterations", "num_subsets", "subset_size", "seed"):
-        if key in tr:
-            kwargs[key] = int(tr[key])
-    for key in ("learning_rate", "init_sigma_f_sq", "init_sigma_xi_sq"):
-        if key in tr:
-            kwargs[key] = float(tr[key])
-    return kwargs
+def _fit_config(config):
+    """The training config of the run: FitConfig, or ClassifierConfig for
+    classification, with each architecture, training and classification
+    key converted to the type of its field's default."""
+    from . import classification as cls
+    from . import regression as reg
+    config_class = reg.FitConfig if config.task == "regression" else cls.ClassifierConfig
+    given = {**config.architecture, **config.training, **config.classification}
+    return config_class(**{f.name: type(f.default)(given[f.name])
+                           for f in dataclasses.fields(config_class) if f.name in given})
 
 
 def _write_json(path, payload):
@@ -263,29 +252,24 @@ def cmd_train(config, out_dir):
 
     dataset = build_dataset(config)
     fmap = build_feature_map(config, dataset.X.shape[1])
+    has_recal = dataset.split["recalibration"].size > 0
     started = time.perf_counter()
     if config.task == "regression":
-        fit_cfg = reg.FitConfig(**_fit_config_kwargs(config))
-        model = reg.fit(dataset, fit_cfg, feature_map=fmap)
-        if config.recalibration and dataset.split["recalibration"].size:
+        model = reg.fit(dataset, _fit_config(config), feature_map=fmap)
+        if config.recalibration and has_recal:
             X_cal, y_cal = dataset.subset_arrays("recalibration")
             model = reg.recalibrate(model, X_cal, y_cal.astype(np.float64))
-        train_time = time.perf_counter() - started
-        trace = model.training_trace or []
-        reg.save_model(model, os.path.join(out_dir, "model.json"))
+        save = reg.save_model
     else:
-        kwargs = _fit_config_kwargs(config)
-        if "alpha_eps" in config.classification:
-            kwargs["alpha_eps"] = float(config.classification["alpha_eps"])
-        clf = cls.fit_classifier(dataset, cls.ClassifierConfig(**kwargs))
-        if (config.classification.get("fit_temperature", True)
-                and dataset.split["recalibration"].size):
+        model = cls.fit_classifier(dataset, _fit_config(config), feature_map=fmap)
+        if config.classification.get("fit_temperature", True) and has_recal:
             X_cal, y_cal = dataset.subset_arrays("recalibration")
-            t = cls.fit_temperature(clf, X_cal, y_cal, seed=config.seed)
-            clf = clf.with_temperature(t)
-        train_time = time.perf_counter() - started
-        trace = clf.training_trace or []
-        cls.save_classifier(clf, os.path.join(out_dir, "model.json"))
+            model = model.with_temperature(
+                cls.fit_temperature(model, X_cal, y_cal, seed=config.seed))
+        save = cls.save_classifier
+    train_time = time.perf_counter() - started
+    trace = model.training_trace or []
+    save(model, os.path.join(out_dir, "model.json"))
     _write_trace_csv(os.path.join(out_dir, "training_trace.csv"), trace)
     metrics = {
         "task": config.task,
@@ -308,14 +292,7 @@ def cmd_eval(model_path, config, out_dir):
     from . import regression as reg
     from .errors import ConfigError, DataError
 
-    try:
-        with open(model_path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read model {model_path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise DataError(f"model {model_path} is not valid JSON: {exc}") from None
-
+    doc = reg.read_model_file(model_path)
     dataset = build_dataset(config)
     X_test, y_test = dataset.subset_arrays("test")
     if X_test.shape[0] == 0:
@@ -323,11 +300,12 @@ def cmd_eval(model_path, config, out_dir):
 
     task = doc.get("task", "regression")
     metrics = {"task": task, "n_test": int(X_test.shape[0])}
+    model = (reg.model_from_json_dict(doc) if task == "regression"
+             else cls.classifier_from_json_dict(doc))
+    if model.feature_map.input_dim != X_test.shape[1]:
+        raise ConfigError(f"model expects {model.feature_map.input_dim} "
+                          f"features, data has {X_test.shape[1]}")
     if task == "regression":
-        model = reg.model_from_json_dict(doc)
-        if model.feature_map.input_dim != X_test.shape[1]:
-            raise ConfigError(f"model expects {model.feature_map.input_dim} "
-                              f"features, data has {X_test.shape[1]}")
         started = time.perf_counter()
         pred = reg.predict(model, X_test)
         elapsed = time.perf_counter() - started
@@ -335,22 +313,18 @@ def cmd_eval(model_path, config, out_dir):
         metrics["mse"] = float(np.mean((pred.mean - y_test) ** 2))
         metrics["mean_nll"] = reg.mean_nll(pred, y_test)
     else:
-        clf = cls.classifier_from_json_dict(doc)
-        if clf.feature_map.input_dim != X_test.shape[1]:
-            raise ConfigError(f"model expects {clf.feature_map.input_dim} "
-                              f"features, data has {X_test.shape[1]}")
         num_samples = int(config.classification.get("num_samples",
                                                     cls.DEFAULT_NUM_SAMPLES))
         ece_bins = int(config.classification.get("ece_bins",
                                                  cls.DEFAULT_ECE_BINS))
         started = time.perf_counter()
-        probs = cls.predict_proba(clf, X_test, num_samples=num_samples,
+        probs = cls.predict_proba(model, X_test, num_samples=num_samples,
                                   seed=config.seed)
         elapsed = time.perf_counter() - started
         labels = y_test.astype(np.int64)
         metrics["error_rate"] = float(np.mean(probs.argmax(axis=1) != labels))
         metrics["ece"] = cls.compute_ece(probs, labels, ece_bins).ece
-        metrics["temperature"] = clf.temperature
+        metrics["temperature"] = model.temperature
     metrics["timings"] = {"predict_s": elapsed,
                           "per_point_s": elapsed / X_test.shape[0]}
     _write_json(os.path.join(out_dir, "metrics.json"), metrics)

@@ -112,7 +112,8 @@ def load_csv(path, task="regression"):
     A single header row is auto-detected: if any cell of the first row
     fails to parse as a number, the row is treated as a header.
     Classification labels are remapped to contiguous 0..C-1 in sorted
-    order of the distinct raw values, with the mapping recorded.
+    order of the distinct raw values, with the mapping recorded.  A
+    non-finite cell (nan, inf) is a DataError naming its row and column.
     """
     if task not in ("regression", "classification"):
         raise DomainError(f"unknown task {task!r}")
@@ -140,6 +141,11 @@ def load_csv(path, task="regression"):
                             f"expected {width}")
         for j, cell in enumerate(row):
             values[i - start, j] = _parse_cell(cell, path, i + 1, j + 1)
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        i, j = (int(k) for k in bad[0])
+        raise DataError(f"{path}: non-finite value {rows[start + i][j]!r} at row "
+                        f"{start + i + 1}, column {j + 1}")
     X = values[:, :-1]
     raw_targets = values[:, -1]
     if task == "classification":

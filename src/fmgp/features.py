@@ -188,7 +188,35 @@ def _validate_widths(widths):
             raise ConfigError(f"layer widths must be >= 1, got {widths}")
 
 
-class ProductFeatureMap:
+class _FeatureMapPair:
+    """Two component maps on the same inputs; subclasses set kind and
+    output_dim, which fix how the component features combine."""
+
+    def __init__(self, left, right):
+        if left.input_dim != right.input_dim:
+            raise ShapeError("component maps must share the input dimension")
+        self.left = left
+        self.right = right
+
+    @property
+    def input_dim(self):
+        return self.left.input_dim
+
+    def param_list(self):
+        return self.left.param_list() + self.right.param_list()
+
+    def replace_params(self, params):
+        cut = len(self.left.param_list())
+        return type(self)(self.left.replace_params(params[:cut]),
+                          self.right.replace_params(params[cut:]))
+
+    def to_json_dict(self):
+        return {"format": FEATURE_MAP_FORMAT, "kind": self.kind,
+                "left": self.left.to_json_dict(),
+                "right": self.right.to_json_dict()}
+
+
+class ProductFeatureMap(_FeatureMapPair):
     """Two maps combined so the induced kernel is the product of theirs.
 
     The combined feature vector is the flattened outer product of the two
@@ -198,63 +226,21 @@ class ProductFeatureMap:
     norm as well, since |a (x) b| = |a| |b|.
     """
 
-    def __init__(self, left, right):
-        if left.input_dim != right.input_dim:
-            raise ShapeError("component maps must share the input dimension")
-        self.left = left
-        self.right = right
-
-    @property
-    def input_dim(self):
-        return self.left.input_dim
+    kind = "product"
 
     @property
     def output_dim(self):
         return self.left.output_dim * self.right.output_dim
 
-    def param_list(self):
-        return self.left.param_list() + self.right.param_list()
 
-    def replace_params(self, params):
-        cut = len(self.left.param_list())
-        return ProductFeatureMap(self.left.replace_params(params[:cut]),
-                                 self.right.replace_params(params[cut:]))
-
-    def to_json_dict(self):
-        return {"format": FEATURE_MAP_FORMAT, "kind": "product",
-                "left": self.left.to_json_dict(),
-                "right": self.right.to_json_dict()}
-
-
-class AdditiveFeatureMap:
+class AdditiveFeatureMap(_FeatureMapPair):
     """Two maps stacked side by side; the induced kernel is the sum of theirs."""
 
-    def __init__(self, left, right):
-        if left.input_dim != right.input_dim:
-            raise ShapeError("component maps must share the input dimension")
-        self.left = left
-        self.right = right
-
-    @property
-    def input_dim(self):
-        return self.left.input_dim
+    kind = "additive"
 
     @property
     def output_dim(self):
         return self.left.output_dim + self.right.output_dim
-
-    def param_list(self):
-        return self.left.param_list() + self.right.param_list()
-
-    def replace_params(self, params):
-        cut = len(self.left.param_list())
-        return AdditiveFeatureMap(self.left.replace_params(params[:cut]),
-                                  self.right.replace_params(params[cut:]))
-
-    def to_json_dict(self):
-        return {"format": FEATURE_MAP_FORMAT, "kind": "additive",
-                "left": self.left.to_json_dict(),
-                "right": self.right.to_json_dict()}
 
 
 def feature_map_from_json_dict(doc):

@@ -40,7 +40,7 @@ class FeatureDecomposition:
     u : (p, p) orthonormal eigenvectors, columns matching ``lam``
     lam : (p,) nonnegative eigenvalues, descending
     proj_targets : (p,) vector U^T Phi^T y, or None when no targets were
-        supplied (classification builds its own per-class caches)
+        supplied
     n : training count the Gram was accumulated over
     trace_phi_sq : sum of squares of Phi entries (diagnostics)
 
@@ -57,6 +57,25 @@ class FeatureDecomposition:
     @property
     def p(self):
         return self.lam.shape[0]
+
+    def to_json_dict(self):
+        return {
+            "u": self.u.tolist(),
+            "eigenvalues": self.lam.tolist(),
+            "proj_targets": (self.proj_targets.tolist()
+                             if self.proj_targets is not None else None),
+            "n": self.n,
+            "trace_phi_sq": self.trace_phi_sq,
+        }
+
+    @staticmethod
+    def from_json_dict(doc):
+        proj = doc["proj_targets"]
+        return FeatureDecomposition(
+            np.asarray(doc["u"], dtype=np.float64),
+            np.asarray(doc["eigenvalues"], dtype=np.float64),
+            None if proj is None else np.asarray(proj, dtype=np.float64),
+            doc["n"], doc["trace_phi_sq"])
 
 
 class GramAccumulator:

@@ -8,6 +8,10 @@ log-variances, on random contiguous subsets of shuffled training data.
 Prediction runs through a cached eigendecomposition of the feature Gram,
 so its cost does not grow with the training-set size.
 
+train, build_caches, posterior and the model-file helpers serve C target
+columns on one shared map: regression is their one-output, homoscedastic
+call, Dirichlet classification their C-class, heteroscedastic one.
+
 A dense Cholesky oracle lives alongside the low-rank path; every
 identity used here is checked against it in the test suite.
 """
@@ -15,7 +19,8 @@ identity used here is checked against it in the test suite.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -163,14 +168,15 @@ def gaussian_mll_parts(phi_hat, y, log_sigma_f_sq, log_sigma_xi_sq, extra_noise=
 def mll(feature_map, log_sigma_f_sq, log_sigma_xi_sq, X, y, extra_noise=None):
     """Marginal log-likelihood and its gradient.
 
-    Returns (value, map_grads, d_log_sigma_f_sq, d_log_sigma_xi_sq);
-    map_grads follows the feature map's param_list order.
+    The one-column call of the training objective _summed_mll.  Returns
+    (value, map_grads, d_log_sigma_f_sq, d_log_sigma_xi_sq); map_grads
+    follows the feature map's param_list order.
     """
-    phi_hat = ft.forward(feature_map, X)
-    value, d_phi, d_sf, d_sx = gaussian_mll_parts(
-        phi_hat, y, log_sigma_f_sq, log_sigma_xi_sq, extra_noise)
-    map_grads = ft.backward(feature_map, X, d_phi)
-    return value, map_grads, d_sf, d_sx
+    value, map_grads, d_sf, d_sx = _summed_mll(
+        feature_map, np.atleast_1d(log_sigma_f_sq), np.atleast_1d(log_sigma_xi_sq),
+        np.asarray(X), np.asarray(y)[:, None],
+        None if extra_noise is None else np.asarray(extra_noise)[:, None], slice(None))
+    return value, map_grads, float(d_sf[0]), float(d_sx[0])
 
 
 def make_subsets(n, num_subsets, subset_size, rng):
@@ -188,34 +194,45 @@ def make_subsets(n, num_subsets, subset_size, rng):
     return subsets
 
 
-def build_decomposition(feature_map, X, y, batch_rows=8192):
-    """Accumulate the full-data feature Gram in batches and decompose it."""
-    n = X.shape[0]
-    acc = lr.GramAccumulator(feature_map.output_dim)
-    for start in range(0, n, batch_rows):
-        stop = min(start + batch_rows, n)
-        phi_b = ft.forward(feature_map, X[start:stop])
-        acc.add(phi_b, y[start:stop] if y is not None else None)
-    return lr.decompose(acc.gram, acc.phi_t_y if y is not None else None, n)
-
-
-def fit(dataset, config=None, feature_map=None):
-    """Train a GpModel on the dataset's training split.
-
-    Runs Adam on the negative per-point MLL, cycling through the
-    configured subsets one iteration each, then builds the full-data
-    decomposition once.  Deterministic for a fixed seed.  A prebuilt
-    feature map (e.g. a product composition) overrides the architecture
-    fields of the config.
-    """
-    config = config or FitConfig()
+def training_rows(dataset):
+    """Inputs (float64) and raw targets of the dataset's training split."""
     train_idx = np.asarray(dataset.split["train"])
     if train_idx.size < 1:
         raise DataError("training split is empty")
-    X = np.asarray(dataset.X, dtype=np.float64)[train_idx]
-    y = np.asarray(dataset.targets, dtype=np.float64)[train_idx]
-    n, d = X.shape
+    return (np.asarray(dataset.X, dtype=np.float64)[train_idx],
+            np.asarray(dataset.targets)[train_idx])
 
+
+def _summed_mll(feature_map, log_sf2, log_sxi2, X, Y, extra_noise, rows):
+    """The MLL summed over the columns of Y on the selected rows, its map
+    gradients and its (C,) gradients in the log-variances."""
+    x_rows = X[rows]
+    phi = ft.forward(feature_map, x_rows)
+    total = d_phi = 0.0
+    d_sf = np.zeros(Y.shape[1])
+    d_sx = np.zeros(Y.shape[1])
+    for c in range(Y.shape[1]):
+        value, dp, d_sf[c], d_sx[c] = gaussian_mll_parts(
+            phi, Y[rows, c], log_sf2[c], log_sxi2[c],
+            None if extra_noise is None else extra_noise[rows, c])
+        total += value
+        d_phi += dp
+    return total, ft.backward(feature_map, x_rows, d_phi), d_sf, d_sx
+
+
+def train(feature_map, X, Y, extra_noise, config):
+    """Adam on the summed MLL of the C target columns of Y (n, C).
+
+    Column c is a GP regression on the shared feature map with its own
+    two variances and per-point noise extra_noise[:, c] (None: none) on
+    top of the learned one; regression is the C = 1 call.  Iterations
+    cycle through the configured subsets; the loss is the negative MLL
+    per point and column.  A prebuilt feature map overrides the config's
+    architecture.  Returns (feature_map, sigma_f_sq, sigma_xi_sq, trace)
+    with (C,) variances; deterministic for a fixed seed.
+    """
+    n, d = X.shape
+    num_outputs = Y.shape[1]
     if feature_map is None:
         widths = [d, *config.hidden_widths, config.output_dim]
         feature_map = ft.init_params(widths, config.seed,
@@ -227,8 +244,8 @@ def fit(dataset, config=None, feature_map=None):
     rng = np.random.default_rng(config.seed)
     subsets = make_subsets(n, config.num_subsets, config.subset_size, rng)
 
-    log_sf2 = np.array(np.log(config.init_sigma_f_sq))
-    log_sxi2 = np.array(np.log(config.init_sigma_xi_sq))
+    log_sf2 = np.full(num_outputs, np.log(config.init_sigma_f_sq))
+    log_sxi2 = np.full(num_outputs, np.log(config.init_sigma_xi_sq))
     params = feature_map.param_list() + [log_sf2, log_sxi2]
     state = ft.AdamState.create(params, config.learning_rate)
     trace = []
@@ -236,51 +253,101 @@ def fit(dataset, config=None, feature_map=None):
         fmap_t = feature_map.replace_params(params[:-2])
         idx = subsets[t % config.num_subsets]
         try:
-            value, map_grads, d_sf, d_sx = mll(fmap_t, params[-2], params[-1],
-                                               X[idx], y[idx])
+            total, map_grads, d_sf, d_sx = _summed_mll(
+                fmap_t, params[-2], params[-1], X, Y, extra_noise, idx)
         except NumericError as exc:
             raise TrainingError(f"training diverged at iteration {t}: {exc}",
                                 iteration=t) from exc
-        n_sub = idx.size
-        loss = -value / n_sub
+        scale = idx.size * num_outputs
+        loss = -total / scale
         if not np.isfinite(loss):
             raise TrainingError(f"training diverged at iteration {t}", iteration=t)
         trace.append(loss)
-        grads = [-g / n_sub for g in map_grads]
-        grads.append(np.array(-d_sf / n_sub))
-        grads.append(np.array(-d_sx / n_sub))
+        grads = [-g / scale for g in map_grads]
+        grads.append(-d_sf / scale)
+        grads.append(-d_sx / scale)
         params, state = ft.adam_step(state, params, grads)
+    return (feature_map.replace_params(params[:-2]), np.exp(params[-2]),
+            np.exp(params[-1]), trace)
 
-    feature_map = feature_map.replace_params(params[:-2])
-    sigma_f_sq = float(np.exp(params[-2]))
-    sigma_xi_sq = float(np.exp(params[-1]))
+
+def build_caches(feature_map, X, Y, noise_var=None, batch_rows=8192):
+    """One decomposition per column of Y (n, C), from one feature pass.
+
+    With per-point noise variances noise_var (n, C), column c's rows of
+    Phi and Y are divided by sqrt(noise_var[:, c]): the whitened,
+    unit-noise form of a heteroscedastic regression.
+    """
+    n = X.shape[0]
+    accs = [lr.GramAccumulator(feature_map.output_dim) for _ in range(Y.shape[1])]
+    for start in range(0, n, batch_rows):
+        stop = min(start + batch_rows, n)
+        phi_b = ft.forward(feature_map, X[start:stop])
+        for c, acc in enumerate(accs):
+            if noise_var is None:
+                acc.add(phi_b, Y[start:stop, c])
+            else:
+                s = np.sqrt(noise_var[start:stop, c])
+                acc.add(phi_b / s[:, None], Y[start:stop, c] / s)
+    return [lr.decompose(acc.gram, acc.phi_t_y, n) for acc in accs]
+
+
+def build_decomposition(feature_map, X, y, batch_rows=8192):
+    """Accumulate the full-data feature Gram in batches and decompose it."""
+    return build_caches(feature_map, X, np.asarray(y)[:, None], batch_rows=batch_rows)[0]
+
+
+def fit(dataset, config=None, feature_map=None):
+    """Train a GpModel on the dataset's training split: the one-output
+    call of train, then one full-data decomposition."""
+    config = config or FitConfig()
+    X, y = training_rows(dataset)
+    y = y.astype(np.float64)
+    feature_map, sigma_f_sq, sigma_xi_sq, trace = train(feature_map, X, y[:, None],
+                                                        None, config)
     decomp = build_decomposition(feature_map, X, y, config.decomp_batch_rows)
-    return GpModel(feature_map, sigma_f_sq, sigma_xi_sq, decomp,
+    return GpModel(feature_map, float(sigma_f_sq[0]), float(sigma_xi_sq[0]), decomp,
                    train_inputs_stats=getattr(dataset, "stats_dict", lambda: None)(),
                    training_trace=trace)
+
+
+def posterior(psi, caches, gammas, sigma_f_sq):
+    """Latent means and variances, both (n*, C), over C decomposition caches.
+
+    For output c with eigenpairs (U, lam), projected targets w =
+    U^T Phi^T y, noise-to-signal ratio gamma and signal variance v:
+
+        mean = psi U (w / (lam + gamma))
+        var  = v * (|psi|^2 - sum_k (psi U)_k^2 lam_k / (lam_k + gamma))
+    """
+    prior = np.sum(psi * psi, axis=1)
+    means = np.empty((psi.shape[0], len(caches)))
+    variances = np.empty_like(means)
+    for c, cache in enumerate(caches):
+        au = psi @ cache.u
+        denom = cache.lam + gammas[c]
+        means[:, c] = au @ (cache.proj_targets / denom)
+        core = prior - np.sum(au * au * (cache.lam / denom), axis=1)
+        variances[:, c] = sigma_f_sq[c] * _clamp_variance(core, prior)
+    return means, variances
 
 
 def predict(model, X_star):
     """Predictive means and pointwise variances at new inputs.
 
-    The mean is psi U (Lambda + gamma I)^{-1} U^T Psi^T y with gamma the
-    cached noise-to-signal ratio; the latent variance subtracts the
-    data-explained part from the prior sigma_f_sq * j(x, x).  Cost is
-    O(n* p^2), independent of the training-set size.
+    The one-output posterior with the cached noise-to-signal ratio, so
+    recalibration leaves means bit-identical.  Cost is O(n* p^2),
+    independent of the training-set size.
     """
     if model.decomp is None:
         raise NumericError("model has no decomposition cache")
     if model.decomp.proj_targets is None:
         raise NumericError("decomposition lacks a target projection cache")
     psi = ft.forward(model.feature_map, X_star)
-    decomp = model.decomp
-    au = psi @ decomp.u
-    denom = decomp.lam + model.gamma
-    mean = au @ (decomp.proj_targets / denom)
-    prior = np.sum(psi * psi, axis=1)
-    core = prior - np.sum(au * au * (decomp.lam / denom), axis=1)
-    variance = model.sigma_f_sq * _clamp_variance(core, prior)
-    return PredictiveDistribution(mean, variance, variance + model.sigma_xi_sq)
+    means, variances = posterior(psi, [model.decomp], [model.gamma],
+                                 [model.sigma_f_sq])
+    variance = variances[:, 0]
+    return PredictiveDistribution(means[:, 0], variance, variance + model.sigma_xi_sq)
 
 
 def predict_full_cov(model, X_star):
@@ -373,49 +440,59 @@ def mean_nll(pred, y):
 
 
 def model_to_json_dict(model):
-    doc = {
+    return {
         "schema": MODEL_SCHEMA,
         "task": "regression",
         "feature_map": model.feature_map.to_json_dict(),
         "sigma_f_sq": model.sigma_f_sq,
         "sigma_xi_sq": model.sigma_xi_sq,
         "gamma": model.gamma,
-        "decomposition": {
-            "u": model.decomp.u.tolist(),
-            "eigenvalues": model.decomp.lam.tolist(),
-            "proj_targets": (model.decomp.proj_targets.tolist()
-                             if model.decomp.proj_targets is not None else None),
-            "n": model.decomp.n,
-            "trace_phi_sq": model.decomp.trace_phi_sq,
-        },
+        "decomposition": model.decomp.to_json_dict(),
         "normalization": model.train_inputs_stats,
     }
-    return doc
+
+
+def check_model_doc(doc, task):
+    """Reject a model document of another schema or task."""
+    if doc.get("schema") != MODEL_SCHEMA:
+        raise DataError(f"unrecognized model schema {doc.get('schema')!r}")
+    if doc.get("task") != task:
+        raise DataError(f"expected a {task} model, got task {doc.get('task')!r}")
 
 
 def model_from_json_dict(doc):
-    if doc.get("schema") != MODEL_SCHEMA:
-        raise DataError(f"unrecognized model schema {doc.get('schema')!r}")
-    if doc.get("task") != "regression":
-        raise DataError(f"expected a regression model, got task {doc.get('task')!r}")
-    dec = doc["decomposition"]
-    decomp = lr.FeatureDecomposition(
-        np.asarray(dec["u"], dtype=np.float64),
-        np.asarray(dec["eigenvalues"], dtype=np.float64),
-        None if dec["proj_targets"] is None else np.asarray(dec["proj_targets"],
-                                                            dtype=np.float64),
-        dec["n"], dec["trace_phi_sq"])
+    check_model_doc(doc, "regression")
     return GpModel(ft.feature_map_from_json_dict(doc["feature_map"]),
-                   doc["sigma_f_sq"], doc["sigma_xi_sq"], decomp,
+                   doc["sigma_f_sq"], doc["sigma_xi_sq"],
+                   lr.FeatureDecomposition.from_json_dict(doc["decomposition"]),
                    train_inputs_stats=doc.get("normalization"),
                    gamma=doc["gamma"])
 
 
+def write_model_file(doc, path):
+    """Write a model document as JSON; a NaN or infinity fails here, so a
+    bad model is refused at save time rather than at load time."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, allow_nan=False)
+    except ValueError as exc:
+        os.remove(path)
+        raise NumericError(f"cannot save model to {path}: {exc}") from None
+
+
+def read_model_file(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise DataError(f"cannot read model {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise DataError(f"model {path} is not valid JSON: {exc}") from None
+
+
 def save_model(model, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_json_dict(model), fh)
+    write_model_file(model_to_json_dict(model), path)
 
 
 def load_model(path):
-    with open(path, encoding="utf-8") as fh:
-        return model_from_json_dict(json.load(fh))
+    return model_from_json_dict(read_model_file(path))

@@ -206,7 +206,7 @@ class TestAcceptance:
         sigma_f_sq = np.array([1.5, 0.7, 2.2])
         sigma_xi_sq = np.array([0.3, 0.9, 0.05])
         y_t, s_t = cls.dirichlet_transform(labels, 0.01, 3)
-        caches = cls._build_class_caches(fmap, X, y_t, s_t, sigma_xi_sq, 4096)
+        caches = reg.build_caches(fmap, X, y_t, s_t + sigma_xi_sq, 4096)
         clf = cls.DirichletClassifier(fmap, sigma_f_sq, sigma_xi_sq, caches,
                                       3, 0.01, surrogate_noise=s_t)
         Xs = rng.standard_normal((25, 3))

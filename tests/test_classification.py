@@ -32,8 +32,8 @@ def build_classifier(labels, fmap, X, sigma_f_sq, sigma_xi_sq, alpha_eps=0.01):
     """Classifier from fixed hyperparameters, no training."""
     num_classes = int(labels.max()) + 1
     y_tilde, s_tilde_sq = cls.dirichlet_transform(labels, alpha_eps, num_classes)
-    caches = cls._build_class_caches(fmap, X, y_tilde, s_tilde_sq,
-                                     np.asarray(sigma_xi_sq, dtype=float), 4096)
+    caches = reg.build_caches(fmap, X, y_tilde,
+                              s_tilde_sq + np.asarray(sigma_xi_sq, dtype=float), 4096)
     return cls.DirichletClassifier(fmap, sigma_f_sq, sigma_xi_sq, caches,
                                    num_classes, alpha_eps,
                                    surrogate_noise=s_tilde_sq)
@@ -142,6 +142,20 @@ class TestFitClassifier:
         assert clf.sigma_f_sq.shape == (3,)
         assert clf.sigma_xi_sq.shape == (3,)
         assert len(clf.caches) == 3
+
+    def test_class_missing_from_training_split(self):
+        ds = blob_dataset(num_classes=3, n=900, test_n=150, recal_n=150)
+        train = ds.split["train"]
+        ds.split["train"] = train[ds.targets[train] != 2]
+        clf = cls.fit_classifier(ds, small_config(iterations=10))
+        assert clf.num_classes == 3
+        X_cal, y_cal = ds.subset_arrays("recalibration")
+        assert np.any(y_cal == 2)
+        t = cls.fit_temperature(clf, X_cal, y_cal, num_samples=64, seed=0)
+        probs = cls.predict_proba(clf.with_temperature(t), X_cal,
+                                  num_samples=64, seed=0)
+        assert probs.shape == (y_cal.size, 3)
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=1e-12)
 
     def test_deterministic_under_seed(self):
         ds = blob_dataset()

@@ -74,6 +74,14 @@ class TestTrainEval:
         assert 0.0 <= metrics["ece"] <= 1.0
         assert metrics["temperature"] > 0
 
+    def test_classification_honours_composition(self, tmp_path):
+        doc = classification_doc(tmp_path)
+        doc["composition"] = {"kind": "product", "output_dims": [4, 4]}
+        config = write_config(tmp_path, doc)
+        assert cli.main(["train", "--config", config]) == 0
+        model = json.loads((tmp_path / "model.json").read_text())
+        assert model["feature_map"]["kind"] == "product"
+
     def test_model_file_is_deterministic(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         out_a.mkdir(), out_b.mkdir()
@@ -150,6 +158,22 @@ class TestDataErrors:
                        "test_n": 10, "recal_n": 10}
         config = write_config(tmp_path, doc)
         assert cli.main(["train", "--config", config]) == cli.EXIT_DATA
+
+    def test_non_finite_csv_cell(self, tmp_path, capsys):
+        csv_path = tmp_path / "data.csv"
+        rows = [f"{i * 0.1},{i * 0.2},{i * 0.3}" for i in range(40)]
+        rows[7] = "0.7,nan,2.1"
+        csv_path.write_text("x1,x2,y\n" + "\n".join(rows) + "\n")
+        doc = regression_doc(tmp_path)
+        doc["data"] = {"kind": "csv", "path": str(csv_path),
+                       "test_n": 5, "recal_n": 5}
+        config = write_config(tmp_path, doc)
+        assert cli.main(["train", "--config", config]) == cli.EXIT_DATA
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1
+        err = json.loads(err_lines[0])
+        assert err["error"] == "DataError"
+        assert "row 9, column 2" in err["message"]
 
     def test_missing_model_file(self, tmp_path):
         config = write_config(tmp_path, regression_doc(tmp_path))

@@ -401,6 +401,17 @@ class TestPersistence:
         with pytest.raises(DataError):
             reg.model_from_json_dict({"schema": "fmgp/model@99"})
 
+    def test_nan_variance_fails_to_save(self, tmp_path):
+        fmap = ft.init_params([2, 4], seed=1, rescale_to_unit=True)
+        X = np.random.default_rng(61).standard_normal((5, 2))
+        model = reg.GpModel(fmap, 1.0, 0.5,
+                            reg.build_decomposition(fmap, X, np.ones(5)))
+        model.sigma_xi_sq = float("nan")
+        path = tmp_path / "model.json"
+        with pytest.raises(NumericError, match="model.json"):
+            reg.save_model(model, path)
+        assert not path.exists()
+
 
 class TestMeanNll:
     def test_standard_normal_value(self):
