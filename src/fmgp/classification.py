@@ -73,7 +73,7 @@ class DirichletClassifier:
         self.feature_map = feature_map
         self.sigma_f_sq = np.asarray(sigma_f_sq, dtype=np.float64)
         self.sigma_xi_sq = np.asarray(sigma_xi_sq, dtype=np.float64)
-        if np.any(self.sigma_f_sq <= 0) or np.any(self.sigma_xi_sq <= 0):
+        if not (np.all(self.sigma_f_sq > 0) and np.all(self.sigma_xi_sq > 0)):
             raise DomainError("per-class variances must be positive")
         if not temperature > 0:
             raise DomainError(f"temperature must be positive, got {temperature}")

@@ -305,6 +305,12 @@ def cmd_eval(model_path, config, out_dir):
     if model.feature_map.input_dim != X_test.shape[1]:
         raise ConfigError(f"model expects {model.feature_map.input_dim} "
                           f"features, data has {X_test.shape[1]}")
+    # a shifted CSV or another split seed changes the whitening statistics
+    stored, current = doc.get("normalization"), dataset.stats_dict()
+    for key in stored or ():
+        if stored[key] != current.get(key):
+            raise DataError(f"eval data normalization differs from the model's "
+                            f"in {key!r}: check data.path and the split seed")
     if task == "regression":
         started = time.perf_counter()
         pred = reg.predict(model, X_test)

@@ -13,15 +13,30 @@ differences in the test suite.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
+from . import lowrank as lr
 from .errors import ConfigError, NumericError, ShapeError
 
 LAYER_NORM_EPS = 1e-5
 
 FEATURE_MAP_FORMAT = "fmgp/feature-map@1"
+
+# Parameter order within a layer; hidden layers carry the last two only
+# when layer normalization is on.
+LAYER_KEYS = ("weight", "bias", "ln_gain", "ln_offset")
+
+
+def _layer_shapes(widths, normalization):
+    """Per layer, the shapes of its parameters in LAYER_KEYS order."""
+    shapes = []
+    for l in range(len(widths) - 1):
+        fan_in, fan_out = widths[l], widths[l + 1]
+        layer = [(fan_in, fan_out), (fan_out,)]
+        if normalization == "layer_norm" and l < len(widths) - 2:
+            layer += [(fan_out,), (fan_out,)]
+        shapes.append(layer)
+    return shapes
 
 
 class FeatureMap:
@@ -33,55 +48,35 @@ class FeatureMap:
         Layer widths from input dimension to output dimension, so
         ``widths[0]`` is the input dimension and ``widths[-1]`` the number
         of features.  Needs at least one affine layer.
-    weights, biases : lists of ndarray
-        ``weights[l]`` has shape ``(widths[l], widths[l+1])`` and acts on
-        row vectors from the right; ``biases[l]`` has shape ``(widths[l+1],)``.
+    layers : list of lists of ndarray
+        ``layers[l]`` holds layer l's parameters in ``LAYER_KEYS`` order:
+        the weight ``(widths[l], widths[l+1])``, acting on row vectors from
+        the right, the bias ``(widths[l+1],)`` and, on hidden layers with
+        layer normalization, its gain and offset ``(widths[l+1],)``.
     normalization : {"none", "layer_norm"}
         Whether hidden pre-activations are layer normalized.
-    ln_gains, ln_offsets : lists of ndarray or None
-        Per-hidden-layer gain and offset for layer normalization, each of
-        shape ``(widths[l+1],)``.  Present only when normalization is on.
     rescale_to_unit : bool
         Rescale each output row to unit norm.  Zero rows are left as is.
 
     The container is treated as immutable during ``forward`` and
-    ``backward``; training replaces parameter arrays wholesale.
+    ``pullback``; training replaces parameter arrays wholesale.
     """
 
-    def __init__(self, widths, weights, biases, normalization="none",
-                 ln_gains=None, ln_offsets=None, rescale_to_unit=False):
+    def __init__(self, widths, layers, normalization="none", rescale_to_unit=False):
         self.widths = [int(w) for w in widths]
         _validate_widths(self.widths)
         if normalization not in ("none", "layer_norm"):
             raise ConfigError(f"unknown normalization {normalization!r}")
-        self.weights = list(weights)
-        self.biases = list(biases)
         self.normalization = normalization
         self.rescale_to_unit = bool(rescale_to_unit)
-        n_layers = len(self.widths) - 1
-        if len(self.weights) != n_layers or len(self.biases) != n_layers:
-            raise ShapeError("parameter list length does not match widths")
-        for l in range(n_layers):
-            if self.weights[l].shape != (self.widths[l], self.widths[l + 1]):
-                raise ShapeError(f"weight {l} has shape {self.weights[l].shape}, "
-                                 f"expected {(self.widths[l], self.widths[l + 1])}")
-            if self.biases[l].shape != (self.widths[l + 1],):
-                raise ShapeError(f"bias {l} has shape {self.biases[l].shape}")
-        if normalization == "layer_norm":
-            if ln_gains is None or ln_offsets is None:
-                raise ConfigError("layer_norm requires gains and offsets")
-            self.ln_gains = list(ln_gains)
-            self.ln_offsets = list(ln_offsets)
-            if len(self.ln_gains) != n_layers - 1 or len(self.ln_offsets) != n_layers - 1:
-                raise ShapeError("need one gain/offset pair per hidden layer")
-            for l in range(n_layers - 1):
-                if self.ln_gains[l].shape != (self.widths[l + 1],):
-                    raise ShapeError(f"layer-norm gain {l} has shape {self.ln_gains[l].shape}")
-                if self.ln_offsets[l].shape != (self.widths[l + 1],):
-                    raise ShapeError(f"layer-norm offset {l} has shape {self.ln_offsets[l].shape}")
-        else:
-            self.ln_gains = None
-            self.ln_offsets = None
+        self.layers = [list(layer) for layer in layers]
+        shapes = _layer_shapes(self.widths, normalization)
+        if [len(layer) for layer in self.layers] != [len(s) for s in shapes]:
+            raise ShapeError("parameter layout does not match widths and normalization")
+        for l, (layer, layer_shapes) in enumerate(zip(self.layers, shapes)):
+            for key, array, shape in zip(LAYER_KEYS, layer, layer_shapes):
+                if array.shape != shape:
+                    raise ShapeError(f"{key} {l} has shape {array.shape}, expected {shape}")
 
     @property
     def input_dim(self):
@@ -92,68 +87,40 @@ class FeatureMap:
         return self.widths[-1]
 
     @property
-    def n_layers(self):
-        return len(self.widths) - 1
+    def weights(self):
+        return [layer[0] for layer in self.layers]
+
+    @property
+    def biases(self):
+        return [layer[1] for layer in self.layers]
 
     def param_list(self):
-        """All trainable arrays in a fixed order.
-
-        Per hidden layer: weight, bias, then gain and offset when layer
-        normalization is on; the output layer contributes weight and bias.
-        ``backward`` returns gradients in exactly this order and the Adam
-        state is congruent with it.
+        """All trainable arrays in a fixed order: layer by layer, each in
+        LAYER_KEYS order.  ``pullback`` returns gradients in exactly this
+        order and the Adam state is congruent with it.
         """
-        params = []
-        for l in range(self.n_layers):
-            params.append(self.weights[l])
-            params.append(self.biases[l])
-            if self.normalization == "layer_norm" and l < self.n_layers - 1:
-                params.append(self.ln_gains[l])
-                params.append(self.ln_offsets[l])
-        return params
+        return [p for layer in self.layers for p in layer]
 
     def replace_params(self, params):
         """Rebuild the map from a flat parameter list (see param_list)."""
-        weights, biases, gains, offsets = [], [], [], []
-        i = 0
-        for l in range(self.n_layers):
-            weights.append(params[i]); i += 1
-            biases.append(params[i]); i += 1
-            if self.normalization == "layer_norm" and l < self.n_layers - 1:
-                gains.append(params[i]); i += 1
-                offsets.append(params[i]); i += 1
-        if i != len(params):
+        if len(params) != sum(len(layer) for layer in self.layers):
             raise ShapeError("parameter list length does not match the architecture")
-        return FeatureMap(self.widths, weights, biases,
+        rest = iter(params)
+        return FeatureMap(self.widths, [[next(rest) for _ in layer] for layer in self.layers],
                           normalization=self.normalization,
-                          ln_gains=gains if self.normalization == "layer_norm" else None,
-                          ln_offsets=offsets if self.normalization == "layer_norm" else None,
                           rescale_to_unit=self.rescale_to_unit)
 
     def to_json_dict(self):
-        doc = {
+        return {
             "format": FEATURE_MAP_FORMAT,
             "kind": "mlp",
             "widths": self.widths,
             "activation": "relu",
             "normalization": self.normalization,
             "rescale_to_unit": self.rescale_to_unit,
-            "layers": [],
+            "layers": [{key: array.tolist() for key, array in zip(LAYER_KEYS, layer)}
+                       for layer in self.layers],
         }
-        for l in range(self.n_layers):
-            layer = {
-                "weight": self.weights[l].tolist(),
-                "bias": self.biases[l].tolist(),
-            }
-            if self.normalization == "layer_norm" and l < self.n_layers - 1:
-                layer["ln_gain"] = self.ln_gains[l].tolist()
-                layer["ln_offset"] = self.ln_offsets[l].tolist()
-            doc["layers"].append(layer)
-        return doc
-
-    def to_json(self):
-        """Self-describing JSON text; round-trips float64 values exactly."""
-        return json.dumps(self.to_json_dict())
 
     @staticmethod
     def from_json_dict(doc):
@@ -161,23 +128,12 @@ class FeatureMap:
             raise ConfigError(f"unrecognized feature map format {doc.get('format')!r}")
         if doc.get("activation") != "relu":
             raise ConfigError(f"unsupported activation {doc.get('activation')!r}")
-        widths = doc["widths"]
-        normalization = doc["normalization"]
-        weights = [np.asarray(layer["weight"], dtype=np.float64) for layer in doc["layers"]]
-        biases = [np.asarray(layer["bias"], dtype=np.float64) for layer in doc["layers"]]
-        gains = offsets = None
-        if normalization == "layer_norm":
-            gains = [np.asarray(layer["ln_gain"], dtype=np.float64)
-                     for layer in doc["layers"][:-1]]
-            offsets = [np.asarray(layer["ln_offset"], dtype=np.float64)
-                       for layer in doc["layers"][:-1]]
-        return FeatureMap(widths, weights, biases, normalization=normalization,
-                          ln_gains=gains, ln_offsets=offsets,
+        # a layer of k entries holds the first k keys; the constructor
+        # checks k against the layout
+        layers = [[np.asarray(layer[key], dtype=np.float64) for key in LAYER_KEYS[:len(layer)]]
+                  for layer in doc["layers"]]
+        return FeatureMap(doc["widths"], layers, normalization=doc["normalization"],
                           rescale_to_unit=doc["rescale_to_unit"])
-
-    @staticmethod
-    def from_json(text):
-        return FeatureMap.from_json_dict(json.loads(text))
 
 
 def _validate_widths(widths):
@@ -189,8 +145,10 @@ def _validate_widths(widths):
 
 
 class _FeatureMapPair:
-    """Two component maps on the same inputs; subclasses set kind and
-    output_dim, which fix how the component features combine."""
+    """Two component maps on the same inputs; subclasses set kind,
+    output_dim and the static methods combine (component features to
+    composite features) and split (composite cotangent to component
+    cotangents)."""
 
     def __init__(self, left, right):
         if left.input_dim != right.input_dim:
@@ -232,6 +190,16 @@ class ProductFeatureMap(_FeatureMapPair):
     def output_dim(self):
         return self.left.output_dim * self.right.output_dim
 
+    @staticmethod
+    def combine(phi1, phi2):
+        return lr.product_features(phi1, phi2)
+
+    @staticmethod
+    def split(upstream, phi1, phi2):
+        n, p1 = phi1.shape
+        up3 = upstream.reshape(n, phi2.shape[1], p1)
+        return np.einsum("nji,nj->ni", up3, phi2), np.einsum("nji,ni->nj", up3, phi1)
+
 
 class AdditiveFeatureMap(_FeatureMapPair):
     """Two maps stacked side by side; the induced kernel is the sum of theirs."""
@@ -241,6 +209,15 @@ class AdditiveFeatureMap(_FeatureMapPair):
     @property
     def output_dim(self):
         return self.left.output_dim + self.right.output_dim
+
+    @staticmethod
+    def combine(phi1, phi2):
+        return np.hstack([phi1, phi2])
+
+    @staticmethod
+    def split(upstream, phi1, phi2):
+        p1 = phi1.shape[1]
+        return upstream[:, :p1], upstream[:, p1:]
 
 
 def feature_map_from_json_dict(doc):
@@ -266,32 +243,20 @@ def init_params(widths, seed, normalization="none", rescale_to_unit=False):
     widths = [int(w) for w in widths]
     _validate_widths(widths)
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for l in range(len(widths) - 1):
-        fan_in = widths[l]
-        std = np.sqrt(2.0 / fan_in)
-        weights.append(rng.normal(0.0, std, size=(widths[l], widths[l + 1])))
-        biases.append(np.zeros(widths[l + 1]))
-    gains = offsets = None
-    if normalization == "layer_norm":
-        gains = [np.ones(widths[l + 1]) for l in range(len(widths) - 2)]
-        offsets = [np.zeros(widths[l + 1]) for l in range(len(widths) - 2)]
-    return FeatureMap(widths, weights, biases, normalization=normalization,
-                      ln_gains=gains, ln_offsets=offsets,
+    fills = (np.zeros, np.ones, np.zeros)  # bias, ln_gain, ln_offset
+    layers = []
+    for shapes in _layer_shapes(widths, normalization):
+        weight = rng.normal(0.0, np.sqrt(2.0 / shapes[0][0]), size=shapes[0])
+        layers.append([weight] + [fill(s) for fill, s in zip(fills, shapes[1:])])
+    return FeatureMap(widths, layers, normalization=normalization,
                       rescale_to_unit=rescale_to_unit)
 
 
 def _check_finite_params(fmap):
-    for l in range(fmap.n_layers):
-        if not np.all(np.isfinite(fmap.weights[l])):
-            raise NumericError(f"non-finite weight in layer {l}")
-        if not np.all(np.isfinite(fmap.biases[l])):
-            raise NumericError(f"non-finite bias in layer {l}")
-    if fmap.normalization == "layer_norm":
-        for l in range(fmap.n_layers - 1):
-            if not (np.all(np.isfinite(fmap.ln_gains[l]))
-                    and np.all(np.isfinite(fmap.ln_offsets[l]))):
-                raise NumericError(f"non-finite layer-norm parameter in layer {l}")
+    for l, layer in enumerate(fmap.layers):
+        for key, array in zip(LAYER_KEYS, layer):
+            if not np.all(np.isfinite(array)):
+                raise NumericError(f"non-finite {key} in layer {l}")
 
 
 def _check_inputs(fmap, inputs):
@@ -307,137 +272,115 @@ def _check_inputs(fmap, inputs):
 
 
 def _forward_with_cache(fmap, inputs):
-    """Run the map, keeping every intermediate needed for reverse mode."""
-    h = inputs
-    cache = {"inputs": inputs, "pre": [], "ln": [], "act": []}
-    n_layers = fmap.n_layers
-    for l in range(n_layers):
-        a = h @ fmap.weights[l] + fmap.biases[l]
-        cache["pre"].append(a)
-        if l < n_layers - 1:
-            if fmap.normalization == "layer_norm":
-                mean = a.mean(axis=1, keepdims=True)
-                centered = a - mean
+    """Check parameters and inputs, then run the map, keeping every
+    intermediate needed for reverse mode.
+
+    cache["act"][l] is the input of layer l (the inputs, then each hidden
+    ReLU output); cache["ln"][l] is (xhat, inv_sd) of a layer-normalized
+    hidden layer, else None.
+    """
+    _check_finite_params(fmap)
+    h = inputs = _check_inputs(fmap, inputs)
+    cache = {"ln": [], "act": [inputs], "rescale": None}
+    last = len(fmap.layers) - 1
+    for l, (weight, bias, *ln) in enumerate(fmap.layers):
+        h = h @ weight + bias
+        if l < last:
+            if ln:
+                mean = h.mean(axis=1, keepdims=True)
+                centered = h - mean
                 var = np.mean(centered * centered, axis=1, keepdims=True)
                 inv_sd = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
                 xhat = centered * inv_sd
                 cache["ln"].append((xhat, inv_sd))
-                a = xhat * fmap.ln_gains[l] + fmap.ln_offsets[l]
+                h = xhat * ln[0] + ln[1]
             else:
                 cache["ln"].append(None)
-            h = np.maximum(a, 0.0)
+            h = np.maximum(h, 0.0)
             cache["act"].append(h)
-        else:
-            h = a
-    raw = h
-    if fmap.rescale_to_unit:
-        norms = np.sqrt(np.sum(raw * raw, axis=1, keepdims=True))
-        safe = np.where(norms > 0.0, norms, 1.0)
-        out = raw / safe
-        cache["rescale"] = (raw, out, safe, norms[:, 0] > 0.0)
-    else:
-        out = raw
-        cache["rescale"] = None
+    if not fmap.rescale_to_unit:
+        return h, cache
+    norms = np.sqrt(np.sum(h * h, axis=1, keepdims=True))
+    safe = np.where(norms > 0.0, norms, 1.0)
+    out = h / safe
+    cache["rescale"] = (out, safe, norms[:, 0] > 0.0)
     return out, cache
 
 
 def forward(fmap, inputs):
     """Map inputs (n, d) to features (n, p).
 
-    Raises a numeric error naming the offending layer if any parameter is
-    non-finite, and a shape error on dimension mismatch.  Composite maps
-    evaluate their components and combine columns per their rule.
+    Raises a numeric error naming the offending parameter and layer if any
+    parameter is non-finite, and a shape error on dimension mismatch.
+    Composite maps evaluate their components one after the other and
+    combine the features per their rule.
     """
-    if isinstance(fmap, ProductFeatureMap):
-        from .lowrank import product_features
-        return product_features(forward(fmap.left, inputs), forward(fmap.right, inputs))
-    if isinstance(fmap, AdditiveFeatureMap):
-        return np.hstack([forward(fmap.left, inputs), forward(fmap.right, inputs)])
-    _check_finite_params(fmap)
-    inputs = _check_inputs(fmap, inputs)
-    out, _ = _forward_with_cache(fmap, inputs)
-    return out
+    if isinstance(fmap, _FeatureMapPair):
+        return fmap.combine(forward(fmap.left, inputs), forward(fmap.right, inputs))
+    return _forward_with_cache(fmap, inputs)[0]
+
+
+def pullback(fmap, inputs):
+    """Features and their reverse mode from one forward pass.
+
+    Returns (phi, vjp): phi = forward(fmap, inputs), and vjp(upstream)
+    gives the gradient of sum(upstream * phi) in the parameters, in
+    ``param_list`` order, each congruent with its parameter.  upstream is
+    the (n, p) cotangent of phi.  ReLU uses subgradient 0 at exactly 0.
+    """
+    if isinstance(fmap, _FeatureMapPair):
+        phi1, vjp1 = pullback(fmap.left, inputs)
+        phi2, vjp2 = pullback(fmap.right, inputs)
+        phi = fmap.combine(phi1, phi2)
+        shape = phi.shape
+
+        def vjp(upstream):
+            upstream = np.asarray(upstream, dtype=np.float64)
+            if upstream.shape != shape:
+                raise ShapeError(f"upstream has shape {upstream.shape}, features {shape}")
+            d1, d2 = fmap.split(upstream, phi1, phi2)
+            return vjp1(d1) + vjp2(d2)
+        return phi, vjp
+
+    out, cache = _forward_with_cache(fmap, inputs)
+
+    def vjp(upstream):
+        g = np.asarray(upstream, dtype=np.float64)
+        if g.shape != out.shape:
+            raise ShapeError(f"upstream has shape {g.shape}, features {out.shape}")
+        if cache["rescale"] is not None:
+            unit, safe, nonzero = cache["rescale"]
+            # unit = raw / |raw|; zero rows pass the map unchanged, so their
+            # cotangent passes through unchanged too
+            dot = np.sum(g * unit, axis=1, keepdims=True)
+            g_rows = (g - dot * unit) / safe
+            g = np.where(nonzero[:, None], g_rows, g)
+
+        last = len(fmap.layers) - 1
+        grads = [None] * (last + 1)
+        for l in range(last, -1, -1):
+            weight, _, *ln = fmap.layers[l]
+            ln_grads = []
+            if l < last:
+                g = g * (cache["act"][l + 1] > 0.0)
+                if ln:
+                    xhat, inv_sd = cache["ln"][l]
+                    ln_grads = [np.sum(g * xhat, axis=0), np.sum(g, axis=0)]
+                    dxhat = g * ln[0]
+                    m1 = dxhat.mean(axis=1, keepdims=True)
+                    m2 = np.mean(dxhat * xhat, axis=1, keepdims=True)
+                    g = inv_sd * (dxhat - m1 - xhat * m2)
+            grads[l] = [cache["act"][l].T @ g, np.sum(g, axis=0), *ln_grads]
+            if l > 0:
+                g = g @ weight.T
+        return [grad for layer in grads for grad in layer]
+    return out, vjp
 
 
 def backward(fmap, inputs, upstream):
-    """Gradient of sum(upstream * forward(fmap, inputs)) in the parameters.
-
-    Parameters
-    ----------
-    upstream : ndarray, shape (n, p)
-        Cotangent of the feature matrix.
-
-    Returns
-    -------
-    list of ndarray
-        Gradients in ``param_list`` order, each congruent with its
-        parameter.  ReLU uses subgradient 0 at exactly 0.
-    """
-    if isinstance(fmap, ProductFeatureMap):
-        upstream = np.asarray(upstream, dtype=np.float64)
-        phi1 = forward(fmap.left, inputs)
-        phi2 = forward(fmap.right, inputs)
-        n, p1 = phi1.shape
-        p2 = phi2.shape[1]
-        if upstream.shape != (n, p1 * p2):
-            raise ShapeError(f"upstream has shape {upstream.shape}, expected {(n, p1 * p2)}")
-        up3 = upstream.reshape(n, p2, p1)
-        d_left = np.einsum("nji,nj->ni", up3, phi2)
-        d_right = np.einsum("nji,ni->nj", up3, phi1)
-        return backward(fmap.left, inputs, d_left) + backward(fmap.right, inputs, d_right)
-    if isinstance(fmap, AdditiveFeatureMap):
-        upstream = np.asarray(upstream, dtype=np.float64)
-        p1 = fmap.left.output_dim
-        return (backward(fmap.left, inputs, upstream[:, :p1])
-                + backward(fmap.right, inputs, upstream[:, p1:]))
-    _check_finite_params(fmap)
-    inputs = _check_inputs(fmap, inputs)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    out, cache = _forward_with_cache(fmap, inputs)
-    if upstream.shape != out.shape:
-        raise ShapeError(f"upstream has shape {upstream.shape}, features {out.shape}")
-
-    g = upstream
-    if cache["rescale"] is not None:
-        raw, unit, safe, nonzero = cache["rescale"]
-        # unit = raw / |raw|; zero rows pass the map unchanged, so their
-        # cotangent passes through unchanged too
-        dot = np.sum(g * unit, axis=1, keepdims=True)
-        g_rows = (g - dot * unit) / safe
-        g = np.where(nonzero[:, None], g_rows, g)
-
-    n_layers = fmap.n_layers
-    grad_w = [None] * n_layers
-    grad_b = [None] * n_layers
-    grad_gain = [None] * (n_layers - 1)
-    grad_offset = [None] * (n_layers - 1)
-
-    for l in range(n_layers - 1, -1, -1):
-        if l < n_layers - 1:
-            act = cache["act"][l]
-            g = g * (act > 0.0)
-            if fmap.normalization == "layer_norm":
-                xhat, inv_sd = cache["ln"][l]
-                grad_gain[l] = np.sum(g * xhat, axis=0)
-                grad_offset[l] = np.sum(g, axis=0)
-                dxhat = g * fmap.ln_gains[l]
-                m1 = dxhat.mean(axis=1, keepdims=True)
-                m2 = np.mean(dxhat * xhat, axis=1, keepdims=True)
-                g = inv_sd * (dxhat - m1 - xhat * m2)
-        below = cache["act"][l - 1] if l > 0 else inputs
-        grad_w[l] = below.T @ g
-        grad_b[l] = np.sum(g, axis=0)
-        if l > 0:
-            g = g @ fmap.weights[l].T
-
-    grads = []
-    for l in range(n_layers):
-        grads.append(grad_w[l])
-        grads.append(grad_b[l])
-        if fmap.normalization == "layer_norm" and l < n_layers - 1:
-            grads.append(grad_gain[l])
-            grads.append(grad_offset[l])
-    return grads
+    """Gradient of sum(upstream * forward(fmap, inputs)) in the parameters,
+    in ``param_list`` order (see pullback)."""
+    return pullback(fmap, inputs)[1](upstream)
 
 
 class AdamState:

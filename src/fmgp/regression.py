@@ -206,8 +206,7 @@ def training_rows(dataset):
 def _summed_mll(feature_map, log_sf2, log_sxi2, X, Y, extra_noise, rows):
     """The MLL summed over the columns of Y on the selected rows, its map
     gradients and its (C,) gradients in the log-variances."""
-    x_rows = X[rows]
-    phi = ft.forward(feature_map, x_rows)
+    phi, vjp = ft.pullback(feature_map, X[rows])
     total = d_phi = 0.0
     d_sf = np.zeros(Y.shape[1])
     d_sx = np.zeros(Y.shape[1])
@@ -217,7 +216,7 @@ def _summed_mll(feature_map, log_sf2, log_sxi2, X, Y, extra_noise, rows):
             None if extra_noise is None else extra_noise[rows, c])
         total += value
         d_phi += dp
-    return total, ft.backward(feature_map, x_rows, d_phi), d_sf, d_sx
+    return total, vjp(d_phi), d_sf, d_sx
 
 
 def train(feature_map, X, Y, extra_noise, config):

@@ -203,6 +203,17 @@ class TestPredictProba:
         with pytest.raises(DomainError):
             cls.predict_proba(self.clf, self.Xs, temperature=0.0)
 
+    @pytest.mark.parametrize("which", ["sigma_f_sq", "sigma_xi_sq"])
+    def test_nan_class_variance_rejected(self, which):
+        # NaN fails every comparison, so only "all positive" catches it
+        variances = {"sigma_f_sq": np.array([1.0, 1.0]),
+                     "sigma_xi_sq": np.array([0.3, 0.3])}
+        variances[which][0] = np.nan
+        with pytest.raises(DomainError):
+            cls.DirichletClassifier(self.clf.feature_map, variances["sigma_f_sq"],
+                                    variances["sigma_xi_sq"], self.clf.caches, 2,
+                                    self.clf.alpha_eps)
+
 
 class TestTemperature:
     def test_fitted_temperature_not_worse_than_unit(self):

@@ -175,6 +175,45 @@ class TestDataErrors:
         assert err["error"] == "DataError"
         assert "row 9, column 2" in err["message"]
 
+    def csv_config(self, tmp_path, csv_name, scale=1.0, shift=0.0):
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((120, 2))
+        y = np.sin(X[:, 0]) + 0.1 * rng.standard_normal(120)
+        rows = [f"{a * scale + shift:.17g},{b * scale + shift:.17g},{t:.17g}"
+                for (a, b), t in zip(X, y)]
+        (tmp_path / csv_name).write_text("x1,x2,y\n" + "\n".join(rows) + "\n")
+        doc = regression_doc(tmp_path)
+        doc["data"] = {"kind": "csv", "path": str(tmp_path / csv_name),
+                       "test_n": 20, "recal_n": 20}
+        return write_config(tmp_path, doc, csv_name + ".config.json")
+
+    def assert_normalization_error(self, capsys, code):
+        assert code == cli.EXIT_DATA
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1
+        err = json.loads(err_lines[0])
+        assert err["error"] == "DataError"
+        assert "'feature_means'" in err["message"]
+
+    def test_eval_rejects_shifted_data(self, tmp_path, capsys):
+        config = self.csv_config(tmp_path, "a.csv")
+        assert cli.main(["train", "--config", config]) == 0
+        shifted = self.csv_config(tmp_path, "b.csv", scale=10.0, shift=5.0)
+        capsys.readouterr()
+        code = cli.main(["eval", "--config", shifted,
+                         "--model", str(tmp_path / "model.json")])
+        self.assert_normalization_error(capsys, code)
+
+    def test_eval_rejects_other_split_seed(self, tmp_path, capsys):
+        config = self.csv_config(tmp_path, "a.csv")
+        assert cli.main(["train", "--config", config]) == 0
+        assert cli.main(["eval", "--config", config,
+                         "--model", str(tmp_path / "model.json")]) == 0
+        capsys.readouterr()
+        code = cli.main(["eval", "--config", config, "--seed", "9",
+                         "--model", str(tmp_path / "model.json")])
+        self.assert_normalization_error(capsys, code)
+
     def test_missing_model_file(self, tmp_path):
         config = write_config(tmp_path, regression_doc(tmp_path))
         code = cli.main(["eval", "--config", config,

@@ -113,6 +113,23 @@ class TestForward:
             ft.forward(fmap, X)
 
 
+class TestNonFiniteParams:
+    @pytest.mark.parametrize("key", ft.LAYER_KEYS)
+    def test_forward_and_pullback_name_key_and_layer(self, key):
+        fmap = random_map([3, 5, 4, 2], seed=0)
+        params = fmap.param_list()
+        # layer 1 is a normalized hidden layer, so it holds every key
+        index = len(fmap.layers[0]) + ft.LAYER_KEYS.index(key)
+        params[index] = params[index].copy()
+        params[index].flat[-1] = np.nan
+        broken = fmap.replace_params(params)
+        X = np.zeros((4, 3))
+        with pytest.raises(NumericError, match=f"non-finite {key} in layer 1"):
+            ft.forward(broken, X)
+        with pytest.raises(NumericError, match=f"non-finite {key} in layer 1"):
+            ft.pullback(broken, X)
+
+
 class TestBackward:
     @pytest.mark.parametrize("normalization", ["none", "layer_norm"])
     @pytest.mark.parametrize("rescale", [False, True])

@@ -190,6 +190,28 @@ class TestFitting:
         assert model.feature_map.output_dim == 16
         assert len(model.training_trace) == 10
 
+    @pytest.mark.parametrize("composite", [False, True])
+    def test_one_forward_pass_per_step(self, monkeypatch, composite):
+        # each training step runs each component map forward once, and
+        # the one-batch decomposition runs it once more
+        calls = []
+        run = ft._forward_with_cache
+
+        def counted(fmap, inputs):
+            calls.append(inputs.shape[0])
+            return run(fmap, inputs)
+
+        monkeypatch.setattr(ft, "_forward_with_cache", counted)
+        fmap = None
+        if composite:
+            fmap = ft.ProductFeatureMap(ft.init_params([1, 8, 4], seed=0),
+                                        ft.init_params([1, 8, 3], seed=1))
+        iterations = 5
+        reg.fit(self.make_dataset(), self.small_config(iterations=iterations),
+                feature_map=fmap)
+        components = 2 if composite else 1
+        assert len(calls) == components * (iterations + 1)
+
     def test_make_subsets_wraparound(self):
         rng = np.random.default_rng(0)
         subsets = reg.make_subsets(10, 4, 4, rng)
