@@ -190,8 +190,7 @@ def multinomial_nll(probs, labels):
     return float(-np.mean(np.log(np.maximum(picked, 1e-300))))
 
 
-def fit_temperature(clf, X_hold, y_hold, num_samples=DEFAULT_NUM_SAMPLES, seed=0,
-                    grid=None):
+def fit_temperature(clf, X_hold, y_hold, num_samples=DEFAULT_NUM_SAMPLES, seed=0):
     """Temperature minimizing the holdout multinomial NLL; returns T.
 
     The latent draws are taken once and reused for every candidate T, so
@@ -217,12 +216,7 @@ def fit_temperature(clf, X_hold, y_hold, num_samples=DEFAULT_NUM_SAMPLES, seed=0
         probs = _softmax(f / np.exp(log_t)).mean(axis=0)
         return multinomial_nll(probs, y_hold)
 
-    if grid is None:
-        grid = np.unique(np.concatenate([np.linspace(np.log(0.05), np.log(20.0), 41),
-                                         [0.0]]))
-    else:
-        grid = np.unique(np.concatenate([np.log(np.asarray(grid, dtype=np.float64)),
-                                         [0.0]]))
+    grid = np.unique(np.concatenate([np.linspace(np.log(0.05), np.log(20.0), 41), [0.0]]))
     values = np.array([nll_at(g) for g in grid])
     best = int(np.argmin(values))
     candidates = [(values[best], grid[best])]

@@ -1,9 +1,11 @@
 """Command-line harness: train, eval, spectral, and oracle-check.
 
-Configuration is one JSON file; unknown keys anywhere in it are
-rejected.  The --seed flag overrides every seed in the config (data
-split, training, and evaluation sampling), making reruns reproducible
-from the command line alone.
+Configuration is one JSON file.  Each block of it is read through the
+library signature it feeds, which declares the block's keys, defaults
+and types: an unknown key, or a value of another JSON type than the
+default's, is a ConfigError.  The --seed flag overrides every seed in
+the config (data split, training, and evaluation sampling), making
+reruns reproducible from the command line alone.
 
 Heavy imports are deferred until after FMGP_THREADS is translated into
 the BLAS/OpenMP environment variables, which only take effect if set
@@ -14,11 +16,16 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
+import functools
+import inspect
 import json
 import os
 import sys
 import time
+
+# errors imports nothing, so loading it here leaves numpy to the thread cap
+from .errors import (ConfigError, DataError, DomainError, FmgpError, NumericError,
+                     ShapeError)
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -33,123 +40,166 @@ def _apply_thread_cap():
     if not cap:
         return
     if not cap.isdigit() or int(cap) < 1:
-        from .errors import ConfigError
         raise ConfigError(f"FMGP_THREADS must be a positive integer, got {cap!r}")
     for var in _THREAD_ENV_VARS:
         os.environ[var] = cap
 
 
-def _require_keys(doc, allowed, context):
-    from .errors import ConfigError
+_TOP_KEYS = {"task", "data", "architecture", "composition", "training",
+             "recalibration", "classification", "spectral", "output_dir"}
+_ARCH_KEYS = {"hidden_widths", "output_dim", "normalization", "rescale_to_unit"}
+_SPLIT_KEYS = ("seed", "test_n", "recal_n")
+_KERNEL_KEYS = ("kernel", "base", "left", "right")
+_JSON_TYPES = {bool: "true or false", int: "a nonnegative integer", float: "a number",
+               str: "a string", tuple: "a list of nonnegative integers"}
+
+
+def _object(doc, context):
+    """A copy of doc, which must be a JSON object."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{context} must be a JSON object")
-    unknown = sorted(set(doc) - set(allowed))
+    return dict(doc)
+
+
+def _require_keys(doc, allowed, context):
+    unknown = sorted(set(_object(doc, context)) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown key(s) {unknown} in {context}; "
                           f"allowed: {sorted(allowed)}")
 
 
-def kernel_spec_from_json(doc):
-    """Declarative kernel description to a spectral-module kernel spec."""
+def _pop_kind(doc, kinds, context, default=None):
+    """(kind, the other keys) of a JSON object whose kind is one of kinds."""
+    rest = _object(doc, context)
+    kind = rest.pop("kind", default)
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"unknown {context} kind {kind!r}; allowed: {sorted(kinds)}")
+    return kind, rest
+
+
+def _typed(value, default, context):
+    """value, which must have the JSON type of default: an integer also
+    passes for a float, and a list of integers becomes a tuple.  Every
+    integer of a config is a count or a seed, so none may be negative."""
+    kind = type(default)
+    if kind is float and type(value) is int:
+        value = float(value)
+    elif kind is tuple and type(value) is list and all(type(v) is int for v in value):
+        value = tuple(value)
+    if (type(value) is not kind or kind is int and value < 0
+            or kind is tuple and min(value, default=0) < 0):
+        raise ConfigError(f"{context} must be {_JSON_TYPES[kind]}, "
+                          f"got {json.dumps(value)}")
+    return value
+
+
+def _read_block(block, factory, context, skip=()):
+    """Keyword arguments for factory from the config block named context.
+
+    The signature of factory is the block's schema: each key must name
+    one of its parameters outside skip, and each value must have the
+    JSON type of that parameter's default (see _typed).  The
+    kernel-valued parameters are read as kernel specs.
+    """
+    params = inspect.signature(factory).parameters
+    _require_keys(block, set(params) - set(skip), context)
+    return {key: (kernel_spec_from_json(value, f"{context}.{key}") if key in _KERNEL_KEYS
+                  else _typed(value, params[key].default, f"{context}.{key}"))
+            for key, value in block.items()}
+
+
+def kernel_spec_from_json(doc, context="kernel"):
+    """Declarative kernel description to a spectral-module kernel spec: a
+    kind plus keyword arguments of that kind's dataclass."""
     from . import spectral as sp
-    from .errors import ConfigError
-    _require_keys(doc, {"kind", "lengthscale", "period", "hidden_widths",
-                        "output_dim", "seed", "normalization", "rescale_to_unit",
-                        "base", "num_landmarks", "left", "right"}, "kernel spec")
-    kind = doc.get("kind")
-    if kind == "rbf":
-        return sp.RbfKernel(doc.get("lengthscale", 1.0))
-    if kind == "exp":
-        return sp.ExpKernel(doc.get("lengthscale", 1.0))
-    if kind == "matern32":
-        return sp.Matern32Kernel(doc.get("lengthscale", 1.0))
-    if kind == "periodic":
-        return sp.PeriodicKernel(doc.get("period", 1.0), doc.get("lengthscale", 1.0))
-    if kind == "mlp":
-        return sp.MlpKernel(tuple(doc.get("hidden_widths", (64,))),
-                            doc.get("output_dim", 16), doc.get("seed", 0),
-                            doc.get("normalization", "layer_norm"),
-                            doc.get("rescale_to_unit", True))
-    if kind == "nystrom":
-        return sp.NystromKernel(kernel_spec_from_json(doc.get("base", {"kind": "exp"})),
-                                doc.get("num_landmarks", 64), doc.get("seed", 0))
-    if kind == "product":
-        return sp.ProductKernel(kernel_spec_from_json(doc["left"]),
-                                kernel_spec_from_json(doc["right"]))
-    raise ConfigError(f"unknown kernel kind {kind!r}")
-
-
-_TOP_KEYS = {"task", "data", "architecture", "composition", "training",
-             "recalibration", "classification", "spectral", "output_dir"}
-_DATA_KEYS = {"kind", "path", "test_n", "recal_n", "seed", "kernel", "n", "d",
-              "noise_sd", "latent_kind", "d_ambient", "eps", "num_classes",
-              "separation"}
-_ARCH_KEYS = {"hidden_widths", "output_dim", "normalization", "rescale_to_unit"}
-_COMP_KEYS = {"kind", "output_dims"}
-_TRAIN_KEYS = {"iterations", "num_subsets", "subset_size", "learning_rate",
-               "seed", "init_sigma_f_sq", "init_sigma_xi_sq"}
-_CLS_KEYS = {"alpha_eps", "num_samples", "ece_bins", "fit_temperature"}
-_SPECTRAL_KEYS = {"kernels", "n", "d", "seeds"}
+    kinds = {"rbf": sp.RbfKernel, "exp": sp.ExpKernel, "matern32": sp.Matern32Kernel,
+             "periodic": sp.PeriodicKernel, "mlp": sp.MlpKernel,
+             "nystrom": sp.NystromKernel, "product": sp.ProductKernel}
+    kind, rest = _pop_kind(doc, kinds, context)
+    return kinds[kind](**_read_block(rest, kinds[kind], context))
 
 
 class RunConfig:
-    """Validated run description shared by the train and eval commands."""
+    """Validated run description shared by the train, eval and spectral
+    commands.
+
+    Each block is read through the signature it feeds (_read_block), so
+    the library declares its keys, defaults and types: architecture and
+    training through regression.FitConfig, classification through
+    classification.ClassifierConfig, data through data.prepare and the
+    generator of its kind, spectral through spectral.DecayConfig.
+    """
 
     def __init__(self, doc, seed_override=None):
-        from .errors import ConfigError
+        from . import classification as cls
+        from . import data as dt
+        from . import regression as reg
+        from . import spectral as sp
         _require_keys(doc, _TOP_KEYS, "config")
         self.task = doc.get("task", "regression")
         if self.task not in ("regression", "classification"):
             raise ConfigError(f"unknown task {self.task!r}")
-        self.data = dict(doc.get("data", {}))
-        _require_keys(self.data, _DATA_KEYS, "data")
-        self.architecture = dict(doc.get("architecture", {}))
-        _require_keys(self.architecture, _ARCH_KEYS, "architecture")
-        self.composition = dict(doc.get("composition", {"kind": "single"}))
-        _require_keys(self.composition, _COMP_KEYS, "composition")
-        if self.composition.get("kind", "single") not in ("single", "product",
-                                                          "additive"):
-            raise ConfigError(f"unknown composition kind "
-                              f"{self.composition.get('kind')!r}")
-        self.training = dict(doc.get("training", {}))
-        _require_keys(self.training, _TRAIN_KEYS, "training")
-        self.recalibration = bool(doc.get("recalibration", True))
-        self.classification = dict(doc.get("classification", {}))
-        _require_keys(self.classification, _CLS_KEYS, "classification")
-        self.spectral = dict(doc.get("spectral", {}))
-        _require_keys(self.spectral, _SPECTRAL_KEYS, "spectral")
-        self.output_dir = doc.get("output_dir", ".")
+        self.composition, composition = _pop_kind(doc.get("composition", {}),
+                                                  ("single", "product", "additive"),
+                                                  "composition", default="single")
+        _require_keys(composition, {"output_dims"}, "composition")
+        dims = self.output_dims = composition.get("output_dims")
+        if dims is not None and (len(_typed(dims, (), "composition.output_dims")) != 2
+                                 or min(dims) < 1):
+            raise ConfigError("output_dims must be two positive integers")
+
+        fit_params = inspect.signature(reg.FitConfig).parameters
+        fields = {**_read_block(doc.get("architecture", {}), reg.FitConfig,
+                                "architecture", skip=set(fit_params) - _ARCH_KEYS),
+                  **_read_block(doc.get("training", {}), reg.FitConfig, "training",
+                                skip=_ARCH_KEYS | {"decomp_batch_rows"})}
+        classification = _object(doc.get("classification", {}), "classification")
+        self.classification = {
+            key: _typed(classification.pop(key, default), default,
+                        f"classification.{key}")
+            for key, default in (("num_samples", cls.DEFAULT_NUM_SAMPLES),
+                                 ("ece_bins", cls.DEFAULT_ECE_BINS),
+                                 ("fit_temperature", True))}
+        cls_fields = _read_block(classification, cls.ClassifierConfig,
+                                 "classification", skip=fit_params)
+
+        sources = {"csv": self._load_csv, "synth_gp": dt.synth_gp_sample,
+                   "synth_manifold": dt.synth_manifold, "synth_blobs": dt.synth_blobs}
+        kind, data = _pop_kind(doc.get("data", {}), sources, "data", default="csv")
+        if self.task == "classification" and kind not in ("csv", "synth_blobs"):
+            raise ConfigError(f"data kind {kind!r} produces regression targets")
+        # the split keys feed data.prepare, the seed also the generator
+        split = {key: data.pop(key) for key in _SPLIT_KEYS if key in data}
+        self.split = _read_block(split, dt.prepare, "data")
         if seed_override is not None:
-            self.data["seed"] = seed_override
-            self.training["seed"] = seed_override
-        self._validate_values()
+            self.split["seed"] = fields["seed"] = _typed(seed_override, 0, "--seed")
+        if kind != "csv" and "seed" in self.split:
+            data["seed"] = self.split["seed"]
+        self.source = functools.partial(sources[kind],
+                                        **_read_block(data, sources[kind], "data"))
+        self.fit = (reg.FitConfig(**fields) if self.task == "regression"
+                    else cls.ClassifierConfig(**fields, **cls_fields))
 
-    def _validate_values(self):
-        from .errors import ConfigError
-        arch = self.architecture
-        if "output_dim" in arch and arch["output_dim"] < 1:
-            raise ConfigError(f"output_dim must be positive, "
-                              f"got {arch['output_dim']}")
-        if any(w < 1 for w in arch.get("hidden_widths", [])):
-            raise ConfigError("hidden widths must be positive")
-        tr = self.training
-        for key in ("iterations", "num_subsets", "subset_size"):
-            if key in tr and tr[key] < 0:
-                raise ConfigError(f"{key} must be nonnegative, got {tr[key]}")
-        if "learning_rate" in tr and not tr["learning_rate"] > 0:
-            raise ConfigError("learning_rate must be positive")
-        dims = self.composition.get("output_dims")
-        if dims is not None:
-            if len(dims) != 2 or any(p < 1 for p in dims):
-                raise ConfigError("output_dims must be two positive integers")
+        spectral = _object(doc.get("spectral", {}), "spectral")
+        kernels = spectral.pop("kernels", [])
+        if not isinstance(kernels, list):
+            raise ConfigError("spectral.kernels must be a list of kernel specs")
+        self.decay = sp.DecayConfig(
+            specs=tuple(kernel_spec_from_json(k, f"spectral.kernels[{i}]")
+                        for i, k in enumerate(kernels)),
+            **_read_block(spectral, sp.DecayConfig, "spectral", skip={"specs"}))
+        self.recalibration = _typed(doc.get("recalibration", True), True, "recalibration")
+        self.output_dir = _typed(doc.get("output_dir", "."), ".", "output_dir")
 
-    @property
-    def seed(self):
-        return int(self.training.get("seed", 0))
+    def _load_csv(self, path=""):
+        """The csv data source: the table at path, parsed for the task."""
+        from . import data as dt
+        if not path:
+            raise ConfigError("data.kind=csv requires data.path")
+        return dt.load_csv(path, task=self.task)
 
 
 def load_config(path, seed_override=None):
-    from .errors import ConfigError
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -163,70 +213,26 @@ def load_config(path, seed_override=None):
 def build_dataset(config):
     """Dataset described by the config's data block, split and whitened."""
     from . import data as dt
-    from .errors import ConfigError
-    spec = config.data
-    kind = spec.get("kind", "csv")
-    seed = int(spec.get("seed", 0))
-    test_n = int(spec.get("test_n", dt.TEST_N_DEFAULT))
-    recal_n = int(spec.get("recal_n", dt.RECAL_N_DEFAULT))
-    if kind == "csv":
-        path = spec.get("path")
-        if not path:
-            raise ConfigError("data.kind=csv requires data.path")
-        raw = dt.load_csv(path, task=config.task)
-    elif kind == "synth_gp":
-        kernel = kernel_spec_from_json(spec.get("kernel", {"kind": "exp"}))
-        raw = dt.synth_gp_sample(kernel, int(spec.get("n", 2000)),
-                                 int(spec.get("d", 1)),
-                                 float(spec.get("noise_sd", 0.1)), seed=seed)
-    elif kind == "synth_manifold":
-        raw = dt.synth_manifold(int(spec.get("n", 2000)),
-                                spec.get("latent_kind", "circle"),
-                                int(spec.get("d_ambient", 16)),
-                                float(spec.get("eps", 0.1)),
-                                float(spec.get("noise_sd", 0.1)), seed=seed)
-    elif kind == "synth_blobs":
-        raw = dt.synth_blobs(int(spec.get("n", 4000)),
-                             int(spec.get("num_classes", 2)),
-                             int(spec.get("d", 2)),
-                             float(spec.get("separation", 4.0)), seed=seed)
-    else:
-        raise ConfigError(f"unknown data kind {kind!r}")
-    if kind != "csv" and config.task == "classification" and kind != "synth_blobs":
-        raise ConfigError(f"data kind {kind!r} produces regression targets")
-    return dt.prepare(raw, seed=seed, test_n=test_n, recal_n=recal_n)
+    return dt.prepare(config.source(), **config.split)
 
 
 def build_feature_map(config, input_dim):
     """None for the single composition (fit builds its own); otherwise a
     prebuilt product or additive pair of freshly initialized maps."""
     from . import features as ft
-    kind = config.composition.get("kind", "single")
-    if kind == "single":
+    if config.composition == "single":
         return None
-    arch = _fit_config(config)
-    dims = config.composition.get("output_dims") or [max(1, arch.output_dim // 2)] * 2
+    arch = config.fit
+    dims = config.output_dims or [max(1, arch.output_dim // 2)] * 2
     left = ft.init_params([input_dim, *arch.hidden_widths, int(dims[0])], arch.seed,
                           normalization=arch.normalization,
                           rescale_to_unit=arch.rescale_to_unit)
     right = ft.init_params([input_dim, *arch.hidden_widths, int(dims[1])], arch.seed + 1,
                            normalization=arch.normalization,
                            rescale_to_unit=arch.rescale_to_unit)
-    if kind == "product":
+    if config.composition == "product":
         return ft.ProductFeatureMap(left, right)
     return ft.AdditiveFeatureMap(left, right)
-
-
-def _fit_config(config):
-    """The training config of the run: FitConfig, or ClassifierConfig for
-    classification, with each architecture, training and classification
-    key converted to the type of its field's default."""
-    from . import classification as cls
-    from . import regression as reg
-    config_class = reg.FitConfig if config.task == "regression" else cls.ClassifierConfig
-    given = {**config.architecture, **config.training, **config.classification}
-    return config_class(**{f.name: type(f.default)(given[f.name])
-                           for f in dataclasses.fields(config_class) if f.name in given})
 
 
 def _write_json(path, payload):
@@ -255,17 +261,17 @@ def cmd_train(config, out_dir):
     has_recal = dataset.split["recalibration"].size > 0
     started = time.perf_counter()
     if config.task == "regression":
-        model = reg.fit(dataset, _fit_config(config), feature_map=fmap)
+        model = reg.fit(dataset, config.fit, feature_map=fmap)
         if config.recalibration and has_recal:
             X_cal, y_cal = dataset.subset_arrays("recalibration")
             model = reg.recalibrate(model, X_cal, y_cal.astype(np.float64))
         save = reg.save_model
     else:
-        model = cls.fit_classifier(dataset, _fit_config(config), feature_map=fmap)
-        if config.classification.get("fit_temperature", True) and has_recal:
+        model = cls.fit_classifier(dataset, config.fit, feature_map=fmap)
+        if config.classification["fit_temperature"] and has_recal:
             X_cal, y_cal = dataset.subset_arrays("recalibration")
             model = model.with_temperature(
-                cls.fit_temperature(model, X_cal, y_cal, seed=config.seed))
+                cls.fit_temperature(model, X_cal, y_cal, seed=config.fit.seed))
         save = cls.save_classifier
     train_time = time.perf_counter() - started
     trace = model.training_trace or []
@@ -290,7 +296,6 @@ def cmd_eval(model_path, config, out_dir):
 
     from . import classification as cls
     from . import regression as reg
-    from .errors import ConfigError, DataError
 
     doc = reg.read_model_file(model_path)
     dataset = build_dataset(config)
@@ -319,17 +324,15 @@ def cmd_eval(model_path, config, out_dir):
         metrics["mse"] = float(np.mean((pred.mean - y_test) ** 2))
         metrics["mean_nll"] = reg.mean_nll(pred, y_test)
     else:
-        num_samples = int(config.classification.get("num_samples",
-                                                    cls.DEFAULT_NUM_SAMPLES))
-        ece_bins = int(config.classification.get("ece_bins",
-                                                 cls.DEFAULT_ECE_BINS))
         started = time.perf_counter()
-        probs = cls.predict_proba(model, X_test, num_samples=num_samples,
-                                  seed=config.seed)
+        probs = cls.predict_proba(model, X_test,
+                                  num_samples=config.classification["num_samples"],
+                                  seed=config.fit.seed)
         elapsed = time.perf_counter() - started
         labels = y_test.astype(np.int64)
         metrics["error_rate"] = float(np.mean(probs.argmax(axis=1) != labels))
-        metrics["ece"] = cls.compute_ece(probs, labels, ece_bins).ece
+        metrics["ece"] = cls.compute_ece(probs, labels,
+                                         config.classification["ece_bins"]).ece
         metrics["temperature"] = model.temperature
     metrics["timings"] = {"predict_s": elapsed,
                           "per_point_s": elapsed / X_test.shape[0]}
@@ -342,17 +345,8 @@ def cmd_eval(model_path, config, out_dir):
 def cmd_spectral(config, out_dir):
     """Eigenvalue-decay experiment over the configured kernel zoo."""
     from . import spectral as sp
-    from .errors import ConfigError
 
-    block = config.spectral
-    kernel_docs = block.get("kernels")
-    if not kernel_docs:
-        raise ConfigError("spectral config needs a nonempty kernels list")
-    specs = tuple(kernel_spec_from_json(doc) for doc in kernel_docs)
-    decay = sp.DecayConfig(specs=specs, n=int(block.get("n", sp.DEFAULT_SPECTRUM_N)),
-                           d=int(block.get("d", sp.DEFAULT_SPECTRUM_D)),
-                           seeds=tuple(block.get("seeds", (0,))))
-    reports = sp.decay_experiment(decay)
+    reports = sp.decay_experiment(config.decay)
     path = os.path.join(out_dir, "spectra.csv")
     sp.write_spectra_csv(reports, path)
     print(f"wrote {sum(r.eigenvalues.size for r in reports)} eigenvalues "
@@ -370,7 +364,6 @@ def cmd_oracle_check(seed=0, perturb_top_eigenvalue=0.0):
         print(f"{status} {report['name']}: max_err={report['max_err']:.3e} "
               f"tol={report['tol']:.1e} ({report['instances']} instances)")
     if not all(report["passed"] for report in reports):
-        from .errors import NumericError
         raise NumericError("one or more oracle batteries exceeded tolerance")
     return reports
 
@@ -410,15 +403,13 @@ def _resolve_out_dir(args, config):
 
 
 def main(argv=None):
-    from .errors import (ConfigError, DataError, DomainError, FmgpError,
-                         NumericError, ShapeError)
     try:
         _apply_thread_cap()
         args = _build_parser().parse_args(argv)
         if args.command == "oracle-check":
             config = load_config(args.config, args.seed) if args.config else None
-            seed = args.seed if args.seed is not None else (
-                config.seed if config else 0)
+            seed = _typed(args.seed, 0, "--seed") if args.seed is not None else (
+                config.fit.seed if config else 0)
             cmd_oracle_check(seed=seed,
                              perturb_top_eigenvalue=args.perturb_top_eigenvalue)
             return 0

@@ -184,6 +184,9 @@ def prepare(raw, seed=0, test_n=TEST_N_DEFAULT, recal_n=RECAL_N_DEFAULT):
         raise DomainError(f"need at least 3 rows to split, got {n}")
     if targets.shape[0] != n:
         raise DataError("feature rows and targets differ in length")
+    if test_n < 0 or recal_n < 0:
+        raise DomainError(f"held-out sizes must be nonnegative, got test_n={test_n}, "
+                          f"recal_n={recal_n}")
     test_n, recal_n = _split_sizes(n, test_n, recal_n)
     perm = np.random.default_rng(seed).permutation(n)
     split = {
@@ -240,18 +243,19 @@ def sample_gp_path(gram, rng, jitter=1e-8, max_jitter=1e-4):
     raise NumericError(f"Cholesky failed up to jitter {max_jitter}")
 
 
-def synth_gp_sample(kernel_spec, n, d, noise_sd, seed=0):
+def synth_gp_sample(kernel=None, n=2000, d=1, noise_sd=0.1, seed=0):
     """Unsplit Dataset whose targets are one noisy GP sample path.
 
     Inputs are uniform on [0, 1]^d; the latent function is drawn from
-    N(0, K) for the Gram matrix of kernel_spec on those inputs.
+    N(0, K) for the Gram matrix of the kernel spec (None: the exponential
+    kernel with lengthscale 1) on those inputs.
     """
     from . import spectral
     if n < 1:
         raise DomainError(f"need at least one sample, got {n}")
     rng = np.random.default_rng(seed)
     X = rng.uniform(size=(n, d))
-    gram = spectral.build_gram(kernel_spec, X)
+    gram = spectral.build_gram(spectral.ExpKernel(1.0) if kernel is None else kernel, X)
     f = sample_gp_path(gram, rng)
     y = f + noise_sd * rng.standard_normal(n)
     return _unsplit(X, y)
@@ -272,7 +276,7 @@ def _torus_latents(n, rng):
     return z, np.stack([theta, phi], axis=1)
 
 
-def synth_manifold(n, latent_kind="circle", d_ambient=16, eps=0.1, noise_sd=0.1,
+def synth_manifold(n=2000, latent_kind="circle", d_ambient=16, eps=0.1, noise_sd=0.1,
                    seed=0):
     """Unsplit regression Dataset embedding a noisy low-dim manifold.
 
@@ -311,7 +315,7 @@ def synth_manifold(n, latent_kind="circle", d_ambient=16, eps=0.1, noise_sd=0.1,
     return _unsplit(X, y, latents=z_noisy)
 
 
-def synth_blobs(n, num_classes=3, d=2, separation=4.0, seed=0):
+def synth_blobs(n=4000, num_classes=2, d=2, separation=4.0, seed=0):
     """Unsplit classification Dataset of unit-variance Gaussian blobs.
 
     Class centers sit at the origin and at separation-scaled axis

@@ -71,8 +71,10 @@ class FeatureDecomposition:
     @staticmethod
     def from_json_dict(doc):
         proj = doc["proj_targets"]
+        # decompose keeps eigh's Fortran order; the same layout makes
+        # products with u, and so predictions, bit-identical after a reload
         return FeatureDecomposition(
-            np.asarray(doc["u"], dtype=np.float64),
+            np.asarray(doc["u"], dtype=np.float64, order="F"),
             np.asarray(doc["eigenvalues"], dtype=np.float64),
             None if proj is None else np.asarray(proj, dtype=np.float64),
             doc["n"], doc["trace_phi_sq"])
@@ -92,7 +94,6 @@ class GramAccumulator:
         self.gram = np.zeros((p, p))
         self.phi_t_y = np.zeros(p)
         self.n = 0
-        self.saw_targets = False
 
     def add(self, phi_batch, y_batch=None):
         phi_batch = np.asarray(phi_batch, dtype=np.float64)
@@ -104,7 +105,6 @@ class GramAccumulator:
             if y_batch.shape != (phi_batch.shape[0],):
                 raise ShapeError("target batch length does not match feature batch")
             self.phi_t_y += phi_batch.T @ y_batch
-            self.saw_targets = True
         self.n += phi_batch.shape[0]
         return self
 

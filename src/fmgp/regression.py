@@ -27,7 +27,8 @@ import scipy.linalg
 
 from . import features as ft
 from . import lowrank as lr
-from .errors import DataError, DomainError, NumericError, ShapeError, TrainingError
+from .errors import (ConfigError, DataError, DomainError, NumericError, ShapeError,
+                     TrainingError)
 
 MODEL_SCHEMA = "fmgp/model@1"
 
@@ -85,7 +86,8 @@ class GpModel:
 class FitConfig:
     """Training settings; defaults follow the reference protocol
     (two 512-wide hidden layers, 64 features, 200 Adam iterations over
-    4 subsets of at most 20000 points)."""
+    4 subsets of at most 20000 points).  A value out of range is a
+    ConfigError at construction."""
     hidden_widths: tuple = (512, 512)
     output_dim: int = 64
     normalization: str = "layer_norm"
@@ -99,6 +101,16 @@ class FitConfig:
     init_sigma_f_sq: float = 1.0
     init_sigma_xi_sq: float = 0.1
     decomp_batch_rows: int = 8192
+
+    def __post_init__(self):
+        for name in ("output_dim", "num_subsets", "subset_size", "learning_rate",
+                     "init_sigma_f_sq", "init_sigma_xi_sq", "decomp_batch_rows"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if not all(w > 0 for w in self.hidden_widths):
+            raise ConfigError(f"hidden widths must be positive, got {self.hidden_widths}")
+        if not self.iterations >= 0:
+            raise ConfigError(f"iterations must be nonnegative, got {self.iterations}")
 
 
 def gaussian_mll_parts(phi_hat, y, log_sigma_f_sq, log_sigma_xi_sq, extra_noise=None):
@@ -145,13 +157,10 @@ def gaussian_mll_parts(phi_hat, y, log_sigma_f_sq, log_sigma_xi_sq, extra_noise=
     logdet = float(np.sum(np.log(s2)) + np.sum(np.log(denom)))
     value = -0.5 * quad - 0.5 * logdet - 0.5 * n * LOG_2PI
     if not np.isfinite(value):
-        err = NumericError(
+        raise NumericError(
             f"marginal log-likelihood is not finite "
             f"(log sigma_f_sq={float(log_sigma_f_sq):.6g}, "
             f"log sigma_xi_sq={float(log_sigma_xi_sq):.6g})")
-        err.params_snapshot = {"log_sigma_f_sq": float(log_sigma_f_sq),
-                               "log_sigma_xi_sq": float(log_sigma_xi_sq)}
-        raise err
 
     r = phi_w @ u
     w_over = w / denom

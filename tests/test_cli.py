@@ -103,7 +103,81 @@ class TestTrainEval:
             (out_b / "model.json").read_bytes()
 
 
+def spectral_doc(out_dir):
+    return {"spectral": {"kernels": [{"kind": "rbf"}], "n": 32, "d": 2},
+            "output_dir": str(out_dir)}
+
+
+BAD_INPUTS = [
+    # a value of another JSON type than its parameter's default
+    pytest.param("training.iterations", "10", cli.EXIT_CONFIG, id="iterations_string"),
+    pytest.param("training.learning_rate", "0.1", cli.EXIT_CONFIG, id="learning_rate_string"),
+    pytest.param("architecture.output_dim", "8", cli.EXIT_CONFIG, id="output_dim_string"),
+    pytest.param("data.n", "many", cli.EXIT_CONFIG, id="data_n_string"),
+    pytest.param("spectral.n", "many", cli.EXIT_CONFIG, id="spectral_n_string"),
+    pytest.param("architecture.hidden_widths", 8, cli.EXIT_CONFIG, id="hidden_widths_int"),
+    pytest.param("architecture.hidden_widths", "ab", cli.EXIT_CONFIG,
+                 id="hidden_widths_string"),
+    pytest.param("data.kernel", {"kind": "nystrom",
+                                 "base": {"kind": "mlp", "hidden_widths": 8}},
+                 cli.EXIT_CONFIG, id="nystrom_base_hidden_widths_int"),
+    pytest.param("composition", {"kind": "product", "output_dims": 3}, cli.EXIT_CONFIG,
+                 id="output_dims_int"),
+    pytest.param("composition", {"kind": "product", "output_dims": ["a", 2]},
+                 cli.EXIT_CONFIG, id="output_dims_string_entry"),
+    # a key that only another kind accepts
+    pytest.param("data.kernel", {"kind": "rbf", "period": 3}, cli.EXIT_CONFIG,
+                 id="rbf_period"),
+    pytest.param("data.num_classes", 3, cli.EXIT_CONFIG, id="synth_gp_num_classes"),
+    pytest.param("data.separation", "zz", cli.EXIT_CONFIG, id="synth_gp_separation"),
+    # a value out of range
+    pytest.param("training.num_subsets", 0, cli.EXIT_CONFIG, id="num_subsets_zero"),
+    pytest.param("data.test_n", -5, cli.EXIT_CONFIG, id="negative_test_n"),
+    pytest.param("training.seed", -1, cli.EXIT_CONFIG, id="negative_training_seed"),
+    pytest.param("spectral.seeds", [0, -1], cli.EXIT_CONFIG, id="negative_spectral_seed"),
+    pytest.param("training.init_sigma_f_sq", -1, cli.EXIT_CONFIG,
+                 id="negative_init_sigma_f_sq"),
+    # unreadable input
+    pytest.param(None, None, cli.EXIT_CONFIG, id="malformed_json"),
+    pytest.param("data", {"kind": "csv", "path": "ragged.csv"}, cli.EXIT_DATA,
+                 id="ragged_csv"),
+    pytest.param("data", {"kind": "csv", "path": "empty.csv"}, cli.EXIT_DATA,
+                 id="empty_csv"),
+]
+
+
 class TestConfigErrors:
+    @pytest.mark.parametrize("key_path, value, code", BAD_INPUTS)
+    def test_bad_input_exits_with_one_json_line(self, tmp_path, monkeypatch, capsys,
+                                                key_path, value, code):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ragged.csv").write_text("a,b,y\n1,2,3\n4,5\n6,7,8\n")
+        (tmp_path / "empty.csv").write_text("")
+        command = "spectral" if str(key_path).startswith("spectral") else "train"
+        if key_path is None:
+            (tmp_path / "config.json").write_text('{"task": ')
+            config = str(tmp_path / "config.json")
+        else:
+            doc = (spectral_doc if command == "spectral" else regression_doc)(tmp_path)
+            *outer, last = key_path.split(".")
+            block = doc
+            for key in outer:
+                block = block[key]
+            block[last] = value
+            config = write_config(tmp_path, doc)
+        assert cli.main([command, "--config", config]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])) == {"error", "message"}
+
+    def test_negative_seed_flag(self, capsys):
+        assert cli.main(["oracle-check", "--seed", "-1"]) == cli.EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert "--seed" in err["message"]
+
     def test_unknown_top_level_key(self, tmp_path):
         doc = regression_doc(tmp_path)
         doc["tasks"] = "regression"

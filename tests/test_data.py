@@ -112,6 +112,12 @@ class TestPrepare:
         with pytest.raises(DomainError):
             dt.prepare(random_raw(2))
 
+    @pytest.mark.parametrize("sizes", [dict(test_n=-5), dict(recal_n=-1)])
+    def test_negative_heldout_sizes_raise(self, sizes):
+        # a negative block size would make the test and training blocks overlap
+        with pytest.raises(DomainError, match="nonnegative"):
+            dt.prepare(random_raw(60), **sizes)
+
     def test_constant_column_warns_and_uses_unit_std(self):
         raw = random_raw(3000)
         raw.X[:, 1] = 5.0

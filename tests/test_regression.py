@@ -419,6 +419,25 @@ class TestPersistence:
         np.testing.assert_array_equal(a.variance, b.variance)
         assert loaded.train_inputs_stats == model.train_inputs_stats
 
+    def test_product_map_predicts_bit_identically_after_reload(self, tmp_path):
+        rng = np.random.default_rng(62)
+        fmap = ft.ProductFeatureMap(
+            ft.init_params([3, 6, 4], seed=2, normalization="layer_norm",
+                           rescale_to_unit=True),
+            ft.init_params([3, 6, 5], seed=3, normalization="layer_norm",
+                           rescale_to_unit=True))
+        X = rng.standard_normal((40, 3))
+        model = reg.GpModel(fmap, 1.3, 0.2,
+                            reg.build_decomposition(fmap, X, rng.standard_normal(40)))
+        path = tmp_path / "model.json"
+        reg.save_model(model, path)
+        loaded = reg.load_model(path)
+        Xs = rng.standard_normal((25, 3))
+        a = reg.predict(model, Xs)
+        b = reg.predict(loaded, Xs)
+        np.testing.assert_array_equal(a.mean, b.mean)
+        np.testing.assert_array_equal(a.variance, b.variance)
+
     def test_unknown_schema_rejected(self):
         with pytest.raises(DataError):
             reg.model_from_json_dict({"schema": "fmgp/model@99"})
