@@ -7,6 +7,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from fmgp import data as dt
+from fmgp import oracle_check as oc
 from fmgp import regression as reg
 from fmgp import spectral as sp
 
@@ -37,7 +38,7 @@ def main():
     s = ds.target_std
     raw_train = ds.subset_arrays("train")[0] * ds.feature_stds + ds.feature_means
     raw_test = X_test * ds.feature_stds + ds.feature_means
-    oracle = reg.exact_gp_oracle(
+    oracle = oc.exact_gp_oracle(
         lambda a, b: np.exp(-cdist(a, b) / kernel.lengthscale) / s ** 2,
         raw_train, ds.subset_arrays("train")[1].astype(np.float64),
         (0.1 / s) ** 2, raw_test)

@@ -26,7 +26,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from . import features as ft
 from . import lowrank as lr
@@ -190,15 +189,40 @@ def multinomial_nll(probs, labels):
     return float(-np.mean(np.log(np.maximum(picked, 1e-300))))
 
 
+def _golden_section(func, x0, xb, x3, fb, xtol=1e-6, maxiter=5000):
+    """(x, func(x)) at a minimum inside x0 < xb < x3, fb = func(xb) lying
+    below func at both ends: the steps of scipy's golden-section search,
+    started from the known fb."""
+    g_r = 0.61803399
+    g_c = 1.0 - g_r
+    if abs(x3 - xb) > abs(xb - x0):
+        x1, x2 = xb, xb + g_c * (x3 - xb)
+        f1, f2 = fb, func(x2)
+    else:
+        x1, x2 = xb - g_c * (xb - x0), xb
+        f1, f2 = func(x1), fb
+    for _ in range(maxiter):
+        if abs(x3 - x0) <= xtol * (abs(x1) + abs(x2)):
+            break
+        if f2 < f1:
+            x0, x1, x2 = x1, x2, g_r * x2 + g_c * x3
+            f1, f2 = f2, func(x2)
+        else:
+            x3, x2, x1 = x2, x1, g_r * x1 + g_c * x0
+            f2, f1 = f1, func(x1)
+    return (x1, f1) if f1 < f2 else (x2, f2)
+
+
 def fit_temperature(clf, X_hold, y_hold, num_samples=DEFAULT_NUM_SAMPLES, seed=0):
     """Temperature minimizing the holdout multinomial NLL; returns T.
 
     The latent draws are taken once and reused for every candidate T, so
     the objective is a deterministic 1-d function of T; it is minimized
     over a log-spaced grid containing T = 1 and refined by golden-section
-    search around the best grid point.  The returned T never has higher
-    NLL than T = 1 on the holdout.  Argmax class predictions are
-    unaffected by any positive T for each individual latent sample.
+    search inside the grid bracket of the best point.  Each T is
+    evaluated once.  The returned T never has higher NLL than T = 1 on
+    the holdout.  Argmax class predictions are unaffected by any
+    positive T for each individual latent sample.
     """
     y_hold = np.asarray(y_hold).astype(np.int64)
     if y_hold.size < 1:
@@ -218,19 +242,14 @@ def fit_temperature(clf, X_hold, y_hold, num_samples=DEFAULT_NUM_SAMPLES, seed=0
 
     grid = np.unique(np.concatenate([np.linspace(np.log(0.05), np.log(20.0), 41), [0.0]]))
     values = np.array([nll_at(g) for g in grid])
+    # the grid holds T = 1, so its best point is never worse than T = 1
     best = int(np.argmin(values))
-    candidates = [(values[best], grid[best])]
-    if 0 < best < grid.size - 1:
-        try:
-            refined = scipy.optimize.minimize_scalar(
-                nll_at, bracket=(grid[best - 1], grid[best], grid[best + 1]),
-                method="golden", options={"xtol": 1e-6})
-            if np.isfinite(refined.fun):
-                candidates.append((refined.fun, refined.x))
-        except ValueError:
-            pass
-    candidates.append((nll_at(0.0), 0.0))
-    _, log_t = min(candidates, key=lambda pair: pair[0])
+    log_t = grid[best]
+    # a tie with a neighbour, or a NaN, leaves the grid point unrefined
+    if 0 < best < grid.size - 1 and values[best - 1] > values[best] < values[best + 1]:
+        refined, value = _golden_section(nll_at, *grid[best - 1:best + 2], values[best])
+        if value < values[best]:
+            log_t = refined
     return float(np.exp(log_t))
 
 

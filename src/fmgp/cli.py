@@ -19,9 +19,11 @@ import csv
 import functools
 import inspect
 import json
+import math
 import os
 import sys
 import time
+import warnings
 
 # errors imports nothing, so loading it here leaves numpy to the thread cap
 from .errors import (ConfigError, DataError, DomainError, FmgpError, NumericError,
@@ -50,7 +52,7 @@ _TOP_KEYS = {"task", "data", "architecture", "composition", "training",
 _ARCH_KEYS = {"hidden_widths", "output_dim", "normalization", "rescale_to_unit"}
 _SPLIT_KEYS = ("seed", "test_n", "recal_n")
 _KERNEL_KEYS = ("kernel", "base", "left", "right")
-_JSON_TYPES = {bool: "true or false", int: "a nonnegative integer", float: "a number",
+_JSON_TYPES = {bool: "true or false", int: "a nonnegative integer", float: "a finite number",
                str: "a string", tuple: "a list of nonnegative integers"}
 
 
@@ -80,13 +82,15 @@ def _pop_kind(doc, kinds, context, default=None):
 def _typed(value, default, context):
     """value, which must have the JSON type of default: an integer also
     passes for a float, and a list of integers becomes a tuple.  Every
-    integer of a config is a count or a seed, so none may be negative."""
+    integer of a config is a count or a seed, so none may be negative,
+    and every float must be finite."""
     kind = type(default)
     if kind is float and type(value) is int:
-        value = float(value)
+        value = float(value) if abs(value) <= sys.float_info.max else math.inf
     elif kind is tuple and type(value) is list and all(type(v) is int for v in value):
         value = tuple(value)
     if (type(value) is not kind or kind is int and value < 0
+            or kind is float and not math.isfinite(value)
             or kind is tuple and min(value, default=0) < 0):
         raise ConfigError(f"{context} must be {_JSON_TYPES[kind]}, "
                           f"got {json.dumps(value)}")
@@ -166,6 +170,8 @@ class RunConfig:
         sources = {"csv": self._load_csv, "synth_gp": dt.synth_gp_sample,
                    "synth_manifold": dt.synth_manifold, "synth_blobs": dt.synth_blobs}
         kind, data = _pop_kind(doc.get("data", {}), sources, "data", default="csv")
+        _require_keys(data, {*inspect.signature(sources[kind]).parameters, *_SPLIT_KEYS},
+                      "data")
         if self.task == "classification" and kind not in ("csv", "synth_blobs"):
             raise ConfigError(f"data kind {kind!r} produces regression targets")
         # the split keys feed data.prepare, the seed also the generator
@@ -205,7 +211,7 @@ def load_config(path, seed_override=None):
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, not UTF-8, or an over-long integer
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     return RunConfig(doc, seed_override)
 
@@ -368,8 +374,15 @@ def cmd_oracle_check(seed=0, perturb_top_eigenvalue=0.0):
     return reports
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad command line as a ConfigError, in one JSON line."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="fmgp",
         description="Train, evaluate, and analyze feature-map GP models.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -392,7 +405,7 @@ def _build_parser():
     common(oracle_p, config_required=False)
     oracle_p.add_argument("--perturb-top-eigenvalue", type=float, default=0.0,
                           help="test hook: scale the top cached eigenvalue "
-                               "by 1+x to verify the batteries detect it")
+                               "by 1+x to verify the prediction battery detects it")
     return parser
 
 
@@ -403,6 +416,17 @@ def _resolve_out_dir(args, config):
 
 
 def main(argv=None):
+    # an error prints one JSON line on stderr, so warnings (numpy overflow
+    # in a diverging fit, say) are shown only when the command succeeds
+    with warnings.catch_warnings(record=True) as caught:
+        code = _run(argv)
+    if code == 0:
+        for w in caught:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    return code
+
+
+def _run(argv):
     try:
         _apply_thread_cap()
         args = _build_parser().parse_args(argv)

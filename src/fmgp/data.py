@@ -17,7 +17,6 @@ import csv
 import warnings
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DataError, DomainError, NumericError
 
@@ -120,7 +119,7 @@ def load_csv(path, task="regression"):
     try:
         with open(path, encoding="utf-8") as fh:
             rows = [row for row in csv.reader(fh) if row]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: file is empty")
@@ -231,6 +230,8 @@ def _unsplit(X, targets, task="regression", label_map=None, latents=None):
 
 def sample_gp_path(gram, rng, jitter=1e-8, max_jitter=1e-4):
     """Draw f ~ N(0, gram) via Cholesky with an escalating jitter ladder."""
+    # only the synthetic generators need scipy, so fitting never loads it
+    import scipy.linalg
     gram = np.asarray(gram, dtype=np.float64)
     n = gram.shape[0]
     z = rng.standard_normal(n)

@@ -271,9 +271,9 @@ def _check_inputs(fmap, inputs):
     return inputs
 
 
-def _forward_with_cache(fmap, inputs):
+def _forward_with_cache(fmap, inputs, keep=True):
     """Check parameters and inputs, then run the map, keeping every
-    intermediate needed for reverse mode.
+    intermediate needed for reverse mode unless keep is false.
 
     cache["act"][l] is the input of layer l (the inputs, then each hidden
     ReLU output); cache["ln"][l] is (xhat, inv_sd) of a layer-normalized
@@ -292,12 +292,14 @@ def _forward_with_cache(fmap, inputs):
                 var = np.mean(centered * centered, axis=1, keepdims=True)
                 inv_sd = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
                 xhat = centered * inv_sd
-                cache["ln"].append((xhat, inv_sd))
+                if keep:
+                    cache["ln"].append((xhat, inv_sd))
                 h = xhat * ln[0] + ln[1]
             else:
                 cache["ln"].append(None)
             h = np.maximum(h, 0.0)
-            cache["act"].append(h)
+            if keep:
+                cache["act"].append(h)
     if not fmap.rescale_to_unit:
         return h, cache
     norms = np.sqrt(np.sum(h * h, axis=1, keepdims=True))
@@ -317,7 +319,9 @@ def forward(fmap, inputs):
     """
     if isinstance(fmap, _FeatureMapPair):
         return fmap.combine(forward(fmap.left, inputs), forward(fmap.right, inputs))
-    return _forward_with_cache(fmap, inputs)[0]
+    # kept intermediates double the working set, and freeing that much at once
+    # lets the allocator return the pages to the OS, to fault in every call
+    return _forward_with_cache(fmap, inputs, keep=False)[0]
 
 
 def pullback(fmap, inputs):

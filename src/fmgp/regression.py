@@ -12,8 +12,8 @@ train, build_caches, posterior and the model-file helpers serve C target
 columns on one shared map: regression is their one-output, homoscedastic
 call, Dirichlet classification their C-class, heteroscedastic one.
 
-A dense Cholesky oracle lives alongside the low-rank path; every
-identity used here is checked against it in the test suite.
+The dense Cholesky oracle that checks every identity used here lives
+in oracle_check.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import features as ft
 from . import lowrank as lr
@@ -46,9 +45,6 @@ class PredictiveDistribution:
         self.mean = mean
         self.variance = variance
         self.observation_variance = observation_variance
-
-    def __len__(self):
-        return self.mean.shape[0]
 
 
 def _clamp_variance(core, scale):
@@ -358,16 +354,6 @@ def predict(model, X_star):
     return PredictiveDistribution(means[:, 0], variance, variance + model.sigma_xi_sq)
 
 
-def predict_full_cov(model, X_star):
-    """Full n* x n* latent predictive covariance; opt-in, for small n*."""
-    psi = ft.forward(model.feature_map, X_star)
-    decomp = model.decomp
-    au = psi @ decomp.u
-    shrink = decomp.lam / (decomp.lam + model.gamma)
-    cov = model.sigma_f_sq * (psi @ psi.T - (au * shrink) @ au.T)
-    return (cov + cov.T) / 2.0
-
-
 def recalibrate(model, X_cal, y_cal):
     """Scale both variances by the mean standardized squared residual.
 
@@ -393,52 +379,6 @@ def recalibrate(model, X_cal, y_cal):
                    alpha * model.sigma_xi_sq, model.decomp,
                    train_inputs_stats=model.train_inputs_stats,
                    gamma=model.gamma, training_trace=model.training_trace)
-
-
-def _refined_cho_solve(cho, k_xi, b, steps=2):
-    """Cholesky solve plus iterative refinement with extended-precision
-    residuals, so the oracle stays sharp at small noise variances where
-    the dense system is badly conditioned."""
-    x = scipy.linalg.cho_solve(cho, b)
-    k_ld = k_xi.astype(np.longdouble)
-    b_ld = b.astype(np.longdouble)
-    x_ld = x.astype(np.longdouble)
-    for _ in range(steps):
-        residual = b_ld - k_ld @ x_ld
-        x_ld = x_ld + scipy.linalg.cho_solve(cho, residual.astype(np.float64))
-    return x_ld.astype(np.float64)
-
-
-def exact_gp_oracle(kernel, X, y, noise_var, X_star):
-    """Dense Cholesky-based exact GP predictions; the verification oracle.
-
-    kernel(A, B) must return the cross-Gram of its two input sets.
-    noise_var may be a scalar (homoscedastic) or an n-vector of per-point
-    noise variances (the heteroscedastic surrogate-regression case);
-    observation_variance adds the scalar when given, otherwise equals the
-    latent variance.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    X_star = np.asarray(X_star, dtype=np.float64)
-    n = X.shape[0]
-    k_nn = np.asarray(kernel(X, X), dtype=np.float64)
-    noise = np.asarray(noise_var, dtype=np.float64)
-    scalar_noise = noise.ndim == 0
-    k_xi = k_nn + (noise * np.eye(n) if scalar_noise else np.diag(noise))
-    try:
-        cho = scipy.linalg.cho_factor(k_xi, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericError(f"dense kernel matrix is not positive definite: {exc}") from exc
-    alpha = _refined_cho_solve(cho, k_xi, y)
-    k_sn = np.asarray(kernel(X_star, X), dtype=np.float64)
-    mean = k_sn @ alpha
-    solved = _refined_cho_solve(cho, k_xi, k_sn.T)
-    prior = np.diag(np.asarray(kernel(X_star, X_star), dtype=np.float64)).copy()
-    core = prior - np.sum(k_sn * solved.T, axis=1)
-    variance = _clamp_variance(core, prior)
-    obs = variance + (float(noise) if scalar_noise else 0.0)
-    return PredictiveDistribution(mean, variance, obs)
 
 
 def mean_nll(pred, y):
@@ -494,7 +434,7 @@ def read_model_file(path):
             return json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot read model {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, not UTF-8, or an over-long integer
         raise DataError(f"model {path} is not valid JSON: {exc}") from None
 
 

@@ -213,7 +213,7 @@ class TestAcceptance:
         means, variances = cls.class_posteriors(clf, Xs)
         worst_mean = worst_var = 0.0
         for c in range(3):
-            oracle = reg.exact_gp_oracle(
+            oracle = oc.exact_gp_oracle(
                 lambda a, b, c=c: sigma_f_sq[c] * (ft.forward(fmap, a)
                                                    @ ft.forward(fmap, b).T),
                 X, y_t[:, c], s_t[:, c] + sigma_xi_sq[c], Xs)
@@ -278,7 +278,7 @@ class TestAcceptance:
         s = ds.target_std
         raw_train = X_train * ds.feature_stds + ds.feature_means
         raw_test = X_test * ds.feature_stds + ds.feature_means
-        oracle = reg.exact_gp_oracle(
+        oracle = oc.exact_gp_oracle(
             lambda a, b: sp._base_gram(kernel, a, b) / s ** 2,
             raw_train, y_train.astype(np.float64), (0.1 / s) ** 2, raw_test)
         mse_oracle = float(np.mean((oracle.mean - y_test) ** 2))

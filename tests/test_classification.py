@@ -9,6 +9,7 @@ from fmgp import classification as cls
 from fmgp import data as dt
 from fmgp import features as ft
 from fmgp import lowrank as lr
+from fmgp import oracle_check as oc
 from fmgp import regression as reg
 from fmgp.errors import DataError, DomainError, ShapeError
 
@@ -93,7 +94,7 @@ class TestHeteroscedasticWhitening:
                 return sigma_f_sq[c] * (ft.forward(fmap, a) @ ft.forward(fmap, b).T)
 
             noise = s_tilde_sq[:, c] + sigma_xi_sq[c]
-            oracle = reg.exact_gp_oracle(kernel, X, y_tilde[:, c], noise, Xs)
+            oracle = oc.exact_gp_oracle(kernel, X, y_tilde[:, c], noise, Xs)
             scale = np.max(np.abs(oracle.mean))
             assert np.max(np.abs(means[:, c] - oracle.mean)) <= 1e-8 * scale
             np.testing.assert_allclose(variances[:, c], oracle.variance,
@@ -238,6 +239,29 @@ class TestTemperature:
             scaled = cls.predict_proba(clf.with_temperature(t), X_test, seed=7)
             np.testing.assert_array_equal(base.argmax(axis=1),
                                           scaled.argmax(axis=1))
+
+    def test_each_temperature_evaluated_once(self, monkeypatch):
+        rng = np.random.default_rng(75)
+        X = rng.standard_normal((90, 2))
+        labels = (X[:, 0] + 0.5 * rng.standard_normal(90) > 0).astype(int) + (X[:, 1] > 0.8)
+        fmap = ft.init_params([2, 8, 5], seed=14, normalization="layer_norm",
+                              rescale_to_unit=True)
+        clf = build_classifier(labels[:60], fmap, X[:60], np.ones(3), np.full(3, 0.3))
+        seen = []
+        nll = cls.multinomial_nll
+
+        def recording_nll(probs, y):
+            seen.append(np.array(probs))
+            return nll(probs, y)
+
+        monkeypatch.setattr(cls, "multinomial_nll", recording_nll)
+        t = cls.fit_temperature(clf, X[60:], labels[60:], num_samples=64, seed=0)
+        # the grid's 42 points plus the golden-section steps, none repeated
+        assert len(seen) > 42
+        for i, probs in enumerate(seen):
+            assert not any(np.array_equal(probs, other) for other in seen[:i])
+        # the refined T, off the grid, as scipy's golden-section search found it
+        assert t.hex() == "0x1.81630e1ed6aa1p+0"
 
     def test_single_class_holdout_warns_and_keeps(self):
         rng = np.random.default_rng(73)

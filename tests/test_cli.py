@@ -1,12 +1,17 @@
-"""Tests for the fmgp command line entry points, run in process."""
+"""Tests for the fmgp command line entry points, run in process except
+where stderr must be seen as a user sees it."""
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from fmgp import cli
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -137,12 +142,22 @@ BAD_INPUTS = [
     pytest.param("spectral.seeds", [0, -1], cli.EXIT_CONFIG, id="negative_spectral_seed"),
     pytest.param("training.init_sigma_f_sq", -1, cli.EXIT_CONFIG,
                  id="negative_init_sigma_f_sq"),
-    # unreadable input
-    pytest.param(None, None, cli.EXIT_CONFIG, id="malformed_json"),
+    pytest.param("training.learning_rate", 10 ** 400, cli.EXIT_CONFIG,
+                 id="learning_rate_integer_beyond_float"),
+    pytest.param("training.learning_rate", float("inf"), cli.EXIT_CONFIG,
+                 id="learning_rate_infinity"),
+    # unreadable input (the config file's bytes when key_path is None)
+    pytest.param(None, b'{"task": ', cli.EXIT_CONFIG, id="malformed_json"),
+    pytest.param(None, b"\xff\xfe{}", cli.EXIT_CONFIG, id="non_utf8_config"),
+    # JSON allows it, but Python converts no integer of over 4300 digits
+    pytest.param(None, b'{"training": {"learning_rate": 1' + b"0" * 5000 + b"}}",
+                 cli.EXIT_CONFIG, id="integer_over_4300_digits"),
     pytest.param("data", {"kind": "csv", "path": "ragged.csv"}, cli.EXIT_DATA,
                  id="ragged_csv"),
     pytest.param("data", {"kind": "csv", "path": "empty.csv"}, cli.EXIT_DATA,
                  id="empty_csv"),
+    pytest.param("data", {"kind": "csv", "path": "latin1.csv"}, cli.EXIT_DATA,
+                 id="non_utf8_csv"),
 ]
 
 
@@ -153,9 +168,10 @@ class TestConfigErrors:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "ragged.csv").write_text("a,b,y\n1,2,3\n4,5\n6,7,8\n")
         (tmp_path / "empty.csv").write_text("")
+        (tmp_path / "latin1.csv").write_bytes("x,y\n1,2\n3,4\nna\u00efve,5\n".encode("latin-1"))
         command = "spectral" if str(key_path).startswith("spectral") else "train"
         if key_path is None:
-            (tmp_path / "config.json").write_text('{"task": ')
+            (tmp_path / "config.json").write_bytes(value)
             config = str(tmp_path / "config.json")
         else:
             doc = (spectral_doc if command == "spectral" else regression_doc)(tmp_path)
@@ -185,11 +201,14 @@ class TestConfigErrors:
         config = write_config(tmp_path, doc)
         assert cli.main(["train", "--config", config]) == cli.EXIT_CONFIG
 
-    def test_unknown_data_key(self, tmp_path):
+    def test_unknown_data_key(self, tmp_path, capsys):
         doc = regression_doc(tmp_path)
         doc["data"]["noise"] = 0.1
         config = write_config(tmp_path, doc)
         assert cli.main(["train", "--config", config]) == cli.EXIT_CONFIG
+        # the split keys are allowed in the data block too, so they are listed
+        message = json.loads(capsys.readouterr().err.strip())["message"]
+        assert "'test_n'" in message and "'recal_n'" in message
 
     def test_zero_feature_count_rejected(self, tmp_path):
         doc = regression_doc(tmp_path)
@@ -223,6 +242,37 @@ class TestConfigErrors:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError"
         assert "synth_warp" in err["message"]
+
+
+def run_cli(args, cwd):
+    """The fmgp command in a fresh interpreter, so stderr holds whatever
+    Python itself prints, warnings included."""
+    env = dict(os.environ)
+    src = os.path.join(ROOT, "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-m", "fmgp.cli", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+class TestErrorOutput:
+    def assert_one_json_line(self, proc, code):
+        assert proc.returncode == code
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert set(json.loads(lines[0])) == {"error", "message"}
+
+    def test_diverging_fit_prints_no_warnings(self, tmp_path):
+        # the diverging steps raise numpy overflow warnings, which must not
+        # reach stderr ahead of the error line
+        doc = regression_doc(tmp_path)
+        doc["training"].update(learning_rate=1e6, iterations=5)
+        proc = run_cli(["train", "--config", write_config(tmp_path, doc)], tmp_path)
+        self.assert_one_json_line(proc, cli.EXIT_NUMERIC)
+
+    def test_bad_command_line(self, tmp_path):
+        proc = run_cli(["train"], tmp_path)
+        self.assert_one_json_line(proc, cli.EXIT_CONFIG)
+        assert "--config" in proc.stderr
 
 
 class TestDataErrors:
@@ -287,6 +337,13 @@ class TestDataErrors:
         code = cli.main(["eval", "--config", config, "--seed", "9",
                          "--model", str(tmp_path / "model.json")])
         self.assert_normalization_error(capsys, code)
+
+    def test_non_utf8_model_file(self, tmp_path):
+        config = write_config(tmp_path, regression_doc(tmp_path))
+        (tmp_path / "model.json").write_bytes(b"\xff\xfe{}")
+        code = cli.main(["eval", "--config", config,
+                         "--model", str(tmp_path / "model.json")])
+        assert code == cli.EXIT_DATA
 
     def test_missing_model_file(self, tmp_path):
         config = write_config(tmp_path, regression_doc(tmp_path))

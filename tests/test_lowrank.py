@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fmgp import lowrank as lr
-from fmgp.errors import DomainError, NumericError, ShapeError
+from fmgp.errors import NumericError, ShapeError
 
 
 def decompose_features(phi, y):
@@ -81,104 +81,6 @@ class TestGramAccumulator:
         with pytest.raises(ShapeError):
             acc.add(np.zeros((4, 2)))
 
-    def test_accumulate_gram_helper(self):
-        rng = np.random.default_rng(4)
-        batches = [rng.standard_normal((6, 3)) for _ in range(4)]
-        targets = [rng.standard_normal(6) for _ in range(4)]
-        gram, pty = lr.accumulate_gram(batches, targets)
-        phi = np.vstack(batches)
-        y = np.concatenate(targets)
-        np.testing.assert_allclose(gram, phi.T @ phi, atol=1e-12)
-        np.testing.assert_allclose(pty, phi.T @ y, atol=1e-12)
-
-
-class TestWoodburySolve:
-    def test_hand_two_by_two(self):
-        # Phi = ones(2, 1), noise 1: K_xi = [[2, 1], [1, 2]],
-        # K_xi^{-1} (1, 0) = (2/3, -1/3)
-        phi = np.ones((2, 1))
-        dec = decompose_features(phi, np.array([1.0, 0.0]))
-        x = lr.woodbury_solve(dec, phi, 1.0, np.array([1.0, 0.0]))
-        np.testing.assert_allclose(x, [2.0 / 3.0, -1.0 / 3.0], rtol=1e-12)
-
-    def test_matrix_right_hand_side(self):
-        rng = np.random.default_rng(5)
-        phi = rng.standard_normal((15, 3))
-        dec = decompose_features(phi, rng.standard_normal(15))
-        rhs = rng.standard_normal((15, 4))
-        dense = phi @ phi.T + 0.5 * np.eye(15)
-        np.testing.assert_allclose(lr.woodbury_solve(dec, phi, 0.5, rhs),
-                                   np.linalg.solve(dense, rhs), rtol=1e-9)
-
-    def test_random_battery_including_wide(self):
-        rng = np.random.default_rng(6)
-        for trial in range(40):
-            p = int(rng.integers(1, 17))
-            n = int(rng.integers(1, p + 1)) if trial % 4 == 3 else int(rng.integers(2, 120))
-            phi = rng.standard_normal((n, p))
-            y = rng.standard_normal(n)
-            s2 = float(np.exp(rng.uniform(np.log(1e-4), np.log(10.0))))
-            dec = decompose_features(phi, y)
-            dense = phi @ phi.T + s2 * np.eye(n)
-            expected = np.linalg.solve(dense, y)
-            got = lr.woodbury_solve(dec, phi, s2, y)
-            scale = np.max(np.abs(expected))
-            assert np.max(np.abs(got - expected)) <= 1e-9 * max(scale, 1.0)
-
-    def test_rejects_nonpositive_noise(self):
-        phi = np.ones((2, 1))
-        dec = decompose_features(phi, np.zeros(2))
-        with pytest.raises(DomainError):
-            lr.woodbury_solve(dec, phi, 0.0, np.zeros(2))
-
-
-class TestLogdet:
-    def test_hand_two_by_two(self):
-        # |K_xi| = |[[2, 1], [1, 2]]| = 3
-        phi = np.ones((2, 1))
-        dec = decompose_features(phi, np.zeros(2))
-        np.testing.assert_allclose(lr.logdet_kxi(dec, 1.0, 2), np.log(3.0),
-                                   rtol=1e-12)
-
-    def test_pure_noise(self):
-        dec = lr.decompose(np.zeros((3, 3)), np.zeros(3), n=4)
-        np.testing.assert_allclose(lr.logdet_kxi(dec, 0.25, 4),
-                                   4 * np.log(0.25), rtol=1e-12)
-
-    def test_wide_case_matches_dense(self):
-        # fewer rows than features: the zero eigenvalues cancel the
-        # (n - p) log sigma_xi_sq correction exactly
-        rng = np.random.default_rng(7)
-        phi = rng.standard_normal((3, 8))
-        dec = decompose_features(phi, rng.standard_normal(3))
-        dense = phi @ phi.T + 0.01 * np.eye(3)
-        np.testing.assert_allclose(lr.logdet_kxi(dec, 0.01, 3),
-                                   np.linalg.slogdet(dense)[1], atol=1e-9)
-
-
-class TestQuadForm:
-    def test_hand_two_by_two(self):
-        # y = (1, 1): K_xi^{-1} y = (1/3, 1/3), quad = 2/3
-        phi = np.ones((2, 1))
-        y = np.array([1.0, 1.0])
-        dec = decompose_features(phi, y)
-        np.testing.assert_allclose(lr.quad_form(dec, phi, 1.0, y), 2.0 / 3.0,
-                                   rtol=1e-12)
-
-    def test_random_battery(self):
-        rng = np.random.default_rng(8)
-        for _ in range(30):
-            n = int(rng.integers(2, 100))
-            p = int(rng.integers(1, 13))
-            phi = rng.standard_normal((n, p))
-            y = rng.standard_normal(n)
-            s2 = float(np.exp(rng.uniform(np.log(1e-3), np.log(10.0))))
-            dec = decompose_features(phi, y)
-            dense = phi @ phi.T + s2 * np.eye(n)
-            expected = float(y @ np.linalg.solve(dense, y))
-            got = lr.quad_form(dec, phi, s2, y)
-            assert abs(got - expected) <= 1e-9 * max(abs(expected), 1.0)
-
 
 class TestProductFeatures:
     def test_column_ordering(self):
@@ -202,49 +104,6 @@ class TestProductFeatures:
             target = (phi1 @ phi1.T) * (phi2 @ phi2.T)
             assert np.max(np.abs(xi @ xi.T - target)) <= 1e-12
 
-    def test_plan_column_index(self):
-        plan = lr.ProductFeaturePlan(3, 4)
-        assert plan.total_columns == 12
-        assert plan.column_index(1, 1) == 1
-        assert plan.column_index(3, 1) == 3
-        assert plan.column_index(1, 2) == 4
-        assert plan.column_index(3, 4) == 12
-        with pytest.raises(DomainError):
-            plan.column_index(0, 1)
-        with pytest.raises(DomainError):
-            plan.column_index(1, 5)
-
     def test_row_count_mismatch_raises(self):
         with pytest.raises(ShapeError):
             lr.product_features(np.zeros((3, 2)), np.zeros((4, 2)))
-
-
-class TestAdditiveSolve:
-    def test_zero_second_map_reduces_to_woodbury(self):
-        rng = np.random.default_rng(10)
-        phi1 = rng.standard_normal((20, 3))
-        v = rng.standard_normal(20)
-        dec = decompose_features(phi1, v)
-        expected = lr.woodbury_solve(dec, phi1, 0.3, v)
-        got = lr.additive_solve(phi1, np.zeros((20, 2)), 0.3, v)
-        np.testing.assert_allclose(got, expected, rtol=1e-9)
-
-    def test_zero_first_map_reduces_to_woodbury(self):
-        rng = np.random.default_rng(11)
-        phi2 = rng.standard_normal((20, 2))
-        v = rng.standard_normal(20)
-        dec = decompose_features(phi2, v)
-        expected = lr.woodbury_solve(dec, phi2, 0.7, v)
-        got = lr.additive_solve(np.zeros((20, 3)), phi2, 0.7, v)
-        np.testing.assert_allclose(got, expected, rtol=1e-9)
-
-    def test_small_dense_oracle(self):
-        rng = np.random.default_rng(12)
-        phi1 = rng.standard_normal((40, 3))
-        phi2 = rng.standard_normal((40, 2))
-        v = rng.standard_normal(40)
-        dense = phi1 @ phi1.T + phi2 @ phi2.T + 0.1 * np.eye(40)
-        expected = np.linalg.solve(dense, v)
-        got = lr.additive_solve(phi1, phi2, 0.1, v)
-        scale = np.max(np.abs(expected))
-        assert np.max(np.abs(got - expected)) <= 1e-9 * scale

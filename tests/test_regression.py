@@ -6,6 +6,7 @@ import pytest
 from fmgp import data as dt
 from fmgp import features as ft
 from fmgp import lowrank as lr
+from fmgp import oracle_check as oc
 from fmgp import regression as reg
 from fmgp.errors import (DataError, DomainError, NumericError, ShapeError,
                          TrainingError)
@@ -197,9 +198,9 @@ class TestFitting:
         calls = []
         run = ft._forward_with_cache
 
-        def counted(fmap, inputs):
+        def counted(fmap, inputs, **kwargs):
             calls.append(inputs.shape[0])
-            return run(fmap, inputs)
+            return run(fmap, inputs, **kwargs)
 
         monkeypatch.setattr(ft, "_forward_with_cache", counted)
         fmap = None
@@ -257,30 +258,9 @@ class TestPredict:
         def kernel(a, b):
             return sf2 * (ft.forward(fmap, a) @ ft.forward(fmap, b).T)
 
-        oracle = reg.exact_gp_oracle(kernel, X, y, sx2, Xs)
+        oracle = oc.exact_gp_oracle(kernel, X, y, sx2, Xs)
         np.testing.assert_allclose(pred.mean, oracle.mean, rtol=1e-9)
         np.testing.assert_allclose(pred.variance, oracle.variance, atol=1e-10)
-
-    def test_full_covariance_diag_and_oracle(self):
-        rng = np.random.default_rng(31)
-        fmap = ft.init_params([2, 6, 4], seed=4, normalization="layer_norm",
-                              rescale_to_unit=True)
-        X = rng.standard_normal((40, 2))
-        y = rng.standard_normal(40)
-        Xs = rng.standard_normal((8, 2))
-        sf2, sx2 = 0.8, 0.2
-        phi = ft.forward(fmap, X)
-        dec = lr.decompose(phi.T @ phi, phi.T @ y, 40)
-        model = reg.GpModel(fmap, sf2, sx2, dec)
-        cov = reg.predict_full_cov(model, Xs)
-        np.testing.assert_allclose(np.diag(cov), reg.predict(model, Xs).variance,
-                                   atol=1e-10)
-        np.testing.assert_array_equal(cov, cov.T)
-        k_nn = sf2 * (phi @ phi.T) + sx2 * np.eye(40)
-        k_sn = sf2 * (ft.forward(fmap, Xs) @ phi.T)
-        k_ss = sf2 * (ft.forward(fmap, Xs) @ ft.forward(fmap, Xs).T)
-        dense = k_ss - k_sn @ np.linalg.solve(k_nn, k_sn.T)
-        np.testing.assert_allclose(cov, (dense + dense.T) / 2, atol=1e-9)
 
     def test_cost_does_not_depend_on_training_size(self):
         # the cache is the same shape for any n, so predictions only see p
@@ -360,7 +340,7 @@ class TestExactOracle:
             return np.exp(-0.5 * d2)
 
         s2 = 0.4
-        oracle = reg.exact_gp_oracle(kernel, X, y, s2, Xs)
+        oracle = oc.exact_gp_oracle(kernel, X, y, s2, Xs)
         k_nn = kernel(X, X) + s2 * np.eye(25)
         k_sn = kernel(Xs, X)
         np.testing.assert_allclose(oracle.mean, k_sn @ np.linalg.solve(k_nn, y),
@@ -379,7 +359,7 @@ class TestExactOracle:
         def kernel(a, b):
             return 1.0 + a @ b.T
 
-        oracle = reg.exact_gp_oracle(kernel, X, y, noise, X[:4])
+        oracle = oc.exact_gp_oracle(kernel, X, y, noise, X[:4])
         k_nn = kernel(X, X) + np.diag(noise)
         np.testing.assert_allclose(oracle.mean,
                                    kernel(X[:4], X) @ np.linalg.solve(k_nn, y),
@@ -395,7 +375,7 @@ class TestExactOracle:
             return -np.ones((a.shape[0], b.shape[0]))
 
         with pytest.raises(NumericError):
-            reg.exact_gp_oracle(kernel, X, np.zeros(3), 1e-9, X)
+            oc.exact_gp_oracle(kernel, X, np.zeros(3), 1e-9, X)
 
 
 class TestPersistence:
