@@ -35,6 +35,9 @@ from .errors import DomainError, ShapeError
 DEFAULT_ALPHA_EPS = 0.01
 DEFAULT_NUM_SAMPLES = 1024
 DEFAULT_ECE_BINS = 15
+# samples per block of the temperature search; a block of 32 x C x n
+# logits stays in cache through its scale, exp and sums
+_SAMPLE_BLOCK = 32
 
 
 def dirichlet_transform(labels, alpha_eps, num_classes=None):
@@ -142,22 +145,29 @@ def class_posteriors(clf, X_star):
     return reg.posterior(psi, clf.caches, 1.0 / clf.sigma_f_sq, clf.sigma_f_sq)
 
 
-def _softmax(logits):
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def _sample_probs(means, variances, num_samples, temperature, rng, block=256):
-    """Average softmax(mu + sd * eps, scaled by 1/T) over posterior draws."""
+    """Average softmax(mu + sd * eps, scaled by 1/T) over posterior draws.
+
+    Each full row block is drawn into one reused buffer; a shorter last
+    block draws its own.  The generator fills both in the same order.
+    """
     n, c = means.shape
     sd = np.sqrt(variances)
     probs = np.empty((n, c))
+    buf = np.empty((num_samples, min(block, n), c))
     for start in range(0, n, block):
         stop = min(start + block, n)
-        eps = rng.standard_normal((num_samples, stop - start, c))
-        f = means[start:stop] + sd[start:stop] * eps
-        probs[start:stop] = _softmax(f / temperature).mean(axis=0)
+        if stop - start == buf.shape[1]:
+            f = rng.standard_normal(out=buf)
+        else:
+            f = rng.standard_normal((num_samples, stop - start, c))
+        f *= sd[start:stop]
+        f += means[start:stop]
+        f /= temperature
+        f -= f.max(axis=-1, keepdims=True)
+        np.exp(f, out=f)
+        f /= f.sum(axis=-1, keepdims=True)
+        probs[start:stop] = f.mean(axis=0)
     return probs
 
 
@@ -189,41 +199,74 @@ def multinomial_nll(probs, labels):
     return float(-np.mean(np.log(np.maximum(picked, 1e-300))))
 
 
-def _golden_section(func, x0, xb, x3, fb, xtol=1e-6, maxiter=5000):
-    """(x, func(x)) at a minimum inside x0 < xb < x3, fb = func(xb) lying
-    below func at both ends: the steps of scipy's golden-section search,
-    started from the known fb."""
-    g_r = 0.61803399
-    g_c = 1.0 - g_r
-    if abs(x3 - xb) > abs(xb - x0):
-        x1, x2 = xb, xb + g_c * (x3 - xb)
-        f1, f2 = fb, func(x2)
-    else:
-        x1, x2 = xb - g_c * (xb - x0), xb
-        f1, f2 = func(x1), fb
+def _bounded_brent(func, a, x, b, fx, xtol=1e-6, maxiter=500):
+    """(x, func(x)) at a minimum of func on (a, b), started from a known
+    point a < x < b with fx = func(x): the steps of Brent's bounded
+    minimization as in scipy's fminbound (Brent 1973, ch. 5)."""
+    golden = 0.5 * (3.0 - np.sqrt(5.0))
+    sqrt_eps = np.sqrt(2.2e-16)
+    v = w = x
+    fv = fw = fx
+    d = e = 0.0
     for _ in range(maxiter):
-        if abs(x3 - x0) <= xtol * (abs(x1) + abs(x2)):
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(x) + xtol / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - xm) <= tol2 - 0.5 * (b - a):
             break
-        if f2 < f1:
-            x0, x1, x2 = x1, x2, g_r * x2 + g_c * x3
-            f1, f2 = f2, func(x2)
+        parabolic = False
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                parabolic = True
+                d = p / q
+                if x + d - a < tol2 or b - x - d < tol2:
+                    d = tol1 if xm >= x else -tol1
+        if not parabolic:
+            e = (a if x >= xm else b) - x
+            d = golden * e
+        step = max(abs(d), tol1)
+        u = x + step if d >= 0 else x - step
+        fu = func(u)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            x3, x2, x1 = x2, x1, g_r * x1 + g_c * x0
-            f2, f1 = f1, func(x1)
-    return (x1, f1) if f1 < f2 else (x2, f2)
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
 
 
 def fit_temperature(clf, X_hold, y_hold, num_samples=DEFAULT_NUM_SAMPLES, seed=0):
     """Temperature minimizing the holdout multinomial NLL; returns T.
 
-    The latent draws are taken once and reused for every candidate T, so
-    the objective is a deterministic 1-d function of T; it is minimized
-    over a log-spaced grid containing T = 1 and refined by golden-section
-    search inside the grid bracket of the best point.  Each T is
-    evaluated once.  The returned T never has higher NLL than T = 1 on
-    the holdout.  Argmax class predictions are unaffected by any
-    positive T for each individual latent sample.
+    The latent draws are taken once, as one (num_samples, n, C) block
+    from the seed, and shared by every candidate T, so the objective is
+    a deterministic 1-d function of log T.  It is evaluated on a 9-point
+    log grid over [0.05, 20] that holds T = 1, then refined by bounded
+    Brent minimization inside the grid bracket of the best point.  The
+    returned T never has higher NLL than T = 1 on the holdout.  Argmax
+    class predictions are unaffected by any positive T for each
+    individual latent sample.
     """
+    if num_samples < 1:
+        raise DomainError("need at least one sample")
     y_hold = np.asarray(y_hold).astype(np.int64)
     if y_hold.size < 1:
         raise DomainError("holdout is empty")
@@ -231,23 +274,46 @@ def fit_temperature(clf, X_hold, y_hold, num_samples=DEFAULT_NUM_SAMPLES, seed=0
         warnings.warn("holdout contains a single class; temperature unchanged")
         return clf.temperature
     means, variances = class_posteriors(clf, X_hold)
-    rng = np.random.default_rng(seed)
     sd = np.sqrt(variances)
-    eps = rng.standard_normal((num_samples, *means.shape))
-    f = means + sd * eps
+    n, c = means.shape
+    block = min(_SAMPLE_BLOCK, num_samples)
+    # the shifted logits with classes before rows, so that the class sums
+    # below add contiguous rows
+    shifted = np.empty((num_samples, c, n))
+    buf = np.empty((block, n, c))
+    # block by block this is the same stream as one (num_samples, n, C) draw
+    rng = np.random.default_rng(seed)
+    for start in range(0, num_samples, block):
+        f = rng.standard_normal(out=buf[:min(block, num_samples - start)])
+        f *= sd
+        f += means
+        # max(f / T) = max(f) / T for T > 0, so one shift serves every T
+        f -= f.max(axis=-1, keepdims=True)
+        shifted[start:start + f.shape[0]] = f.transpose(0, 2, 1)
+    scaled = np.empty((block, c, n))
 
     def nll_at(log_t):
-        probs = _softmax(f / np.exp(log_t)).mean(axis=0)
-        return multinomial_nll(probs, y_hold)
+        t = np.exp(log_t)
+        total = np.zeros((c, n))
+        for start in range(0, num_samples, block):
+            chunk = shifted[start:start + block]
+            p = scaled[:chunk.shape[0]]
+            np.divide(chunk, t, out=p)
+            np.exp(p, out=p)
+            p /= p.sum(axis=1, keepdims=True)
+            total += p.sum(axis=0)
+        return multinomial_nll(total.T / num_samples, y_hold)
 
-    grid = np.unique(np.concatenate([np.linspace(np.log(0.05), np.log(20.0), 41), [0.0]]))
+    # symmetric about 0, so the grid holds T = 1 exactly
+    grid = np.linspace(-1.0, 1.0, 9) * np.log(20.0)
     values = np.array([nll_at(g) for g in grid])
     # the grid holds T = 1, so its best point is never worse than T = 1
     best = int(np.argmin(values))
     log_t = grid[best]
-    # a tie with a neighbour, or a NaN, leaves the grid point unrefined
+    # a minimum on the edge, a tie with a neighbour, or a NaN is not refined
     if 0 < best < grid.size - 1 and values[best - 1] > values[best] < values[best + 1]:
-        refined, value = _golden_section(nll_at, *grid[best - 1:best + 2], values[best])
+        refined, value = _bounded_brent(nll_at, grid[best - 1], log_t,
+                                        grid[best + 1], values[best])
         if value < values[best]:
             log_t = refined
     return float(np.exp(log_t))

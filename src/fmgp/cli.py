@@ -367,8 +367,10 @@ def cmd_oracle_check(seed=0, perturb_top_eigenvalue=0.0):
     reports = oc.run_all(seed=seed, perturb_top_eigenvalue=perturb_top_eigenvalue)
     for report in reports:
         status = "PASS" if report["passed"] else "FAIL"
+        variance = (f", var_max_err={report['var_max_err']:.3e} "
+                    f"var_tol={report['var_tol']:.1e}" if "var_tol" in report else "")
         print(f"{status} {report['name']}: max_err={report['max_err']:.3e} "
-              f"tol={report['tol']:.1e} ({report['instances']} instances)")
+              f"tol={report['tol']:.1e}{variance} ({report['instances']} instances)")
     if not all(report["passed"] for report in reports):
         raise NumericError("one or more oracle batteries exceeded tolerance")
     return reports

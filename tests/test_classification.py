@@ -166,6 +166,30 @@ class TestFitClassifier:
         np.testing.assert_array_equal(a.caches[0].lam, b.caches[0].lam)
 
 
+def reference_sample_probs(means, variances, num_samples, temperature, rng, block=256):
+    """The Monte Carlo decoder with a fresh array for every operation,
+    which predict_proba must match bit for bit."""
+    n, c = means.shape
+    sd = np.sqrt(variances)
+    probs = np.empty((n, c))
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        eps = rng.standard_normal((num_samples, stop - start, c))
+        f = (means[start:stop] + sd[start:stop] * eps) / temperature
+        shifted = f - f.max(axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        probs[start:stop] = (e / e.sum(axis=-1, keepdims=True)).mean(axis=0)
+    return probs
+
+
+def replayed_nll(means, variances, labels, temperature, num_samples, seed):
+    """Holdout NLL at one temperature on fit_temperature's draws: one
+    (num_samples, n, C) standard-normal block from the seed."""
+    probs = reference_sample_probs(means, variances, num_samples, temperature,
+                                np.random.default_rng(seed), block=means.shape[0])
+    return cls.multinomial_nll(probs, labels)
+
+
 class TestPredictProba:
     def setup_method(self):
         rng = np.random.default_rng(72)
@@ -203,6 +227,16 @@ class TestPredictProba:
             cls.predict_proba(self.clf, self.Xs, num_samples=0)
         with pytest.raises(DomainError):
             cls.predict_proba(self.clf, self.Xs, temperature=0.0)
+
+    @pytest.mark.parametrize("temperature", [1.0, 1.37])
+    def test_matches_reference_decoder_bit_for_bit(self, temperature):
+        # 300 rows: one full 256-row block and a shorter last one
+        Xs = np.random.default_rng(76).standard_normal((300, 2))
+        means, variances = cls.class_posteriors(self.clf, Xs)
+        expected = reference_sample_probs(means, variances, 1024, temperature,
+                                       np.random.default_rng(9))
+        probs = cls.predict_proba(self.clf, Xs, seed=9, temperature=temperature)
+        assert np.array_equal(probs, expected)
 
     @pytest.mark.parametrize("which", ["sigma_f_sq", "sigma_xi_sq"])
     def test_nan_class_variance_rejected(self, which):
@@ -256,12 +290,21 @@ class TestTemperature:
 
         monkeypatch.setattr(cls, "multinomial_nll", recording_nll)
         t = cls.fit_temperature(clf, X[60:], labels[60:], num_samples=64, seed=0)
-        # the grid's 42 points plus the golden-section steps, none repeated
-        assert len(seen) > 42
+        monkeypatch.undo()
+        # the 9-point grid plus the Brent steps, none repeated
+        assert len(seen) <= 25
         for i, probs in enumerate(seen):
             assert not any(np.array_equal(probs, other) for other in seen[:i])
-        # the refined T, off the grid, as scipy's golden-section search found it
-        assert t.hex() == "0x1.81630e1ed6aa1p+0"
+        means, variances = cls.class_posteriors(clf, X[60:])
+
+        def nll_at(temperature):
+            return replayed_nll(means, variances, labels[60:], temperature, 64, 0)
+
+        assert nll_at(t) <= nll_at(1.0)
+        # the golden-section search that the Brent search replaced found this T
+        assert nll_at(t) <= nll_at(float.fromhex("0x1.81630e1ed6aa1p+0")) + 1e-12
+        fine = np.exp(np.linspace(np.log(0.05), np.log(20.0), 2001))
+        assert nll_at(t) <= min(nll_at(g) for g in fine) + 1e-12
 
     def test_single_class_holdout_warns_and_keeps(self):
         rng = np.random.default_rng(73)
@@ -272,6 +315,15 @@ class TestTemperature:
         with pytest.warns(UserWarning):
             t = cls.fit_temperature(clf, X[:5], np.zeros(5, dtype=int))
         assert t == clf.temperature
+
+    def test_rejects_no_samples(self):
+        rng = np.random.default_rng(77)
+        X = rng.standard_normal((20, 2))
+        labels = np.array([0, 1] * 10)
+        fmap = ft.init_params([2, 4, 3], seed=15, rescale_to_unit=True)
+        clf = build_classifier(labels, fmap, X, np.ones(2), np.ones(2))
+        with pytest.raises(DomainError):
+            cls.fit_temperature(clf, X, labels, num_samples=0)
 
     def test_nonpositive_temperature_rejected(self):
         rng = np.random.default_rng(74)

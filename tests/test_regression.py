@@ -377,6 +377,13 @@ class TestExactOracle:
         with pytest.raises(NumericError):
             oc.exact_gp_oracle(kernel, X, np.zeros(3), 1e-9, X)
 
+    def test_prediction_battery_reads_variance_tolerance(self, monkeypatch):
+        # the variance errors are nonzero, so a zero tolerance must fail
+        monkeypatch.setattr(oc, "PREDICTION_VAR_TOL", 0.0)
+        report = oc.check_prediction(num_instances=10, seed=0)
+        assert report["var_max_err"] > 0.0
+        assert not report["passed"]
+
 
 class TestPersistence:
     def test_round_trip_predictions(self, tmp_path):
