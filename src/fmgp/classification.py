@@ -40,6 +40,11 @@ DEFAULT_ECE_BINS = 15
 _SAMPLE_BLOCK = 32
 
 
+def _check_labels(labels, num_classes):
+    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+        raise DomainError(f"labels must lie in [0, {num_classes})")
+
+
 def dirichlet_transform(labels, alpha_eps, num_classes=None):
     """Surrogate regression targets and noise variances from class labels.
 
@@ -52,8 +57,7 @@ def dirichlet_transform(labels, alpha_eps, num_classes=None):
         raise ShapeError("labels must be a vector of class indices")
     labels = labels.astype(np.int64)
     c = int(labels.max()) + 1 if num_classes is None else int(num_classes)
-    if labels.size and (labels.min() < 0 or labels.max() >= c):
-        raise DomainError(f"labels must lie in [0, {c})")
+    _check_labels(labels, c)
     alpha = np.full((labels.size, c), float(alpha_eps))
     alpha[np.arange(labels.size), labels] += 1.0
     sigma_tilde_sq = np.log(1.0 / alpha + 1.0)
@@ -123,8 +127,7 @@ def fit_classifier(dataset, config=None, feature_map=None):
     y_tilde, s_tilde_sq = dirichlet_transform(labels, config.alpha_eps, num_classes)
     feature_map, sigma_f_sq, sigma_xi_sq, trace = reg.train(
         feature_map, X, y_tilde, s_tilde_sq, config)
-    caches = reg.build_caches(feature_map, X, y_tilde, s_tilde_sq + sigma_xi_sq,
-                              config.decomp_batch_rows)
+    caches = reg.build_caches(feature_map, X, y_tilde, s_tilde_sq + sigma_xi_sq)
     return DirichletClassifier(feature_map, sigma_f_sq, sigma_xi_sq, caches,
                                num_classes, config.alpha_eps,
                                train_inputs_stats=getattr(dataset, "stats_dict",
@@ -195,6 +198,7 @@ def multinomial_nll(probs, labels):
     labels = np.asarray(labels).astype(np.int64)
     if probs.shape[0] != labels.shape[0]:
         raise ShapeError("probability rows and labels differ in length")
+    _check_labels(labels, probs.shape[1])
     picked = probs[np.arange(labels.size), labels]
     return float(-np.mean(np.log(np.maximum(picked, 1e-300))))
 
@@ -345,6 +349,7 @@ def compute_ece(probs, labels, num_bins=DEFAULT_ECE_BINS):
         raise DomainError("cannot compute calibration of an empty set")
     if num_bins < 1:
         raise DomainError("need at least one bin")
+    _check_labels(labels, probs.shape[1])
     confidence = probs.max(axis=1)
     predicted = probs.argmax(axis=1)
     correct = (predicted == labels).astype(np.float64)

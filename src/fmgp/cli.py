@@ -156,7 +156,7 @@ class RunConfig:
         fields = {**_read_block(doc.get("architecture", {}), reg.FitConfig,
                                 "architecture", skip=set(fit_params) - _ARCH_KEYS),
                   **_read_block(doc.get("training", {}), reg.FitConfig, "training",
-                                skip=_ARCH_KEYS | {"decomp_batch_rows"})}
+                                skip=_ARCH_KEYS)}
         classification = _object(doc.get("classification", {}), "classification")
         self.classification = {
             key: _typed(classification.pop(key, default), default,
@@ -164,6 +164,8 @@ class RunConfig:
             for key, default in (("num_samples", cls.DEFAULT_NUM_SAMPLES),
                                  ("ece_bins", cls.DEFAULT_ECE_BINS),
                                  ("fit_temperature", True))}
+        if self.classification["num_samples"] < 1:
+            raise ConfigError("classification.num_samples must be at least 1")
         cls_fields = _read_block(classification, cls.ClassifierConfig,
                                  "classification", skip=fit_params)
 
@@ -276,8 +278,8 @@ def cmd_train(config, out_dir):
         model = cls.fit_classifier(dataset, config.fit, feature_map=fmap)
         if config.classification["fit_temperature"] and has_recal:
             X_cal, y_cal = dataset.subset_arrays("recalibration")
-            model = model.with_temperature(
-                cls.fit_temperature(model, X_cal, y_cal, seed=config.fit.seed))
+            model = model.with_temperature(cls.fit_temperature(
+                model, X_cal, y_cal, config.classification["num_samples"], seed=config.fit.seed))
         save = cls.save_classifier
     train_time = time.perf_counter() - started
     trace = model.training_trace or []

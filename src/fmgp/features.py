@@ -26,9 +26,19 @@ FEATURE_MAP_FORMAT = "fmgp/feature-map@1"
 # when layer normalization is on.
 LAYER_KEYS = ("weight", "bias", "ln_gain", "ln_offset")
 
+# Adam's decay rates and denominator offset (Kingma & Ba 2015 defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 
 def _layer_shapes(widths, normalization):
-    """Per layer, the shapes of its parameters in LAYER_KEYS order."""
+    """Per layer, the shapes of its parameters in LAYER_KEYS order; checks the widths."""
+    if len(widths) < 2:
+        raise ConfigError("need at least an input and an output width")
+    for w in widths:
+        if w < 1:
+            raise ConfigError(f"layer widths must be >= 1, got {widths}")
     shapes = []
     for l in range(len(widths) - 1):
         fan_in, fan_out = widths[l], widths[l + 1]
@@ -48,35 +58,26 @@ class FeatureMap:
         Layer widths from input dimension to output dimension, so
         ``widths[0]`` is the input dimension and ``widths[-1]`` the number
         of features.  Needs at least one affine layer.
-    layers : list of lists of ndarray
-        ``layers[l]`` holds layer l's parameters in ``LAYER_KEYS`` order:
-        the weight ``(widths[l], widths[l+1])``, acting on row vectors from
-        the right, the bias ``(widths[l+1],)`` and, on hidden layers with
-        layer normalization, its gain and offset ``(widths[l+1],)``.
+    params : 1-d float64 ndarray
+        Every parameter, kept, not copied.  ``layers[l]`` holds views into
+        it of layer l's parameters, laid out in ``LAYER_KEYS`` order: the
+        weight ``(widths[l], widths[l+1])``, acting on row vectors from the
+        right, the bias ``(widths[l+1],)`` and, on normalized hidden
+        layers, the gain and offset ``(widths[l+1],)``.
     normalization : {"none", "layer_norm"}
         Whether hidden pre-activations are layer normalized.
     rescale_to_unit : bool
         Rescale each output row to unit norm.  Zero rows are left as is.
-
-    The container is treated as immutable during ``forward`` and
-    ``pullback``; training replaces parameter arrays wholesale.
     """
 
-    def __init__(self, widths, layers, normalization="none", rescale_to_unit=False):
+    def __init__(self, widths, params, normalization="none", rescale_to_unit=False):
         self.widths = [int(w) for w in widths]
-        _validate_widths(self.widths)
         if normalization not in ("none", "layer_norm"):
             raise ConfigError(f"unknown normalization {normalization!r}")
         self.normalization = normalization
         self.rescale_to_unit = bool(rescale_to_unit)
-        self.layers = [list(layer) for layer in layers]
-        shapes = _layer_shapes(self.widths, normalization)
-        if [len(layer) for layer in self.layers] != [len(s) for s in shapes]:
-            raise ShapeError("parameter layout does not match widths and normalization")
-        for l, (layer, layer_shapes) in enumerate(zip(self.layers, shapes)):
-            for key, array, shape in zip(LAYER_KEYS, layer, layer_shapes):
-                if array.shape != shape:
-                    raise ShapeError(f"{key} {l} has shape {array.shape}, expected {shape}")
+        self.params = np.asarray(params, dtype=np.float64)
+        self.layers = self._views(self.params)
 
     @property
     def input_dim(self):
@@ -86,28 +87,18 @@ class FeatureMap:
     def output_dim(self):
         return self.widths[-1]
 
-    @property
-    def weights(self):
-        return [layer[0] for layer in self.layers]
-
-    @property
-    def biases(self):
-        return [layer[1] for layer in self.layers]
-
-    def param_list(self):
-        """All trainable arrays in a fixed order: layer by layer, each in
-        LAYER_KEYS order.  ``pullback`` returns gradients in exactly this
-        order and the Adam state is congruent with it.
-        """
-        return [p for layer in self.layers for p in layer]
+    def _views(self, vector):
+        """Per-layer views of a vector in the layout of params."""
+        shapes = _layer_shapes(self.widths, self.normalization)
+        sizes = [np.prod(shape) for layer in shapes for shape in layer]
+        if vector.shape != (sum(sizes),):
+            raise ShapeError(f"expected {sum(sizes)} parameters, got shape {vector.shape}")
+        pieces = iter(np.split(vector, np.cumsum(sizes)[:-1]))
+        return [[next(pieces).reshape(shape) for shape in layer] for layer in shapes]
 
     def replace_params(self, params):
-        """Rebuild the map from a flat parameter list (see param_list)."""
-        if len(params) != sum(len(layer) for layer in self.layers):
-            raise ShapeError("parameter list length does not match the architecture")
-        rest = iter(params)
-        return FeatureMap(self.widths, [[next(rest) for _ in layer] for layer in self.layers],
-                          normalization=self.normalization,
+        """The same architecture on the parameter vector params, not copied."""
+        return FeatureMap(self.widths, params, normalization=self.normalization,
                           rescale_to_unit=self.rescale_to_unit)
 
     def to_json_dict(self):
@@ -128,20 +119,14 @@ class FeatureMap:
             raise ConfigError(f"unrecognized feature map format {doc.get('format')!r}")
         if doc.get("activation") != "relu":
             raise ConfigError(f"unsupported activation {doc.get('activation')!r}")
-        # a layer of k entries holds the first k keys; the constructor
-        # checks k against the layout
+        widths, normalization = doc["widths"], doc["normalization"]
+        # a layer of k entries holds the first k keys
         layers = [[np.asarray(layer[key], dtype=np.float64) for key in LAYER_KEYS[:len(layer)]]
                   for layer in doc["layers"]]
-        return FeatureMap(doc["widths"], layers, normalization=doc["normalization"],
-                          rescale_to_unit=doc["rescale_to_unit"])
-
-
-def _validate_widths(widths):
-    if len(widths) < 2:
-        raise ConfigError("need at least an input and an output width")
-    for w in widths:
-        if w < 1:
-            raise ConfigError(f"layer widths must be >= 1, got {widths}")
+        if [[a.shape for a in layer] for layer in layers] != _layer_shapes(widths, normalization):
+            raise ShapeError("parameter layout does not match widths and normalization")
+        return FeatureMap(widths, np.concatenate([a.ravel() for layer in layers for a in layer]),
+                          normalization=normalization, rescale_to_unit=doc["rescale_to_unit"])
 
 
 class _FeatureMapPair:
@@ -160,11 +145,13 @@ class _FeatureMapPair:
     def input_dim(self):
         return self.left.input_dim
 
-    def param_list(self):
-        return self.left.param_list() + self.right.param_list()
+    @property
+    def params(self):
+        """A copy of the left then the right component's vector."""
+        return np.concatenate([self.left.params, self.right.params])
 
     def replace_params(self, params):
-        cut = len(self.left.param_list())
+        cut = self.left.params.size
         return type(self)(self.left.replace_params(params[:cut]),
                           self.right.replace_params(params[cut:]))
 
@@ -241,22 +228,22 @@ def init_params(widths, seed, normalization="none", rescale_to_unit=False):
     seed always produces the same parameters.
     """
     widths = [int(w) for w in widths]
-    _validate_widths(widths)
     rng = np.random.default_rng(seed)
     fills = (np.zeros, np.ones, np.zeros)  # bias, ln_gain, ln_offset
-    layers = []
+    arrays = []
     for shapes in _layer_shapes(widths, normalization):
-        weight = rng.normal(0.0, np.sqrt(2.0 / shapes[0][0]), size=shapes[0])
-        layers.append([weight] + [fill(s) for fill, s in zip(fills, shapes[1:])])
-    return FeatureMap(widths, layers, normalization=normalization,
+        arrays.append(rng.normal(0.0, np.sqrt(2.0 / shapes[0][0]), size=shapes[0]).ravel())
+        arrays += [fill(s) for fill, s in zip(fills, shapes[1:])]
+    return FeatureMap(widths, np.concatenate(arrays), normalization=normalization,
                       rescale_to_unit=rescale_to_unit)
 
 
 def _check_finite_params(fmap):
-    for l, layer in enumerate(fmap.layers):
-        for key, array in zip(LAYER_KEYS, layer):
-            if not np.all(np.isfinite(array)):
-                raise NumericError(f"non-finite {key} in layer {l}")
+    if not np.all(np.isfinite(fmap.params)):
+        for l, layer in enumerate(fmap.layers):
+            for key, array in zip(LAYER_KEYS, layer):
+                if not np.all(np.isfinite(array)):
+                    raise NumericError(f"non-finite {key} in layer {l}")
 
 
 def _check_inputs(fmap, inputs):
@@ -277,36 +264,38 @@ def _forward_with_cache(fmap, inputs, keep=True):
 
     cache["act"][l] is the input of layer l (the inputs, then each hidden
     ReLU output); cache["ln"][l] is (xhat, inv_sd) of a layer-normalized
-    hidden layer, else None.
+    hidden layer, else None.  Each layer works in place on its product.
     """
     _check_finite_params(fmap)
     h = inputs = _check_inputs(fmap, inputs)
     cache = {"ln": [], "act": [inputs], "rescale": None}
     last = len(fmap.layers) - 1
     for l, (weight, bias, *ln) in enumerate(fmap.layers):
-        h = h @ weight + bias
+        h = h @ weight
+        h += bias
         if l < last:
             if ln:
-                mean = h.mean(axis=1, keepdims=True)
-                centered = h - mean
-                var = np.mean(centered * centered, axis=1, keepdims=True)
+                h -= h.mean(axis=1, keepdims=True)
+                var = np.mean(h * h, axis=1, keepdims=True)
                 inv_sd = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-                xhat = centered * inv_sd
+                h *= inv_sd
                 if keep:
-                    cache["ln"].append((xhat, inv_sd))
-                h = xhat * ln[0] + ln[1]
+                    cache["ln"].append((h.copy(), inv_sd))
+                h *= ln[0]
+                h += ln[1]
             else:
                 cache["ln"].append(None)
-            h = np.maximum(h, 0.0)
+            np.maximum(h, 0.0, out=h)
             if keep:
+                # the next layer's product is a new array, so h stays as kept
                 cache["act"].append(h)
     if not fmap.rescale_to_unit:
         return h, cache
     norms = np.sqrt(np.sum(h * h, axis=1, keepdims=True))
     safe = np.where(norms > 0.0, norms, 1.0)
-    out = h / safe
-    cache["rescale"] = (out, safe, norms[:, 0] > 0.0)
-    return out, cache
+    h /= safe
+    cache["rescale"] = (h, safe, norms[:, 0] > 0.0)
+    return h, cache
 
 
 def forward(fmap, inputs):
@@ -327,31 +316,34 @@ def forward(fmap, inputs):
 def pullback(fmap, inputs):
     """Features and their reverse mode from one forward pass.
 
-    Returns (phi, vjp): phi = forward(fmap, inputs), and vjp(upstream)
-    gives the gradient of sum(upstream * phi) in the parameters, in
-    ``param_list`` order, each congruent with its parameter.  upstream is
-    the (n, p) cotangent of phi.  ReLU uses subgradient 0 at exactly 0.
+    Returns (phi, vjp): phi = forward(fmap, inputs), and vjp(upstream,
+    out) writes the gradient of sum(upstream * phi) into out, a vector
+    in the layout of ``params``, and returns out.  upstream is the (n, p)
+    cotangent of phi.  ReLU uses subgradient 0 at exactly 0.
     """
     if isinstance(fmap, _FeatureMapPair):
         phi1, vjp1 = pullback(fmap.left, inputs)
         phi2, vjp2 = pullback(fmap.right, inputs)
         phi = fmap.combine(phi1, phi2)
-        shape = phi.shape
+        cut = fmap.left.params.size
 
-        def vjp(upstream):
+        def vjp(upstream, out):
             upstream = np.asarray(upstream, dtype=np.float64)
-            if upstream.shape != shape:
-                raise ShapeError(f"upstream has shape {upstream.shape}, features {shape}")
+            if upstream.shape != phi.shape:
+                raise ShapeError(f"upstream has shape {upstream.shape}, features {phi.shape}")
             d1, d2 = fmap.split(upstream, phi1, phi2)
-            return vjp1(d1) + vjp2(d2)
+            vjp1(d1, out[:cut])
+            vjp2(d2, out[cut:])
+            return out
         return phi, vjp
 
-    out, cache = _forward_with_cache(fmap, inputs)
+    phi, cache = _forward_with_cache(fmap, inputs)
 
-    def vjp(upstream):
+    def vjp(upstream, out):
         g = np.asarray(upstream, dtype=np.float64)
-        if g.shape != out.shape:
-            raise ShapeError(f"upstream has shape {g.shape}, features {out.shape}")
+        if g.shape != phi.shape:
+            raise ShapeError(f"upstream has shape {g.shape}, features {phi.shape}")
+        grads = fmap._views(out)
         if cache["rescale"] is not None:
             unit, safe, nonzero = cache["rescale"]
             # unit = raw / |raw|; zero rows pass the map unchanged, so their
@@ -361,74 +353,63 @@ def pullback(fmap, inputs):
             g = np.where(nonzero[:, None], g_rows, g)
 
         last = len(fmap.layers) - 1
-        grads = [None] * (last + 1)
         for l in range(last, -1, -1):
             weight, _, *ln = fmap.layers[l]
-            ln_grads = []
+            d_weight, d_bias, *d_ln = grads[l]
             if l < last:
                 g = g * (cache["act"][l + 1] > 0.0)
                 if ln:
                     xhat, inv_sd = cache["ln"][l]
-                    ln_grads = [np.sum(g * xhat, axis=0), np.sum(g, axis=0)]
+                    np.sum(g * xhat, axis=0, out=d_ln[0])
+                    np.sum(g, axis=0, out=d_ln[1])
                     dxhat = g * ln[0]
                     m1 = dxhat.mean(axis=1, keepdims=True)
                     m2 = np.mean(dxhat * xhat, axis=1, keepdims=True)
                     g = inv_sd * (dxhat - m1 - xhat * m2)
-            grads[l] = [cache["act"][l].T @ g, np.sum(g, axis=0), *ln_grads]
+            np.matmul(cache["act"][l].T, g, out=d_weight)
+            np.sum(g, axis=0, out=d_bias)
             if l > 0:
                 g = g @ weight.T
-        return [grad for layer in grads for grad in layer]
-    return out, vjp
+        return out
+    return phi, vjp
 
 
 def backward(fmap, inputs, upstream):
     """Gradient of sum(upstream * forward(fmap, inputs)) in the parameters,
-    in ``param_list`` order (see pullback)."""
-    return pullback(fmap, inputs)[1](upstream)
+    one vector in the layout of ``params`` (see pullback)."""
+    return pullback(fmap, inputs)[1](upstream, np.empty(fmap.params.size))
 
 
 class AdamState:
-    """Adam optimizer state congruent with a parameter list."""
+    """Adam's step count, (2, size) moments and (2, size) work space."""
 
-    def __init__(self, first_moment, second_moment, step_count, learning_rate,
-                 beta1=0.9, beta2=0.999, epsilon=1e-8):
-        self.first_moment = first_moment
-        self.second_moment = second_moment
-        self.step_count = int(step_count)
+    def __init__(self, size, learning_rate):
+        self.moments = np.zeros((2, size))
+        self.work = np.empty((2, size))
+        self.step_count = 0
         self.learning_rate = float(learning_rate)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.epsilon = float(epsilon)
-
-    @staticmethod
-    def create(params, learning_rate, beta1=0.9, beta2=0.999, epsilon=1e-8):
-        return AdamState([np.zeros_like(p) for p in params],
-                         [np.zeros_like(p) for p in params],
-                         0, learning_rate, beta1, beta2, epsilon)
 
 
 def adam_step(state, params, grads):
-    """One Adam update; returns (new_params, new_state).
+    """One Adam update of the vector params, in place, and of state.
 
     With zero moments and a single scalar gradient g the first step moves
     the parameter by -lr * g / (|g| + eps), which the tests pin down.
     """
-    if len(params) != len(grads) or len(params) != len(state.first_moment):
-        raise ShapeError("params, grads and state must be congruent")
-    t = state.step_count + 1
-    b1, b2 = state.beta1, state.beta2
-    bias1 = 1.0 - b1 ** t
-    bias2 = 1.0 - b2 ** t
-    new_params, new_m, new_v = [], [], []
-    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
-        if p.shape != g.shape:
-            raise ShapeError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-        m_next = b1 * m + (1.0 - b1) * g
-        v_next = b2 * v + (1.0 - b2) * (g * g)
-        m_hat = m_next / bias1
-        v_hat = v_next / bias2
-        new_params.append(p - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon))
-        new_m.append(m_next)
-        new_v.append(v_next)
-    return new_params, AdamState(new_m, new_v, t, state.learning_rate,
-                                 b1, b2, state.epsilon)
+    if not params.shape == grads.shape == state.moments[0].shape:
+        raise ShapeError("params, grads and state differ in shape")
+    state.step_count += 1
+    m, v = state.moments
+    # the textbook update's operations in its order, in reused buffers: a
+    # fresh vector each step would be freed and faulted in again each step
+    step, denom = state.work
+    m *= ADAM_BETA1
+    m += np.multiply(grads, 1.0 - ADAM_BETA1, out=step)
+    v *= ADAM_BETA2
+    v += np.multiply(np.square(grads, out=denom), 1.0 - ADAM_BETA2, out=denom)
+    np.divide(v, 1.0 - ADAM_BETA2 ** state.step_count, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPSILON
+    np.divide(m, 1.0 - ADAM_BETA1 ** state.step_count, out=step)
+    step *= state.learning_rate
+    params -= np.divide(step, denom, out=step)

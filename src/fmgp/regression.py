@@ -32,6 +32,7 @@ from .errors import (ConfigError, DataError, DomainError, NumericError, ShapeErr
 MODEL_SCHEMA = "fmgp/model@1"
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+DECOMP_BATCH_ROWS = 8192
 
 
 class PredictiveDistribution:
@@ -96,11 +97,10 @@ class FitConfig:
     seed: int = 0
     init_sigma_f_sq: float = 1.0
     init_sigma_xi_sq: float = 0.1
-    decomp_batch_rows: int = 8192
 
     def __post_init__(self):
         for name in ("output_dim", "num_subsets", "subset_size", "learning_rate",
-                     "init_sigma_f_sq", "init_sigma_xi_sq", "decomp_batch_rows"):
+                     "init_sigma_f_sq", "init_sigma_xi_sq"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if not all(w > 0 for w in self.hidden_widths):
@@ -175,13 +175,14 @@ def mll(feature_map, log_sigma_f_sq, log_sigma_xi_sq, X, y, extra_noise=None):
 
     The one-column call of the training objective _summed_mll.  Returns
     (value, map_grads, d_log_sigma_f_sq, d_log_sigma_xi_sq); map_grads
-    follows the feature map's param_list order.
+    is one vector in the layout of the feature map's params.
     """
-    value, map_grads, d_sf, d_sx = _summed_mll(
+    grads = np.empty(feature_map.params.size + 2)
+    value = _summed_mll(
         feature_map, np.atleast_1d(log_sigma_f_sq), np.atleast_1d(log_sigma_xi_sq),
         np.asarray(X), np.asarray(y)[:, None],
-        None if extra_noise is None else np.asarray(extra_noise)[:, None], slice(None))
-    return value, map_grads, float(d_sf[0]), float(d_sx[0])
+        None if extra_noise is None else np.asarray(extra_noise)[:, None], slice(None), grads)
+    return value, grads[:-2], float(grads[-2]), float(grads[-1])
 
 
 def make_subsets(n, num_subsets, subset_size, rng):
@@ -208,20 +209,20 @@ def training_rows(dataset):
             np.asarray(dataset.targets)[train_idx])
 
 
-def _summed_mll(feature_map, log_sf2, log_sxi2, X, Y, extra_noise, rows):
-    """The MLL summed over the columns of Y on the selected rows, its map
-    gradients and its (C,) gradients in the log-variances."""
+def _summed_mll(feature_map, log_sf2, log_sxi2, X, Y, extra_noise, rows, grads):
+    """The MLL summed over the C columns of Y on the selected rows.  Its
+    gradient fills grads: the map's, then the (2, C) log-variances."""
     phi, vjp = ft.pullback(feature_map, X[rows])
     total = d_phi = 0.0
-    d_sf = np.zeros(Y.shape[1])
-    d_sx = np.zeros(Y.shape[1])
+    d_sf, d_sx = grads[-2 * Y.shape[1]:].reshape(2, Y.shape[1])
     for c in range(Y.shape[1]):
         value, dp, d_sf[c], d_sx[c] = gaussian_mll_parts(
             phi, Y[rows, c], log_sf2[c], log_sxi2[c],
             None if extra_noise is None else extra_noise[rows, c])
         total += value
         d_phi += dp
-    return total, vjp(d_phi), d_sf, d_sx
+    vjp(d_phi, grads[:-2 * Y.shape[1]])
+    return total
 
 
 def train(feature_map, X, Y, extra_noise, config):
@@ -248,17 +249,20 @@ def train(feature_map, X, Y, extra_noise, config):
     rng = np.random.default_rng(config.seed)
     subsets = make_subsets(n, config.num_subsets, config.subset_size, rng)
 
-    log_sf2 = np.full(num_outputs, np.log(config.init_sigma_f_sq))
-    log_sxi2 = np.full(num_outputs, np.log(config.init_sigma_xi_sq))
-    params = feature_map.param_list() + [log_sf2, log_sxi2]
-    state = ft.AdamState.create(params, config.learning_rate)
+    # a copy of the map's parameters, then the (2, C) log-variances
+    theta = np.concatenate([feature_map.params,
+                            np.full(num_outputs, np.log(config.init_sigma_f_sq)),
+                            np.full(num_outputs, np.log(config.init_sigma_xi_sq))])
+    log_sf2, log_sxi2 = theta[-2 * num_outputs:].reshape(2, num_outputs)
+    feature_map = feature_map.replace_params(theta[:-2 * num_outputs])
+    grads = np.empty_like(theta)
+    state = ft.AdamState(theta.size, config.learning_rate)
     trace = []
     for t in range(config.iterations):
-        fmap_t = feature_map.replace_params(params[:-2])
         idx = subsets[t % config.num_subsets]
         try:
-            total, map_grads, d_sf, d_sx = _summed_mll(
-                fmap_t, params[-2], params[-1], X, Y, extra_noise, idx)
+            total = _summed_mll(feature_map, log_sf2, log_sxi2, X, Y, extra_noise, idx,
+                                grads)
         except NumericError as exc:
             raise TrainingError(f"training diverged at iteration {t}: {exc}",
                                 iteration=t) from exc
@@ -267,15 +271,12 @@ def train(feature_map, X, Y, extra_noise, config):
         if not np.isfinite(loss):
             raise TrainingError(f"training diverged at iteration {t}", iteration=t)
         trace.append(loss)
-        grads = [-g / scale for g in map_grads]
-        grads.append(-d_sf / scale)
-        grads.append(-d_sx / scale)
-        params, state = ft.adam_step(state, params, grads)
-    return (feature_map.replace_params(params[:-2]), np.exp(params[-2]),
-            np.exp(params[-1]), trace)
+        grads /= -scale
+        ft.adam_step(state, theta, grads)
+    return feature_map, np.exp(log_sf2), np.exp(log_sxi2), trace
 
 
-def build_caches(feature_map, X, Y, noise_var=None, batch_rows=8192):
+def build_caches(feature_map, X, Y, noise_var=None):
     """One decomposition per column of Y (n, C), from one feature pass.
 
     With per-point noise variances noise_var (n, C), column c's rows of
@@ -284,8 +285,8 @@ def build_caches(feature_map, X, Y, noise_var=None, batch_rows=8192):
     """
     n = X.shape[0]
     accs = [lr.GramAccumulator(feature_map.output_dim) for _ in range(Y.shape[1])]
-    for start in range(0, n, batch_rows):
-        stop = min(start + batch_rows, n)
+    for start in range(0, n, DECOMP_BATCH_ROWS):
+        stop = min(start + DECOMP_BATCH_ROWS, n)
         phi_b = ft.forward(feature_map, X[start:stop])
         for c, acc in enumerate(accs):
             if noise_var is None:
@@ -296,9 +297,9 @@ def build_caches(feature_map, X, Y, noise_var=None, batch_rows=8192):
     return [lr.decompose(acc.gram, acc.phi_t_y, n) for acc in accs]
 
 
-def build_decomposition(feature_map, X, y, batch_rows=8192):
+def build_decomposition(feature_map, X, y):
     """Accumulate the full-data feature Gram in batches and decompose it."""
-    return build_caches(feature_map, X, np.asarray(y)[:, None], batch_rows=batch_rows)[0]
+    return build_caches(feature_map, X, np.asarray(y)[:, None])[0]
 
 
 def fit(dataset, config=None, feature_map=None):
@@ -309,7 +310,7 @@ def fit(dataset, config=None, feature_map=None):
     y = y.astype(np.float64)
     feature_map, sigma_f_sq, sigma_xi_sq, trace = train(feature_map, X, y[:, None],
                                                         None, config)
-    decomp = build_decomposition(feature_map, X, y, config.decomp_batch_rows)
+    decomp = build_decomposition(feature_map, X, y)
     return GpModel(feature_map, float(sigma_f_sq[0]), float(sigma_xi_sq[0]), decomp,
                    train_inputs_stats=getattr(dataset, "stats_dict", lambda: None)(),
                    training_trace=trace)

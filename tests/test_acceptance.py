@@ -82,17 +82,16 @@ class TestAcceptance:
             def value(fm, a=log_sf, b=log_sx):
                 return reg.mll(fm, a, b, X, y)[0]
 
-            for k, grad in enumerate(map_grads):
-                base = [p.copy() for p in fmap.param_list()]
-                for idx in np.ndindex(grad.shape):
-                    for sign in (1.0, -1.0):
-                        base[k][idx] += sign * step
-                        if sign > 0:
-                            up = value(fmap.replace_params(base))
-                        else:
-                            down = value(fmap.replace_params(base))
-                        base[k][idx] = fmap.param_list()[k][idx]
-                    worst = max(worst, rel(grad[idx], (up - down) / (2 * step)))
+            base = fmap.params.copy()
+            for idx in range(map_grads.size):
+                for sign in (1.0, -1.0):
+                    base[idx] += sign * step
+                    if sign > 0:
+                        up = value(fmap.replace_params(base))
+                    else:
+                        down = value(fmap.replace_params(base))
+                    base[idx] = fmap.params[idx]
+                worst = max(worst, rel(map_grads[idx], (up - down) / (2 * step)))
             fd_sf = (value(fmap, log_sf + step) -
                      value(fmap, log_sf - step)) / (2 * step)
             fd_sx = (value(fmap, log_sf, log_sx + step) -
@@ -158,7 +157,7 @@ class TestAcceptance:
     def test_08_recalibration(self, verdict):
         # hand-checkable single-point model: constant unit feature
         fmap = ft.init_params([1, 1], seed=0, rescale_to_unit=True)
-        fmap = fmap.replace_params([np.array([[1.0]]), np.array([0.0])])
+        fmap = fmap.replace_params(np.array([1.0, 0.0]))
         X = np.array([[1.0]])
         decomp = reg.build_decomposition(fmap, X, np.array([2.0]))
         model = reg.GpModel(fmap, 1.0, 1.0, decomp)
@@ -206,7 +205,7 @@ class TestAcceptance:
         sigma_f_sq = np.array([1.5, 0.7, 2.2])
         sigma_xi_sq = np.array([0.3, 0.9, 0.05])
         y_t, s_t = cls.dirichlet_transform(labels, 0.01, 3)
-        caches = reg.build_caches(fmap, X, y_t, s_t + sigma_xi_sq, 4096)
+        caches = reg.build_caches(fmap, X, y_t, s_t + sigma_xi_sq)
         clf = cls.DirichletClassifier(fmap, sigma_f_sq, sigma_xi_sq, caches,
                                       3, 0.01, surrogate_noise=s_t)
         Xs = rng.standard_normal((25, 3))

@@ -34,7 +34,7 @@ def build_classifier(labels, fmap, X, sigma_f_sq, sigma_xi_sq, alpha_eps=0.01):
     num_classes = int(labels.max()) + 1
     y_tilde, s_tilde_sq = cls.dirichlet_transform(labels, alpha_eps, num_classes)
     caches = reg.build_caches(fmap, X, y_tilde,
-                              s_tilde_sq + np.asarray(sigma_xi_sq, dtype=float), 4096)
+                              s_tilde_sq + np.asarray(sigma_xi_sq, dtype=float))
     return cls.DirichletClassifier(fmap, sigma_f_sq, sigma_xi_sq, caches,
                                    num_classes, alpha_eps,
                                    surrogate_noise=s_tilde_sq)
@@ -371,6 +371,15 @@ class TestComputeEce:
     def test_empty_input_raises(self):
         with pytest.raises(DomainError):
             cls.compute_ece(np.empty((0, 2)), np.empty(0, dtype=int))
+
+
+@pytest.mark.parametrize("score", [cls.multinomial_nll, cls.compute_ece])
+@pytest.mark.parametrize("label", [-1, 2])
+def test_label_outside_the_classes_raises(score, label):
+    # -1 would index the last class and 2 the row's end on a 2-class array
+    probs = np.array([[0.85, 0.15], [0.15, 0.85]])
+    with pytest.raises(DomainError, match=r"labels must lie in \[0, 2\)"):
+        score(probs, np.array([0, label]))
 
 
 class TestPersistence:

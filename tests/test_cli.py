@@ -79,6 +79,20 @@ class TestTrainEval:
         assert 0.0 <= metrics["ece"] <= 1.0
         assert metrics["temperature"] > 0
 
+    def test_train_fits_temperature_with_configured_samples(self, tmp_path, monkeypatch):
+        from fmgp import classification as cls
+        seen = []
+        fit_temperature = cls.fit_temperature
+
+        def recording(clf, X, y, num_samples=cls.DEFAULT_NUM_SAMPLES, **kwargs):
+            seen.append(num_samples)
+            return fit_temperature(clf, X, y, num_samples, **kwargs)
+
+        monkeypatch.setattr(cls, "fit_temperature", recording)
+        config = write_config(tmp_path, classification_doc(tmp_path))
+        assert cli.main(["train", "--config", config]) == 0
+        assert seen == [256]
+
     def test_classification_honours_composition(self, tmp_path):
         doc = classification_doc(tmp_path)
         doc["composition"] = {"kind": "product", "output_dims": [4, 4]}
@@ -146,6 +160,8 @@ BAD_INPUTS = [
                  id="learning_rate_integer_beyond_float"),
     pytest.param("training.learning_rate", float("inf"), cli.EXIT_CONFIG,
                  id="learning_rate_infinity"),
+    pytest.param("classification", {"num_samples": 0}, cli.EXIT_CONFIG,
+                 id="num_samples_zero"),
     # unreadable input (the config file's bytes when key_path is None)
     pytest.param(None, b'{"task": ', cli.EXIT_CONFIG, id="malformed_json"),
     pytest.param(None, b"\xff\xfe{}", cli.EXIT_CONFIG, id="non_utf8_config"),

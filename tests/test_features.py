@@ -15,23 +15,22 @@ def random_map(widths, seed, normalization="layer_norm", rescale=True):
 class TestConstruction:
     def test_param_shapes(self):
         fmap = random_map([3, 5, 7, 4], seed=0)
-        params = fmap.param_list()
         # per hidden layer: weight, bias, gain, offset; output: weight, bias
-        shapes = [p.shape for p in params]
+        shapes = [p.shape for layer in fmap.layers for p in layer]
         assert shapes == [(3, 5), (5,), (5,), (5,),
                           (5, 7), (7,), (7,), (7,),
                           (7, 4), (4,)]
 
     def test_no_norm_param_shapes(self):
         fmap = ft.init_params([2, 4, 3], seed=0)
-        assert [p.shape for p in fmap.param_list()] == [(2, 4), (4,), (4, 3), (3,)]
+        assert [p.shape for layer in fmap.layers for p in layer] == [(2, 4), (4,), (4, 3), (3,)]
 
     def test_he_init_scale(self):
         # weight std approximates sqrt(2 / fan_in) at large fan-in
         fmap = ft.init_params([400, 300, 2], seed=1)
-        w = fmap.param_list()[0]
+        w = fmap.layers[0][0]
         np.testing.assert_allclose(w.std(), np.sqrt(2.0 / 400), rtol=0.05)
-        assert np.all(fmap.param_list()[1] == 0.0)
+        assert np.all(fmap.layers[0][1] == 0.0)
 
     def test_bad_widths_raise(self):
         with pytest.raises(ConfigError):
@@ -45,10 +44,9 @@ class TestConstruction:
 
     def test_replace_params_round_trip(self):
         fmap = random_map([2, 3, 2], seed=0)
-        params = [p + 1.0 for p in fmap.param_list()]
+        params = fmap.params + 1.0
         swapped = fmap.replace_params(params)
-        for a, b in zip(swapped.param_list(), params):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(swapped.params, params)
 
     def test_serialization_round_trip(self):
         fmap = random_map([2, 4, 3], seed=3)
@@ -73,8 +71,7 @@ class TestForward:
         # weights and biases all zero give a zero output row; the rescale
         # must leave it at zero instead of dividing by zero
         fmap = ft.init_params([2, 3, 2], seed=0, rescale_to_unit=True)
-        params = [np.zeros_like(p) for p in fmap.param_list()]
-        fmap = fmap.replace_params(params)
+        fmap = fmap.replace_params(np.zeros_like(fmap.params))
         out = ft.forward(fmap, np.ones((4, 2)))
         np.testing.assert_array_equal(out, np.zeros((4, 2)))
 
@@ -83,20 +80,18 @@ class TestForward:
         # with default gain 1 offset 0 the pre-ReLU rows have mean ~0
         fmap = ft.init_params([3, 50, 2], seed=4, normalization="layer_norm")
         X = np.random.default_rng(4).standard_normal((7, 3))
-        a = X @ fmap.weights[0] + fmap.biases[0]
+        a = X @ fmap.layers[0][0] + fmap.layers[0][1]
         mu = a.mean(axis=1, keepdims=True)
         var = a.var(axis=1, keepdims=True)
         xhat = (a - mu) / np.sqrt(var + ft.LAYER_NORM_EPS)
         hidden = np.maximum(xhat, 0.0)
-        out = hidden @ fmap.weights[1] + fmap.biases[1]
+        out = hidden @ fmap.layers[1][0] + fmap.layers[1][1]
         np.testing.assert_allclose(ft.forward(fmap, X), out, rtol=1e-12)
 
     def test_relu_masks_negatives(self):
         fmap = ft.init_params([1, 2, 1], seed=0)
-        params = fmap.param_list()
-        params[0] = np.array([[1.0, -1.0]])
-        params[2] = np.array([[1.0], [1.0]])
-        fmap = fmap.replace_params(params)
+        fmap.layers[0][0][...] = np.array([[1.0, -1.0]])
+        fmap.layers[1][0][...] = np.array([[1.0], [1.0]])
         out = ft.forward(fmap, np.array([[2.0], [-3.0]]))
         np.testing.assert_allclose(out[:, 0], [2.0, 3.0])
 
@@ -117,12 +112,9 @@ class TestNonFiniteParams:
     @pytest.mark.parametrize("key", ft.LAYER_KEYS)
     def test_forward_and_pullback_name_key_and_layer(self, key):
         fmap = random_map([3, 5, 4, 2], seed=0)
-        params = fmap.param_list()
+        broken = fmap.replace_params(fmap.params.copy())
         # layer 1 is a normalized hidden layer, so it holds every key
-        index = len(fmap.layers[0]) + ft.LAYER_KEYS.index(key)
-        params[index] = params[index].copy()
-        params[index].flat[-1] = np.nan
-        broken = fmap.replace_params(params)
+        broken.layers[1][ft.LAYER_KEYS.index(key)].flat[-1] = np.nan
         X = np.zeros((4, 3))
         with pytest.raises(NumericError, match=f"non-finite {key} in layer 1"):
             ft.forward(broken, X)
@@ -140,38 +132,73 @@ class TestBackward:
         X = rng.standard_normal((9, 3))
         upstream = rng.standard_normal((9, 4))
         grads = ft.backward(fmap, X, upstream)
-        params = fmap.param_list()
+        params = fmap.params
         h = 1e-6
         worst = 0.0
-        for k, base in enumerate(params):
-            flat = base.ravel()
-            for idx in range(flat.size):
-                plus = [q.copy() for q in params]
-                plus[k].ravel()[idx] += h
-                minus = [q.copy() for q in params]
-                minus[k].ravel()[idx] -= h
-                fd = (np.sum(ft.forward(fmap.replace_params(plus), X) * upstream)
-                      - np.sum(ft.forward(fmap.replace_params(minus), X) * upstream)) / (2 * h)
-                g = grads[k].ravel()[idx]
-                worst = max(worst, abs(g - fd) / max(1e-3, abs(g), abs(fd)))
+        for idx in range(params.size):
+            plus = params.copy()
+            plus[idx] += h
+            minus = params.copy()
+            minus[idx] -= h
+            fd = (np.sum(ft.forward(fmap.replace_params(plus), X) * upstream)
+                  - np.sum(ft.forward(fmap.replace_params(minus), X) * upstream)) / (2 * h)
+            g = grads[idx]
+            worst = max(worst, abs(g - fd) / max(1e-3, abs(g), abs(fd)))
         assert worst < 1e-6
 
     def test_gradient_shapes_match_params(self):
         fmap = random_map([2, 6, 3], seed=1)
         X = np.random.default_rng(1).standard_normal((5, 2))
         grads = ft.backward(fmap, X, np.ones((5, 3)))
-        for g, p in zip(grads, fmap.param_list()):
-            assert g.shape == p.shape
+        assert grads.shape == fmap.params.shape
+
+
+def per_array_adam(params, grads, first, second, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Adam on a list of arrays, one array at a time: the reference for
+    the in-place vector update."""
+    bias1 = 1.0 - b1 ** t
+    bias2 = 1.0 - b2 ** t
+    new_params, new_first, new_second = [], [], []
+    for p, g, m, v in zip(params, grads, first, second):
+        m_next = b1 * m + (1.0 - b1) * g
+        v_next = b2 * v + (1.0 - b2) * (g * g)
+        m_hat = m_next / bias1
+        v_hat = v_next / bias2
+        new_params.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
+        new_first.append(m_next)
+        new_second.append(v_next)
+    return new_params, new_first, new_second
+
+
+def flat(arrays):
+    return np.concatenate([a.ravel() for a in arrays])
 
 
 class TestAdamStep:
+    def test_matches_per_array_update_bit_for_bit(self):
+        rng = np.random.default_rng(13)
+        shapes = [(3, 5), (5,), (5,), (5,), (5, 2), (2,)]
+        arrays = [rng.standard_normal(shape) for shape in shapes]
+        first = [np.zeros(shape) for shape in shapes]
+        second = [np.zeros(shape) for shape in shapes]
+        params = flat(arrays)
+        state = ft.AdamState(params.size, learning_rate=0.03)
+        for t in range(1, 6):
+            grads = [rng.standard_normal(shape) * 10.0 ** (t - 3) for shape in shapes]
+            arrays, first, second = per_array_adam(arrays, grads, first, second, t, 0.03)
+            ft.adam_step(state, params, flat(grads))
+            assert np.array_equal(params, flat(arrays))
+            assert np.array_equal(state.moments[0], flat(first))
+            assert np.array_equal(state.moments[1], flat(second))
+        assert state.step_count == 5
+
     def test_first_step_is_signed_learning_rate(self):
         # with zero state, the bias-corrected update is lr * g / (|g| + eps)
-        params = [np.array([0.0, 0.0])]
-        grads = [np.array([2.0, -0.5])]
-        state = ft.AdamState.create(params, learning_rate=0.01)
-        new_params, state = ft.adam_step(state, params, grads)
-        np.testing.assert_allclose(new_params[0],
+        params = np.array([0.0, 0.0])
+        grads = np.array([2.0, -0.5])
+        state = ft.AdamState(params.size, learning_rate=0.01)
+        ft.adam_step(state, params, grads)
+        np.testing.assert_allclose(params,
                                    [-0.01 * 2.0 / (2.0 + 1e-8),
                                     0.01 * 0.5 / (0.5 + 1e-8)], rtol=1e-12)
         assert state.step_count == 1
@@ -188,17 +215,17 @@ class TestAdamStep:
             mhat = m / (1 - b1 ** t)
             vhat = v / (1 - b2 ** t)
             x = x - lr * mhat / (np.sqrt(vhat) + eps)
-        params = [np.array(0.5)]
-        state = ft.AdamState.create(params, learning_rate=lr)
-        params, state = ft.adam_step(state, params, [np.array(g1)])
-        params, state = ft.adam_step(state, params, [np.array(g2)])
+        params = np.array([0.5])
+        state = ft.AdamState(params.size, learning_rate=lr)
+        ft.adam_step(state, params, np.array([g1]))
+        ft.adam_step(state, params, np.array([g2]))
         np.testing.assert_allclose(float(params[0]), x, rtol=1e-12)
 
     def test_shape_mismatch_raises(self):
-        params = [np.zeros(3)]
-        state = ft.AdamState.create(params, learning_rate=0.1)
+        params = np.zeros(3)
+        state = ft.AdamState(params.size, learning_rate=0.1)
         with pytest.raises(ShapeError):
-            ft.adam_step(state, params, [np.zeros(4)])
+            ft.adam_step(state, params, np.zeros(4))
 
 
 class TestComposites:
@@ -240,20 +267,18 @@ class TestComposites:
         rng = np.random.default_rng(9)
         upstream = rng.standard_normal((8, comp.output_dim))
         grads = ft.backward(comp, self.X, upstream)
-        params = comp.param_list()
+        params = comp.params
         h = 1e-6
         worst = 0.0
-        for k, base in enumerate(params):
-            flat = base.ravel()
-            for idx in range(flat.size):
-                plus = [q.copy() for q in params]
-                plus[k].ravel()[idx] += h
-                minus = [q.copy() for q in params]
-                minus[k].ravel()[idx] -= h
-                fd = (np.sum(ft.forward(comp.replace_params(plus), self.X) * upstream)
-                      - np.sum(ft.forward(comp.replace_params(minus), self.X) * upstream)) / (2 * h)
-                g = grads[k].ravel()[idx]
-                worst = max(worst, abs(g - fd) / max(1e-3, abs(g), abs(fd)))
+        for idx in range(params.size):
+            plus = params.copy()
+            plus[idx] += h
+            minus = params.copy()
+            minus[idx] -= h
+            fd = (np.sum(ft.forward(comp.replace_params(plus), self.X) * upstream)
+                  - np.sum(ft.forward(comp.replace_params(minus), self.X) * upstream)) / (2 * h)
+            g = grads[idx]
+            worst = max(worst, abs(g - fd) / max(1e-3, abs(g), abs(fd)))
         assert worst < 1e-6
 
     @pytest.mark.parametrize("kind", ["product", "additive"])

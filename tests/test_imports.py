@@ -1,5 +1,8 @@
-"""The modules that fit, predict and calibrate load numpy only."""
+"""The modules that fit, predict and calibrate load numpy only, and
+expose every name the benchmark's tracer wraps."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -20,3 +23,15 @@ def test_product_modules_do_not_import_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_perfbench_trace_targets_resolve():
+    # the benchmark's traced mode wraps these names by attribute, so a
+    # refactor that drops one would break only that mode
+    path = os.path.join(ROOT, "perfbench", "spans.py")
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    modules = {name: importlib.import_module(f"fmgp.{name}") for name in PRODUCT_MODULES}
+    for owner, attribute, metric, _ in spans.wrap_targets(modules):
+        assert callable(getattr(owner, attribute, None)), metric

@@ -17,10 +17,7 @@ LOG_2PI = np.log(2.0 * np.pi)
 def scalar_positive_map():
     """p = 1 map whose rescaled feature is exactly 1 for positive inputs."""
     fmap = ft.init_params([1, 1], seed=0, rescale_to_unit=True)
-    params = fmap.param_list()
-    params[0] = np.array([[1.0]])
-    params[1] = np.array([0.0])
-    return fmap.replace_params(params)
+    return fmap.replace_params(np.array([1.0, 0.0]))
 
 
 def dense_mll(phi, y, sf2, noise):
@@ -101,22 +98,20 @@ class TestMllGradients:
         extra = rng.uniform(0.1, 1.0, size=20) if hetero else None
         lsf, lsx = np.log(1.4), np.log(0.3)
         value, gmap, gsf, gsx = reg.mll(fmap, lsf, lsx, X, y, extra_noise=extra)
-        params = fmap.param_list()
+        params = fmap.params
         h = 1e-5
         worst = 0.0
-        for k, base in enumerate(params):
-            flat = base.ravel()
-            for idx in range(flat.size):
-                plus = [q.copy() for q in params]
-                plus[k].ravel()[idx] += h
-                minus = [q.copy() for q in params]
-                minus[k].ravel()[idx] -= h
-                fd = (reg.mll(fmap.replace_params(plus), lsf, lsx, X, y,
-                              extra_noise=extra)[0]
-                      - reg.mll(fmap.replace_params(minus), lsf, lsx, X, y,
-                                extra_noise=extra)[0]) / (2 * h)
-                g = gmap[k].ravel()[idx]
-                worst = max(worst, abs(g - fd) / max(1e-3, abs(g), abs(fd)))
+        for idx in range(params.size):
+            plus = params.copy()
+            plus[idx] += h
+            minus = params.copy()
+            minus[idx] -= h
+            fd = (reg.mll(fmap.replace_params(plus), lsf, lsx, X, y,
+                          extra_noise=extra)[0]
+                  - reg.mll(fmap.replace_params(minus), lsf, lsx, X, y,
+                            extra_noise=extra)[0]) / (2 * h)
+            g = gmap[idx]
+            worst = max(worst, abs(g - fd) / max(1e-3, abs(g), abs(fd)))
         for grad, bump in ((gsf, (h, 0.0)), (gsx, (0.0, h))):
             fd = (reg.mll(fmap, lsf + bump[0], lsx + bump[1], X, y,
                           extra_noise=extra)[0]
@@ -190,6 +185,21 @@ class TestFitting:
                         feature_map=ft.ProductFeatureMap(left, right))
         assert model.feature_map.output_dim == 16
         assert len(model.training_trace) == 10
+
+    def test_fit_leaves_a_prebuilt_map_unchanged(self):
+        # training works on a copy of the map's parameters, so the same
+        # prebuilt map starts every fit from the same point
+        ds = self.make_dataset()
+        fmap = ft.ProductFeatureMap(
+            ft.init_params([1, 8, 4], seed=0, normalization="layer_norm",
+                           rescale_to_unit=True),
+            ft.init_params([1, 8, 3], seed=1))
+        before = fmap.params
+        first = reg.fit(ds, self.small_config(iterations=10), feature_map=fmap)
+        assert np.array_equal(fmap.params, before)
+        assert not np.array_equal(first.feature_map.params, before)
+        second = reg.fit(ds, self.small_config(iterations=10), feature_map=fmap)
+        assert first.training_trace == second.training_trace
 
     @pytest.mark.parametrize("composite", [False, True])
     def test_one_forward_pass_per_step(self, monkeypatch, composite):
