@@ -35,7 +35,7 @@ from .errors import DomainError, ShapeError
 DEFAULT_ALPHA_EPS = 0.01
 DEFAULT_NUM_SAMPLES = 1024
 DEFAULT_ECE_BINS = 15
-# samples per block of the temperature search; a block of 32 x C x n
+# samples per block of the Monte Carlo decoder; a block of 32 x C x n
 # logits stays in cache through its scale, exp and sums
 _SAMPLE_BLOCK = 32
 
@@ -87,6 +87,10 @@ class DirichletClassifier:
         self.num_classes = int(num_classes)
         if self.num_classes < 2:
             raise DomainError("need at least two classes")
+        if not (len(self.caches) == self.sigma_f_sq.size == self.sigma_xi_sq.size
+                == self.num_classes):
+            raise ShapeError(f"need one cache and one variance pair per class "
+                             f"for {self.num_classes} classes")
         self.alpha_eps = float(alpha_eps)
         self.temperature = float(temperature)
         self.train_inputs_stats = train_inputs_stats
@@ -148,30 +152,41 @@ def class_posteriors(clf, X_star):
     return reg.posterior(psi, clf.caches, 1.0 / clf.sigma_f_sq, clf.sigma_f_sq)
 
 
-def _sample_probs(means, variances, num_samples, temperature, rng, block=256):
-    """Average softmax(mu + sd * eps, scaled by 1/T) over posterior draws.
+def _logit_blocks(means, variances, num_samples, seed):
+    """Posterior draws of the class logits from the seed, shifted by each
+    draw's row max, in _SAMPLE_BLOCK-sample blocks laid out (b, C, n).
 
-    Each full row block is drawn into one reused buffer; a shorter last
-    block draws its own.  The generator fills both in the same order.
+    Block by block this is one (num_samples, n, C) standard-normal draw;
+    each block is a view of one reused buffer, valid until the next.
     """
-    n, c = means.shape
     sd = np.sqrt(variances)
-    probs = np.empty((n, c))
-    buf = np.empty((num_samples, min(block, n), c))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        if stop - start == buf.shape[1]:
-            f = rng.standard_normal(out=buf)
-        else:
-            f = rng.standard_normal((num_samples, stop - start, c))
-        f *= sd[start:stop]
-        f += means[start:stop]
-        f /= temperature
+    buf = np.empty((min(_SAMPLE_BLOCK, num_samples), *means.shape))
+    rng = np.random.default_rng(seed)
+    for start in range(0, num_samples, _SAMPLE_BLOCK):
+        f = rng.standard_normal(out=buf[:min(_SAMPLE_BLOCK, num_samples - start)])
+        f *= sd
+        f += means
+        # max(f / T) = max(f) / T for T > 0, so one shift serves every T
         f -= f.max(axis=-1, keepdims=True)
-        np.exp(f, out=f)
-        f /= f.sum(axis=-1, keepdims=True)
-        probs[start:stop] = f.mean(axis=0)
-    return probs
+        yield f.transpose(0, 2, 1)
+
+
+def _mean_softmax(blocks, temperature):
+    """(n, C) mean of softmax(f / temperature) over the shifted logit
+    blocks f of _logit_blocks, classes before rows, so that the class
+    sums add contiguous rows."""
+    scaled = total = None
+    count = 0
+    for f in blocks:
+        if scaled is None:
+            scaled, total = np.empty(f.shape), np.zeros(f.shape[1:])
+        p = scaled[:f.shape[0]]
+        np.divide(f, temperature, out=p)
+        np.exp(p, out=p)
+        p /= p.sum(axis=1, keepdims=True)
+        total += p.sum(axis=0)
+        count += f.shape[0]
+    return total.T / count
 
 
 def predict_proba(clf, X_star, num_samples=DEFAULT_NUM_SAMPLES, seed=None,
@@ -180,7 +195,9 @@ def predict_proba(clf, X_star, num_samples=DEFAULT_NUM_SAMPLES, seed=None,
 
     Draws num_samples independent latent samples per class from the
     posterior, pushes them through the temperature-scaled softmax and
-    averages.  A fresh generator is created per call from the seed.
+    averages.  A fresh generator is created per call from the seed, and
+    the draws are those of fit_temperature: with the same X, seed and
+    num_samples, the probabilities at T are the ones its search scored.
     """
     if num_samples < 1:
         raise DomainError("need at least one sample")
@@ -188,8 +205,7 @@ def predict_proba(clf, X_star, num_samples=DEFAULT_NUM_SAMPLES, seed=None,
     if not t > 0:
         raise DomainError(f"temperature must be positive, got {t}")
     means, variances = class_posteriors(clf, X_star)
-    rng = np.random.default_rng(seed)
-    return _sample_probs(means, variances, num_samples, t, rng)
+    return _mean_softmax(_logit_blocks(means, variances, num_samples, seed), t)
 
 
 def multinomial_nll(probs, labels):
@@ -260,14 +276,14 @@ def _bounded_brent(func, a, x, b, fx, xtol=1e-6, maxiter=500):
 def fit_temperature(clf, X_hold, y_hold, num_samples=DEFAULT_NUM_SAMPLES, seed=0):
     """Temperature minimizing the holdout multinomial NLL; returns T.
 
-    The latent draws are taken once, as one (num_samples, n, C) block
-    from the seed, and shared by every candidate T, so the objective is
-    a deterministic 1-d function of log T.  It is evaluated on a 9-point
-    log grid over [0.05, 20] that holds T = 1, then refined by bounded
-    Brent minimization inside the grid bracket of the best point.  The
-    returned T never has higher NLL than T = 1 on the holdout.  Argmax
-    class predictions are unaffected by any positive T for each
-    individual latent sample.
+    The latent draws are predict_proba's, taken once from the seed and
+    shared by every candidate T, so the objective is a deterministic
+    1-d function of log T.  It is evaluated on a 9-point log grid over
+    [0.05, 20] that holds T = 1, then refined by bounded Brent
+    minimization inside the grid bracket of the best point.  The returned
+    T never has higher NLL than T = 1 on the holdout.  Argmax class
+    predictions are unaffected by any positive T for each individual
+    latent sample.
     """
     if num_samples < 1:
         raise DomainError("need at least one sample")
@@ -278,35 +294,11 @@ def fit_temperature(clf, X_hold, y_hold, num_samples=DEFAULT_NUM_SAMPLES, seed=0
         warnings.warn("holdout contains a single class; temperature unchanged")
         return clf.temperature
     means, variances = class_posteriors(clf, X_hold)
-    sd = np.sqrt(variances)
-    n, c = means.shape
-    block = min(_SAMPLE_BLOCK, num_samples)
-    # the shifted logits with classes before rows, so that the class sums
-    # below add contiguous rows
-    shifted = np.empty((num_samples, c, n))
-    buf = np.empty((block, n, c))
-    # block by block this is the same stream as one (num_samples, n, C) draw
-    rng = np.random.default_rng(seed)
-    for start in range(0, num_samples, block):
-        f = rng.standard_normal(out=buf[:min(block, num_samples - start)])
-        f *= sd
-        f += means
-        # max(f / T) = max(f) / T for T > 0, so one shift serves every T
-        f -= f.max(axis=-1, keepdims=True)
-        shifted[start:start + f.shape[0]] = f.transpose(0, 2, 1)
-    scaled = np.empty((block, c, n))
+    # every candidate T scores the same draws, kept as contiguous blocks
+    blocks = [f.copy() for f in _logit_blocks(means, variances, num_samples, seed)]
 
     def nll_at(log_t):
-        t = np.exp(log_t)
-        total = np.zeros((c, n))
-        for start in range(0, num_samples, block):
-            chunk = shifted[start:start + block]
-            p = scaled[:chunk.shape[0]]
-            np.divide(chunk, t, out=p)
-            np.exp(p, out=p)
-            p /= p.sum(axis=1, keepdims=True)
-            total += p.sum(axis=0)
-        return multinomial_nll(total.T / num_samples, y_hold)
+        return multinomial_nll(_mean_softmax(blocks, np.exp(log_t)), y_hold)
 
     # symmetric about 0, so the grid holds T = 1 exactly
     grid = np.linspace(-1.0, 1.0, 9) * np.log(20.0)
@@ -400,11 +392,13 @@ def classifier_from_json_dict(doc):
     label_map = doc.get("label_map")
     if label_map is not None:
         label_map = {float(k): int(v) for k, v in label_map.items()}
+    fmap = ft.feature_map_from_json_dict(doc["feature_map"])
     return DirichletClassifier(
-        ft.feature_map_from_json_dict(doc["feature_map"]),
+        fmap,
         np.array([entry["sigma_f_sq"] for entry in per_class]),
         np.array([entry["sigma_xi_sq"] for entry in per_class]),
-        [lr.FeatureDecomposition.from_json_dict(entry["cache"]) for entry in per_class],
+        [lr.FeatureDecomposition.from_json_dict(entry["cache"], fmap.output_dim)
+         for entry in per_class],
         doc["num_classes"],
         doc["surrogate_noise_policy"]["alpha_eps"],
         temperature=doc["temperature"],
@@ -417,4 +411,5 @@ def save_classifier(clf, path):
 
 
 def load_classifier(path):
-    return classifier_from_json_dict(reg.read_model_file(path))
+    with reg.model_document(path) as doc:
+        return classifier_from_json_dict(doc)

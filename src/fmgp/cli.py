@@ -164,8 +164,9 @@ class RunConfig:
             for key, default in (("num_samples", cls.DEFAULT_NUM_SAMPLES),
                                  ("ece_bins", cls.DEFAULT_ECE_BINS),
                                  ("fit_temperature", True))}
-        if self.classification["num_samples"] < 1:
-            raise ConfigError("classification.num_samples must be at least 1")
+        for key in ("num_samples", "ece_bins"):
+            if self.classification[key] < 1:
+                raise ConfigError(f"classification.{key} must be at least 1")
         cls_fields = _read_block(classification, cls.ClassifierConfig,
                                  "classification", skip=fit_params)
 
@@ -305,21 +306,21 @@ def cmd_eval(model_path, config, out_dir):
     from . import classification as cls
     from . import regression as reg
 
-    doc = reg.read_model_file(model_path)
+    with reg.model_document(model_path) as doc:
+        task = doc.get("task", "regression")
+        model = (reg.model_from_json_dict(doc) if task == "regression"
+                 else cls.classifier_from_json_dict(doc))
     dataset = build_dataset(config)
     X_test, y_test = dataset.subset_arrays("test")
     if X_test.shape[0] == 0:
         raise DataError("test split is empty")
 
-    task = doc.get("task", "regression")
     metrics = {"task": task, "n_test": int(X_test.shape[0])}
-    model = (reg.model_from_json_dict(doc) if task == "regression"
-             else cls.classifier_from_json_dict(doc))
     if model.feature_map.input_dim != X_test.shape[1]:
         raise ConfigError(f"model expects {model.feature_map.input_dim} "
                           f"features, data has {X_test.shape[1]}")
     # a shifted CSV or another split seed changes the whitening statistics
-    stored, current = doc.get("normalization"), dataset.stats_dict()
+    stored, current = model.train_inputs_stats, dataset.stats_dict()
     for key in stored or ():
         if stored[key] != current.get(key):
             raise DataError(f"eval data normalization differs from the model's "

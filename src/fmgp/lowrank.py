@@ -55,15 +55,21 @@ class FeatureDecomposition:
         }
 
     @staticmethod
-    def from_json_dict(doc):
-        proj = doc["proj_targets"]
+    def from_json_dict(doc, p):
+        """The decomposition of a p-feature Gram with its projected targets,
+        as a model file stores it."""
         # decompose keeps eigh's Fortran order; the same layout makes
         # products with u, and so predictions, bit-identical after a reload
-        return FeatureDecomposition(
+        decomp = FeatureDecomposition(
             np.asarray(doc["u"], dtype=np.float64, order="F"),
             np.asarray(doc["eigenvalues"], dtype=np.float64),
-            None if proj is None else np.asarray(proj, dtype=np.float64),
+            np.asarray(doc["proj_targets"], dtype=np.float64),
             doc["n"], doc["trace_phi_sq"])
+        shapes = (decomp.u.shape, decomp.lam.shape, decomp.proj_targets.shape)
+        if shapes != ((p, p), (p,), (p,)):
+            raise ShapeError(f"u, eigenvalues and proj_targets have shapes {shapes}, "
+                             f"expected {((p, p), (p,), (p,))}")
+        return decomp
 
 
 class GramAccumulator:

@@ -18,6 +18,7 @@ in oracle_check.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import dataclass
@@ -26,8 +27,8 @@ import numpy as np
 
 from . import features as ft
 from . import lowrank as lr
-from .errors import (ConfigError, DataError, DomainError, NumericError, ShapeError,
-                     TrainingError)
+from .errors import (ConfigError, DataError, DomainError, FmgpError, NumericError,
+                     ShapeError, TrainingError)
 
 MODEL_SCHEMA = "fmgp/model@1"
 
@@ -407,13 +408,16 @@ def check_model_doc(doc, task):
         raise DataError(f"unrecognized model schema {doc.get('schema')!r}")
     if doc.get("task") != task:
         raise DataError(f"expected a {task} model, got task {doc.get('task')!r}")
+    if not isinstance(doc.get("normalization"), (dict, type(None))):
+        raise DataError("model normalization must be an object or null")
 
 
 def model_from_json_dict(doc):
     check_model_doc(doc, "regression")
-    return GpModel(ft.feature_map_from_json_dict(doc["feature_map"]),
-                   doc["sigma_f_sq"], doc["sigma_xi_sq"],
-                   lr.FeatureDecomposition.from_json_dict(doc["decomposition"]),
+    fmap = ft.feature_map_from_json_dict(doc["feature_map"])
+    return GpModel(fmap, doc["sigma_f_sq"], doc["sigma_xi_sq"],
+                   lr.FeatureDecomposition.from_json_dict(doc["decomposition"],
+                                                          fmap.output_dim),
                    train_inputs_stats=doc.get("normalization"),
                    gamma=doc["gamma"])
 
@@ -429,14 +433,29 @@ def write_model_file(doc, path):
         raise NumericError(f"cannot save model to {path}: {exc}") from None
 
 
-def read_model_file(path):
+def _reject_constant(name):
+    raise ValueError(f"{name} is not a finite number")
+
+
+@contextlib.contextmanager
+def model_document(path):
+    """The JSON document of the model file at path, for a with block that
+    reads it: a missing key, or a value of the wrong type or shape, met
+    in the block is one DataError naming the file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            # save refuses NaN and infinity, so no model file holds them
+            doc = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise DataError(f"cannot read model {path}: {exc}") from None
     except ValueError as exc:  # not JSON, not UTF-8, or an over-long integer
         raise DataError(f"model {path} is not valid JSON: {exc}") from None
+    try:
+        yield doc
+    except (FmgpError, LookupError, TypeError, ValueError, AttributeError,
+            ArithmeticError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise DataError(f"bad model file {path}: {detail}") from None
 
 
 def save_model(model, path):
@@ -444,4 +463,5 @@ def save_model(model, path):
 
 
 def load_model(path):
-    return model_from_json_dict(read_model_file(path))
+    with model_document(path) as doc:
+        return model_from_json_dict(doc)

@@ -1,5 +1,6 @@
 """Tests for Dirichlet-surrogate GP classification and calibration."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -166,27 +167,35 @@ class TestFitClassifier:
         np.testing.assert_array_equal(a.caches[0].lam, b.caches[0].lam)
 
 
-def reference_sample_probs(means, variances, num_samples, temperature, rng, block=256):
+def reference_sample_probs(means, variances, num_samples, temperature, rng):
     """The Monte Carlo decoder with a fresh array for every operation,
-    which predict_proba must match bit for bit."""
-    n, c = means.shape
-    sd = np.sqrt(variances)
-    probs = np.empty((n, c))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        eps = rng.standard_normal((num_samples, stop - start, c))
-        f = (means[start:stop] + sd[start:stop] * eps) / temperature
-        shifted = f - f.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        probs[start:stop] = (e / e.sum(axis=-1, keepdims=True)).mean(axis=0)
-    return probs
+    which predict_proba must match bit for bit: one (S, n, C) draw, each
+    draw shifted by its row max before the divide by T, classes summed
+    over axis 1 of (S, C, n), and samples summed per 32-sample block."""
+    eps = rng.standard_normal((num_samples, *means.shape))
+    f = means + np.sqrt(variances) * eps
+    shifted = np.ascontiguousarray((f - f.max(axis=-1, keepdims=True)).transpose(0, 2, 1))
+    e = np.exp(shifted / temperature)
+    p = e / e.sum(axis=1, keepdims=True)
+    total = np.zeros(p.shape[1:])
+    for start in range(0, num_samples, 32):
+        total = total + p[start:start + 32].sum(axis=0)
+    return total.T / num_samples
+
+
+def dense_sample_probs(means, variances, num_samples, temperature, rng):
+    """Mean softmax over one (S, n, C) draw in the textbook order: divide
+    by T, shift by the row max, normalise over the last axis."""
+    eps = rng.standard_normal((num_samples, *means.shape))
+    f = (means + np.sqrt(variances) * eps) / temperature
+    e = np.exp(f - f.max(axis=-1, keepdims=True))
+    return (e / e.sum(axis=-1, keepdims=True)).mean(axis=0)
 
 
 def replayed_nll(means, variances, labels, temperature, num_samples, seed):
-    """Holdout NLL at one temperature on fit_temperature's draws: one
-    (num_samples, n, C) standard-normal block from the seed."""
+    """Holdout NLL at one temperature on fit_temperature's draws."""
     probs = reference_sample_probs(means, variances, num_samples, temperature,
-                                np.random.default_rng(seed), block=means.shape[0])
+                                   np.random.default_rng(seed))
     return cls.multinomial_nll(probs, labels)
 
 
@@ -230,13 +239,47 @@ class TestPredictProba:
 
     @pytest.mark.parametrize("temperature", [1.0, 1.37])
     def test_matches_reference_decoder_bit_for_bit(self, temperature):
-        # 300 rows: one full 256-row block and a shorter last one
         Xs = np.random.default_rng(76).standard_normal((300, 2))
         means, variances = cls.class_posteriors(self.clf, Xs)
         expected = reference_sample_probs(means, variances, 1024, temperature,
-                                       np.random.default_rng(9))
+                                          np.random.default_rng(9))
         probs = cls.predict_proba(self.clf, Xs, seed=9, temperature=temperature)
         assert np.array_equal(probs, expected)
+
+    @pytest.mark.parametrize("num_samples", [100, 7])
+    def test_short_sample_blocks_match_reference(self, num_samples):
+        # 100 samples end in a short block, 7 fit in one
+        means, variances = cls.class_posteriors(self.clf, self.Xs)
+        expected = reference_sample_probs(means, variances, num_samples, 1.37,
+                                          np.random.default_rng(9))
+        probs = cls.predict_proba(self.clf, self.Xs, num_samples=num_samples, seed=9,
+                                  temperature=1.37)
+        assert np.array_equal(probs, expected)
+
+    def test_matches_dense_decoder(self):
+        # the same draws in the textbook operation order agree to rounding
+        Xs = np.random.default_rng(78).standard_normal((300, 2))
+        means, variances = cls.class_posteriors(self.clf, Xs)
+        expected = dense_sample_probs(means, variances, 1024, 0.8,
+                                      np.random.default_rng(3))
+        probs = cls.predict_proba(self.clf, Xs, seed=3, temperature=0.8)
+        np.testing.assert_allclose(probs, expected, rtol=0, atol=1e-12)
+
+    def test_memory_stays_within_four_sample_blocks(self):
+        rng = np.random.default_rng(79)
+        X = rng.standard_normal((200, 2))
+        labels = np.arange(200) % 10
+        fmap = ft.init_params([2, 8, 5], seed=16, rescale_to_unit=True)
+        clf = build_classifier(labels, fmap, X, np.ones(10), np.full(10, 0.3))
+        Xs = rng.standard_normal((1000, 2))
+        tracemalloc.start()
+        try:
+            cls.predict_proba(clf, Xs, num_samples=1024, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one block is 32 samples x 1000 rows x 10 classes of float64
+        assert peak < 4 * 32 * 1000 * 10 * 8
 
     @pytest.mark.parametrize("which", ["sigma_f_sq", "sigma_xi_sq"])
     def test_nan_class_variance_rejected(self, which):
@@ -305,6 +348,28 @@ class TestTemperature:
         assert nll_at(t) <= nll_at(float.fromhex("0x1.81630e1ed6aa1p+0")) + 1e-12
         fine = np.exp(np.linspace(np.log(0.05), np.log(20.0), 2001))
         assert nll_at(t) <= min(nll_at(g) for g in fine) + 1e-12
+
+    def test_predict_reproduces_the_search(self, monkeypatch):
+        # more than 256 holdout rows and a sample count off the block size
+        rng = np.random.default_rng(80)
+        X = rng.standard_normal((360, 2))
+        labels = (X[:, 0] + 0.5 * rng.standard_normal(360) > 0).astype(int) + (X[:, 1] > 0.8)
+        fmap = ft.init_params([2, 8, 5], seed=17, normalization="layer_norm",
+                              rescale_to_unit=True)
+        clf = build_classifier(labels[:60], fmap, X[:60], np.ones(3), np.full(3, 0.3))
+        seen = []
+        nll = cls.multinomial_nll
+
+        def recording_nll(probs, y):
+            seen.append(np.array(probs))
+            return nll(probs, y)
+
+        monkeypatch.setattr(cls, "multinomial_nll", recording_nll)
+        cls.fit_temperature(clf, X[60:], labels[60:], num_samples=100, seed=4)
+        monkeypatch.undo()
+        # the middle of the 9-point grid is T = 1
+        probs = cls.predict_proba(clf, X[60:], num_samples=100, seed=4, temperature=1.0)
+        assert np.array_equal(seen[4], probs)
 
     def test_single_class_holdout_warns_and_keeps(self):
         rng = np.random.default_rng(73)

@@ -1,6 +1,7 @@
 """Tests for the fmgp command line entry points, run in process except
 where stderr must be seen as a user sees it."""
 
+import copy
 import json
 import os
 import subprocess
@@ -162,6 +163,8 @@ BAD_INPUTS = [
                  id="learning_rate_infinity"),
     pytest.param("classification", {"num_samples": 0}, cli.EXIT_CONFIG,
                  id="num_samples_zero"),
+    pytest.param("classification", {"ece_bins": 0}, cli.EXIT_CONFIG,
+                 id="ece_bins_zero"),
     # unreadable input (the config file's bytes when key_path is None)
     pytest.param(None, b'{"task": ', cli.EXIT_CONFIG, id="malformed_json"),
     pytest.param(None, b"\xff\xfe{}", cli.EXIT_CONFIG, id="non_utf8_config"),
@@ -177,7 +180,63 @@ BAD_INPUTS = [
 ]
 
 
+def drop_widths(doc):
+    del doc["feature_map"]["widths"]
+    return doc
+
+
+def shrink_first_cache(doc):
+    doc["per_class"][0]["cache"]["u"] = [[1.0]]
+    return doc
+
+
+def nan_eigenvalue(doc):
+    doc["per_class"][0]["cache"]["eigenvalues"][0] = float("nan")
+    return doc
+
+
+# each edit turns a saved classifier's document into a malformed one
+BAD_MODELS = [
+    pytest.param(drop_widths, id="feature_map_without_widths"),
+    pytest.param(lambda doc: {**doc, "per_class": 5}, id="per_class_int"),
+    pytest.param(shrink_first_cache, id="cache_u_one_by_one"),
+    pytest.param(lambda doc: {**doc, "temperature": "hot"}, id="temperature_string"),
+    pytest.param(lambda doc: [doc], id="document_not_an_object"),
+    pytest.param(lambda doc: {**doc, "per_class": doc["per_class"][:1]},
+                 id="fewer_classes_than_num_classes"),
+    pytest.param(lambda doc: {**doc, "normalization": [1, 2]}, id="normalization_list"),
+    pytest.param(nan_eigenvalue, id="eigenvalue_nan"),
+]
+
+
+@pytest.fixture(scope="module")
+def trained_classifier(tmp_path_factory):
+    """(config path, model document) of a small trained classifier."""
+    out = tmp_path_factory.mktemp("classifier")
+    config = write_config(out, classification_doc(out))
+    assert cli.main(["train", "--config", config]) == 0
+    return config, json.loads((out / "model.json").read_text())
+
+
 class TestConfigErrors:
+    @pytest.mark.parametrize("edit", BAD_MODELS)
+    def test_malformed_model_exits_with_one_json_line(self, tmp_path, capsys,
+                                                      trained_classifier, edit):
+        config, doc = trained_classifier
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(edit(copy.deepcopy(doc))))
+        capsys.readouterr()
+        code = cli.main(["eval", "--config", config, "--model", str(path),
+                         "--out", str(tmp_path)])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        report = json.loads(lines[0])
+        assert report["error"] == "DataError"
+        assert str(path) in report["message"]
+
     @pytest.mark.parametrize("key_path, value, code", BAD_INPUTS)
     def test_bad_input_exits_with_one_json_line(self, tmp_path, monkeypatch, capsys,
                                                 key_path, value, code):

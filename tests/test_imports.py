@@ -3,6 +3,7 @@ expose every name the benchmark's tracer wraps."""
 
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -33,5 +34,14 @@ def test_perfbench_trace_targets_resolve():
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     modules = {name: importlib.import_module(f"fmgp.{name}") for name in PRODUCT_MODULES}
+    metrics = set()
     for owner, attribute, metric, _ in spans.wrap_targets(modules):
         assert callable(getattr(owner, attribute, None)), metric
+        metrics.add(metric)
+    # each declared layer is a wrapped name plus its .calls/.rows/.self_s part
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        layers = json.load(fh)["per_layer"]
+    for layer in layers:
+        name, part = layer["name"].rsplit(".", 1)
+        assert part in ("calls", "rows", "self_s"), layer["name"]
+        assert name in metrics, layer["name"]
