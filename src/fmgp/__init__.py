@@ -9,8 +9,8 @@ import importlib
 
 __version__ = "0.1.0"
 
-_SUBMODULES = ("errors", "features", "lowrank", "regression", "classification",
-               "spectral", "data", "oracle_check", "cli")
+_SUBMODULES = ("errors", "features", "lowrank", "model_file", "regression",
+               "classification", "spectral", "data", "oracle_check", "cli")
 
 __all__ = list(_SUBMODULES)
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import features as ft
-from . import lowrank as lr
+from . import model_file as mf
 from . import regression as reg
 from .errors import DomainError, ShapeError
 
@@ -360,56 +360,9 @@ def compute_ece(probs, labels, num_bins=DEFAULT_ECE_BINS):
     return CalibrationReport(ece, bin_conf, bin_acc, counts.astype(np.int64), num_bins)
 
 
-def classifier_to_json_dict(clf):
-    return {
-        "schema": reg.MODEL_SCHEMA,
-        "task": "classification",
-        "feature_map": clf.feature_map.to_json_dict(),
-        "num_classes": clf.num_classes,
-        "temperature": clf.temperature,
-        "surrogate_noise_policy": {
-            "kind": "dirichlet-lognormal",
-            "alpha_eps": clf.alpha_eps,
-            "composition": "added-to-learned-noise",
-        },
-        "per_class": [
-            {
-                "sigma_f_sq": float(clf.sigma_f_sq[c]),
-                "sigma_xi_sq": float(clf.sigma_xi_sq[c]),
-                "cache": clf.caches[c].to_json_dict(),
-            }
-            for c in range(clf.num_classes)
-        ],
-        "normalization": clf.train_inputs_stats,
-        "label_map": ({str(k): int(v) for k, v in clf.label_map.items()}
-                      if clf.label_map else None),
-    }
-
-
-def classifier_from_json_dict(doc):
-    reg.check_model_doc(doc, "classification")
-    per_class = doc["per_class"]
-    label_map = doc.get("label_map")
-    if label_map is not None:
-        label_map = {float(k): int(v) for k, v in label_map.items()}
-    fmap = ft.feature_map_from_json_dict(doc["feature_map"])
-    return DirichletClassifier(
-        fmap,
-        np.array([entry["sigma_f_sq"] for entry in per_class]),
-        np.array([entry["sigma_xi_sq"] for entry in per_class]),
-        [lr.FeatureDecomposition.from_json_dict(entry["cache"], fmap.output_dim)
-         for entry in per_class],
-        doc["num_classes"],
-        doc["surrogate_noise_policy"]["alpha_eps"],
-        temperature=doc["temperature"],
-        train_inputs_stats=doc.get("normalization"),
-        label_map=label_map)
-
-
 def save_classifier(clf, path):
-    reg.write_model_file(classifier_to_json_dict(clf), path)
+    mf.save(clf, path, "classification")
 
 
 def load_classifier(path):
-    with reg.model_document(path) as doc:
-        return classifier_from_json_dict(doc)
+    return mf.load(path, {"classification": DirichletClassifier})[1]

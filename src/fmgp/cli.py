@@ -304,12 +304,14 @@ def cmd_eval(model_path, config, out_dir):
     import numpy as np
 
     from . import classification as cls
+    from . import model_file as mf
     from . import regression as reg
 
-    with reg.model_document(model_path) as doc:
-        task = doc.get("task", "regression")
-        model = (reg.model_from_json_dict(doc) if task == "regression"
-                 else cls.classifier_from_json_dict(doc))
+    task, model = mf.load(model_path, {"regression": reg.GpModel,
+                                       "classification": cls.DirichletClassifier})
+    if task != config.task:
+        raise ConfigError(f"model {model_path} is a {task} model, "
+                          f"but the config's task is {config.task}")
     dataset = build_dataset(config)
     X_test, y_test = dataset.subset_arrays("test")
     if X_test.shape[0] == 0:

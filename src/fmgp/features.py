@@ -20,8 +20,6 @@ from .errors import ConfigError, NumericError, ShapeError
 
 LAYER_NORM_EPS = 1e-5
 
-FEATURE_MAP_FORMAT = "fmgp/feature-map@1"
-
 # Parameter order within a layer; hidden layers carry the last two only
 # when layer normalization is on.
 LAYER_KEYS = ("weight", "bias", "ln_gain", "ln_offset")
@@ -101,33 +99,6 @@ class FeatureMap:
         return FeatureMap(self.widths, params, normalization=self.normalization,
                           rescale_to_unit=self.rescale_to_unit)
 
-    def to_json_dict(self):
-        return {
-            "format": FEATURE_MAP_FORMAT,
-            "kind": "mlp",
-            "widths": self.widths,
-            "activation": "relu",
-            "normalization": self.normalization,
-            "rescale_to_unit": self.rescale_to_unit,
-            "layers": [{key: array.tolist() for key, array in zip(LAYER_KEYS, layer)}
-                       for layer in self.layers],
-        }
-
-    @staticmethod
-    def from_json_dict(doc):
-        if doc.get("format") != FEATURE_MAP_FORMAT:
-            raise ConfigError(f"unrecognized feature map format {doc.get('format')!r}")
-        if doc.get("activation") != "relu":
-            raise ConfigError(f"unsupported activation {doc.get('activation')!r}")
-        widths, normalization = doc["widths"], doc["normalization"]
-        # a layer of k entries holds the first k keys
-        layers = [[np.asarray(layer[key], dtype=np.float64) for key in LAYER_KEYS[:len(layer)]]
-                  for layer in doc["layers"]]
-        if [[a.shape for a in layer] for layer in layers] != _layer_shapes(widths, normalization):
-            raise ShapeError("parameter layout does not match widths and normalization")
-        return FeatureMap(widths, np.concatenate([a.ravel() for layer in layers for a in layer]),
-                          normalization=normalization, rescale_to_unit=doc["rescale_to_unit"])
-
 
 class _FeatureMapPair:
     """Two component maps on the same inputs; subclasses set kind,
@@ -154,11 +125,6 @@ class _FeatureMapPair:
         cut = self.left.params.size
         return type(self)(self.left.replace_params(params[:cut]),
                           self.right.replace_params(params[cut:]))
-
-    def to_json_dict(self):
-        return {"format": FEATURE_MAP_FORMAT, "kind": self.kind,
-                "left": self.left.to_json_dict(),
-                "right": self.right.to_json_dict()}
 
 
 class ProductFeatureMap(_FeatureMapPair):
@@ -205,19 +171,6 @@ class AdditiveFeatureMap(_FeatureMapPair):
     def split(upstream, phi1, phi2):
         p1 = phi1.shape[1]
         return upstream[:, :p1], upstream[:, p1:]
-
-
-def feature_map_from_json_dict(doc):
-    """Reconstruct any feature map (plain or composite) from its document."""
-    kind = doc.get("kind", "mlp")
-    if kind == "mlp":
-        return FeatureMap.from_json_dict(doc)
-    if kind in ("product", "additive"):
-        left = feature_map_from_json_dict(doc["left"])
-        right = feature_map_from_json_dict(doc["right"])
-        cls = ProductFeatureMap if kind == "product" else AdditiveFeatureMap
-        return cls(left, right)
-    raise ConfigError(f"unrecognized feature map kind {kind!r}")
 
 
 def init_params(widths, seed, normalization="none", rescale_to_unit=False):

@@ -29,8 +29,7 @@ class FeatureDecomposition:
     ------
     u : (p, p) orthonormal eigenvectors, columns matching ``lam``
     lam : (p,) nonnegative eigenvalues, descending
-    proj_targets : (p,) vector U^T Phi^T y, or None when no targets were
-        supplied
+    proj_targets : (p,) vector U^T Phi^T y
     n : training count the Gram was accumulated over
     trace_phi_sq : sum of squares of Phi entries (diagnostics)
 
@@ -43,33 +42,6 @@ class FeatureDecomposition:
         self.proj_targets = proj_targets
         self.n = int(n)
         self.trace_phi_sq = float(trace_phi_sq)
-
-    def to_json_dict(self):
-        return {
-            "u": self.u.tolist(),
-            "eigenvalues": self.lam.tolist(),
-            "proj_targets": (self.proj_targets.tolist()
-                             if self.proj_targets is not None else None),
-            "n": self.n,
-            "trace_phi_sq": self.trace_phi_sq,
-        }
-
-    @staticmethod
-    def from_json_dict(doc, p):
-        """The decomposition of a p-feature Gram with its projected targets,
-        as a model file stores it."""
-        # decompose keeps eigh's Fortran order; the same layout makes
-        # products with u, and so predictions, bit-identical after a reload
-        decomp = FeatureDecomposition(
-            np.asarray(doc["u"], dtype=np.float64, order="F"),
-            np.asarray(doc["eigenvalues"], dtype=np.float64),
-            np.asarray(doc["proj_targets"], dtype=np.float64),
-            doc["n"], doc["trace_phi_sq"])
-        shapes = (decomp.u.shape, decomp.lam.shape, decomp.proj_targets.shape)
-        if shapes != ((p, p), (p,), (p,)):
-            raise ShapeError(f"u, eigenvalues and proj_targets have shapes {shapes}, "
-                             f"expected {((p, p), (p,), (p,))}")
-        return decomp
 
 
 class GramAccumulator:
@@ -126,13 +98,10 @@ def decompose(gram, phi_t_y, n):
     if lam.size and lam[-1] < -REJECT_TOL * lam_scale:
         raise NumericError(f"gram is not PSD: min eigenvalue {lam[-1]:.3e}")
     lam = np.maximum(lam, 0.0)
-    proj = None
-    if phi_t_y is not None:
-        phi_t_y = np.asarray(phi_t_y, dtype=np.float64)
-        if phi_t_y.shape != (gram.shape[0],):
-            raise ShapeError("Phi^T y length does not match gram size")
-        proj = u.T @ phi_t_y
-    return FeatureDecomposition(u, lam, proj, n, np.trace(gram))
+    phi_t_y = np.asarray(phi_t_y, dtype=np.float64)
+    if phi_t_y.shape != (gram.shape[0],):
+        raise ShapeError("Phi^T y length does not match gram size")
+    return FeatureDecomposition(u, lam, u.T @ phi_t_y, n, np.trace(gram))
 
 
 def product_features(phi1, phi2):

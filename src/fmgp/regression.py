@@ -8,9 +8,10 @@ log-variances, on random contiguous subsets of shuffled training data.
 Prediction runs through a cached eigendecomposition of the feature Gram,
 so its cost does not grow with the training-set size.
 
-train, build_caches, posterior and the model-file helpers serve C target
-columns on one shared map: regression is their one-output, homoscedastic
-call, Dirichlet classification their C-class, heteroscedastic one.
+train, build_caches and posterior serve C target columns on one shared
+map: regression is their one-output, homoscedastic call, Dirichlet
+classification their C-class, heteroscedastic one.  save_model and
+load_model go through model_file.
 
 The dense Cholesky oracle that checks every identity used here lives
 in oracle_check.
@@ -18,19 +19,15 @@ in oracle_check.
 
 from __future__ import annotations
 
-import contextlib
-import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import features as ft
 from . import lowrank as lr
-from .errors import (ConfigError, DataError, DomainError, FmgpError, NumericError,
-                     ShapeError, TrainingError)
-
-MODEL_SCHEMA = "fmgp/model@1"
+from . import model_file as mf
+from .errors import (ConfigError, DataError, DomainError, NumericError, ShapeError,
+                     TrainingError)
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 DECOMP_BATCH_ROWS = 8192
@@ -145,9 +142,8 @@ def gaussian_mll_parts(phi_hat, y, log_sigma_f_sq, log_sigma_xi_sq, extra_noise=
     phi_w = phi_hat / s[:, None]
     y_w = y / s
 
-    decomp = lr.decompose(phi_w.T @ phi_w, None, n)
-    u, lam = decomp.u, decomp.lam
-    w = u.T @ (phi_w.T @ y_w)
+    decomp = lr.decompose(phi_w.T @ phi_w, phi_w.T @ y_w, n)
+    u, lam, w = decomp.u, decomp.lam, decomp.proj_targets
     denom = c * lam + 1.0
 
     quad = float(y_w @ y_w - np.sum(c * w * w / denom))
@@ -347,8 +343,6 @@ def predict(model, X_star):
     """
     if model.decomp is None:
         raise NumericError("model has no decomposition cache")
-    if model.decomp.proj_targets is None:
-        raise NumericError("decomposition lacks a target projection cache")
     psi = ft.forward(model.feature_map, X_star)
     means, variances = posterior(psi, [model.decomp], [model.gamma],
                                  [model.sigma_f_sq])
@@ -389,79 +383,9 @@ def mean_nll(pred, y):
     return float(np.mean(0.5 * ((y - pred.mean) ** 2 / s2 + np.log(2.0 * np.pi * s2))))
 
 
-def model_to_json_dict(model):
-    return {
-        "schema": MODEL_SCHEMA,
-        "task": "regression",
-        "feature_map": model.feature_map.to_json_dict(),
-        "sigma_f_sq": model.sigma_f_sq,
-        "sigma_xi_sq": model.sigma_xi_sq,
-        "gamma": model.gamma,
-        "decomposition": model.decomp.to_json_dict(),
-        "normalization": model.train_inputs_stats,
-    }
-
-
-def check_model_doc(doc, task):
-    """Reject a model document of another schema or task."""
-    if doc.get("schema") != MODEL_SCHEMA:
-        raise DataError(f"unrecognized model schema {doc.get('schema')!r}")
-    if doc.get("task") != task:
-        raise DataError(f"expected a {task} model, got task {doc.get('task')!r}")
-    if not isinstance(doc.get("normalization"), (dict, type(None))):
-        raise DataError("model normalization must be an object or null")
-
-
-def model_from_json_dict(doc):
-    check_model_doc(doc, "regression")
-    fmap = ft.feature_map_from_json_dict(doc["feature_map"])
-    return GpModel(fmap, doc["sigma_f_sq"], doc["sigma_xi_sq"],
-                   lr.FeatureDecomposition.from_json_dict(doc["decomposition"],
-                                                          fmap.output_dim),
-                   train_inputs_stats=doc.get("normalization"),
-                   gamma=doc["gamma"])
-
-
-def write_model_file(doc, path):
-    """Write a model document as JSON; a NaN or infinity fails here, so a
-    bad model is refused at save time rather than at load time."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, allow_nan=False)
-    except ValueError as exc:
-        os.remove(path)
-        raise NumericError(f"cannot save model to {path}: {exc}") from None
-
-
-def _reject_constant(name):
-    raise ValueError(f"{name} is not a finite number")
-
-
-@contextlib.contextmanager
-def model_document(path):
-    """The JSON document of the model file at path, for a with block that
-    reads it: a missing key, or a value of the wrong type or shape, met
-    in the block is one DataError naming the file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            # save refuses NaN and infinity, so no model file holds them
-            doc = json.load(fh, parse_constant=_reject_constant)
-    except OSError as exc:
-        raise DataError(f"cannot read model {path}: {exc}") from None
-    except ValueError as exc:  # not JSON, not UTF-8, or an over-long integer
-        raise DataError(f"model {path} is not valid JSON: {exc}") from None
-    try:
-        yield doc
-    except (FmgpError, LookupError, TypeError, ValueError, AttributeError,
-            ArithmeticError) as exc:
-        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-        raise DataError(f"bad model file {path}: {detail}") from None
-
-
 def save_model(model, path):
-    write_model_file(model_to_json_dict(model), path)
+    mf.save(model, path, "regression")
 
 
 def load_model(path):
-    with model_document(path) as doc:
-        return model_from_json_dict(doc)
+    return mf.load(path, {"regression": GpModel})[1]

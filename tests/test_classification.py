@@ -466,7 +466,8 @@ class TestPersistence:
         np.testing.assert_array_equal(cls.predict_proba(clf, Xs, seed=8),
                                       cls.predict_proba(loaded, Xs, seed=8))
 
-    def test_regression_schema_rejected(self):
-        with pytest.raises(DataError):
-            cls.classifier_from_json_dict({"schema": reg.MODEL_SCHEMA,
-                                           "task": "regression"})
+    def test_regression_schema_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"schema": "fmgp/model@1", "task": "regression"}')
+        with pytest.raises(DataError, match="expected a classification model"):
+            cls.load_classifier(path)

@@ -195,36 +195,65 @@ def nan_eigenvalue(doc):
     return doc
 
 
-# each edit turns a saved classifier's document into a malformed one
+# json.dumps cannot write 1e999, which parses as infinity, so the edits
+# leave this marker where the literal goes
+OVERFLOW = "<1e999>"
+
+
+def overflow_eigenvalue(doc):
+    doc["per_class"][0]["cache"]["eigenvalues"][0] = OVERFLOW
+    return doc
+
+
+# each edit turns a saved model's document into a malformed one
 BAD_MODELS = [
-    pytest.param(drop_widths, id="feature_map_without_widths"),
-    pytest.param(lambda doc: {**doc, "per_class": 5}, id="per_class_int"),
-    pytest.param(shrink_first_cache, id="cache_u_one_by_one"),
-    pytest.param(lambda doc: {**doc, "temperature": "hot"}, id="temperature_string"),
-    pytest.param(lambda doc: [doc], id="document_not_an_object"),
-    pytest.param(lambda doc: {**doc, "per_class": doc["per_class"][:1]},
+    pytest.param("classifier", drop_widths, id="feature_map_without_widths"),
+    pytest.param("classifier", lambda doc: {**doc, "per_class": 5}, id="per_class_int"),
+    pytest.param("classifier", shrink_first_cache, id="cache_u_one_by_one"),
+    pytest.param("classifier", lambda doc: {**doc, "temperature": "hot"},
+                 id="temperature_string"),
+    pytest.param("classifier", lambda doc: [doc], id="document_not_an_object"),
+    pytest.param("classifier", lambda doc: {**doc, "per_class": doc["per_class"][:1]},
                  id="fewer_classes_than_num_classes"),
-    pytest.param(lambda doc: {**doc, "normalization": [1, 2]}, id="normalization_list"),
-    pytest.param(nan_eigenvalue, id="eigenvalue_nan"),
+    pytest.param("classifier", lambda doc: {**doc, "normalization": [1, 2]},
+                 id="normalization_list"),
+    pytest.param("classifier", nan_eigenvalue, id="eigenvalue_nan"),
+    pytest.param("classifier", lambda doc: {**doc, "normalization": {
+        **doc["normalization"], "target_std": float("nan")}}, id="normalization_nan"),
+    pytest.param("classifier", overflow_eigenvalue, id="eigenvalue_1e999"),
+    pytest.param("classifier", lambda doc: {**doc, "temperature": OVERFLOW},
+                 id="temperature_1e999"),
+    pytest.param("regression", lambda doc: {**doc, "sigma_f_sq": OVERFLOW},
+                 id="regression_sigma_f_sq_1e999"),
 ]
 
 
-@pytest.fixture(scope="module")
-def trained_classifier(tmp_path_factory):
-    """(config path, model document) of a small trained classifier."""
-    out = tmp_path_factory.mktemp("classifier")
-    config = write_config(out, classification_doc(out))
+def trained(tmp_path_factory, make_doc):
+    """(config path, model document) of a small model trained per make_doc."""
+    out = tmp_path_factory.mktemp("trained")
+    config = write_config(out, make_doc(out))
     assert cli.main(["train", "--config", config]) == 0
     return config, json.loads((out / "model.json").read_text())
 
 
+@pytest.fixture(scope="module")
+def trained_classifier(tmp_path_factory):
+    return trained(tmp_path_factory, classification_doc)
+
+
+@pytest.fixture(scope="module")
+def trained_regression(tmp_path_factory):
+    return trained(tmp_path_factory, regression_doc)
+
+
 class TestConfigErrors:
-    @pytest.mark.parametrize("edit", BAD_MODELS)
-    def test_malformed_model_exits_with_one_json_line(self, tmp_path, capsys,
-                                                      trained_classifier, edit):
-        config, doc = trained_classifier
+    @pytest.mark.parametrize("task, edit", BAD_MODELS)
+    def test_malformed_model_exits_with_one_json_line(self, tmp_path, capsys, request,
+                                                      task, edit):
+        config, doc = request.getfixturevalue(f"trained_{task}")
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(edit(copy.deepcopy(doc))))
+        path.write_text(json.dumps(edit(copy.deepcopy(doc))).replace(f'"{OVERFLOW}"',
+                                                                     "1e999"))
         capsys.readouterr()
         code = cli.main(["eval", "--config", config, "--model", str(path),
                          "--out", str(tmp_path)])
@@ -236,6 +265,29 @@ class TestConfigErrors:
         report = json.loads(lines[0])
         assert report["error"] == "DataError"
         assert str(path) in report["message"]
+        assert not (tmp_path / "metrics.json").exists()
+
+    @pytest.mark.parametrize("model_task, config_task",
+                             [("classification", "regression"),
+                              ("regression", "classification")])
+    def test_eval_model_of_the_other_task(self, tmp_path, capsys, request,
+                                          model_task, config_task):
+        # the check comes before the data: this CSV does not exist
+        _, doc = request.getfixturevalue(
+            "trained_classifier" if model_task == "classification" else "trained_regression")
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        config = write_config(tmp_path, {"task": config_task,
+                                         "data": {"kind": "csv", "path": "absent.csv"}})
+        capsys.readouterr()
+        code = cli.main(["eval", "--config", config, "--model", str(model),
+                         "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        report = json.loads(lines[0])
+        assert report["error"] == "ConfigError"
+        assert model_task in report["message"] and config_task in report["message"]
 
     @pytest.mark.parametrize("key_path, value, code", BAD_INPUTS)
     def test_bad_input_exits_with_one_json_line(self, tmp_path, monkeypatch, capsys,

@@ -9,7 +9,8 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-PRODUCT_MODULES = ("data", "features", "lowrank", "regression", "classification")
+PRODUCT_MODULES = ("data", "features", "lowrank", "model_file", "regression",
+                   "classification")
 
 
 def test_product_modules_do_not_import_scipy():

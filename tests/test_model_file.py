@@ -1,0 +1,53 @@
+"""Model files written by older versions still load, predict bit for bit
+and re-save byte for byte.
+
+The files in tests/data were written by tests/data/make_legacy_models.py
+with the fmgp of commit 61fdecb, beside its predictions on inputs.npy.
+"""
+
+import os
+
+import numpy as np
+import pytest
+
+from fmgp import classification as cls
+from fmgp import regression as reg
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+NAMES = ["regression_mlp", "regression_product", "regression_additive",
+         "classifier_3class"]
+
+
+def load(name):
+    """(model, its save function, its predictions on inputs.npy) of a
+    stored model file."""
+    path = os.path.join(DATA, f"{name}.json")
+    inputs = np.load(os.path.join(DATA, "inputs.npy"))
+    if name.startswith("classifier"):
+        clf = cls.load_classifier(path)
+        return clf, cls.save_classifier, cls.predict_proba(clf, inputs, num_samples=64,
+                                                           seed=0)
+    model = reg.load_model(path)
+    pred = reg.predict(model, inputs)
+    return model, reg.save_model, np.stack([pred.mean, pred.variance,
+                                            pred.observation_variance])
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_older_file_predicts_bit_identically(name):
+    _, _, got = load(name)
+    assert np.array_equal(got, np.load(os.path.join(DATA, f"{name}.npy")))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_older_file_resaves_byte_identically(name, tmp_path):
+    model, save, _ = load(name)
+    save(model, tmp_path / "model.json")
+    with open(os.path.join(DATA, f"{name}.json"), "rb") as fh:
+        assert (tmp_path / "model.json").read_bytes() == fh.read()
+
+
+def test_classifier_keeps_label_map_and_temperature():
+    clf, _, _ = load("classifier_3class")
+    assert clf.label_map == {3.0: 0, 5.0: 1, 9.0: 2}
+    assert clf.temperature != 1.0

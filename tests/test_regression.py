@@ -435,9 +435,11 @@ class TestPersistence:
         np.testing.assert_array_equal(a.mean, b.mean)
         np.testing.assert_array_equal(a.variance, b.variance)
 
-    def test_unknown_schema_rejected(self):
-        with pytest.raises(DataError):
-            reg.model_from_json_dict({"schema": "fmgp/model@99"})
+    def test_unknown_schema_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"schema": "fmgp/model@99"}')
+        with pytest.raises(DataError, match="unrecognized model schema"):
+            reg.load_model(path)
 
     def test_nan_variance_fails_to_save(self, tmp_path):
         fmap = ft.init_params([2, 4], seed=1, rescale_to_unit=True)
