@@ -211,43 +211,88 @@ def _check_inputs(fmap, inputs):
     return inputs
 
 
-def _forward_with_cache(fmap, inputs, keep=True):
+class Workspace:
+    """Arrays kept from one call to the next, so that the steps of a fit,
+    whose shapes never change, allocate their arrays only once.
+
+    buffer(key, shape) returns the first shape[0] rows of the array stored
+    under key, and allocates a new one only when that array has fewer rows
+    or another row shape; created counts those allocations.  The forward
+    pass keys what it keeps by the component map that keeps it, so the
+    two components of a pair keep theirs apart.  Its scratch is keyed by
+    width alone and shared: two buffers per width ("slot", used in turn)
+    and one bool ReLU mask, since the components run one after the other.
+    """
+
+    def __init__(self):
+        self._arrays = {}
+        self.created = 0
+
+    def buffer(self, key, shape, dtype=np.float64):
+        array = self._arrays.get(key)
+        if array is None or array.shape[0] < shape[0] or array.shape[1:] != shape[1:]:
+            array = self._arrays[key] = np.empty(shape, dtype)
+            self.created += 1
+        return array[:shape[0]]
+
+
+def _forward_with_cache(fmap, inputs, keep=True, work=None):
     """Check parameters and inputs, then run the map, keeping every
     intermediate needed for reverse mode unless keep is false.
 
     cache["act"][l] is the input of layer l (the inputs, then each hidden
     ReLU output); cache["ln"][l] is (xhat, inv_sd) of a layer-normalized
-    hidden layer, else None.  Each layer works in place on its product.
+    hidden layer, else None.  Every array is a buffer of work (a new
+    Workspace when None), and each layer works in place on its product.
+    The features and what keep keeps belong to fmap; without keep, layer
+    l writes its product into slot l % 2 of its width, so it never
+    overwrites its input, and uses the other slot as its temporary.
     """
     _check_finite_params(fmap)
     h = inputs = _check_inputs(fmap, inputs)
+    work = Workspace() if work is None else work
+    n = inputs.shape[0]
     cache = {"ln": [], "act": [inputs], "rescale": None}
     last = len(fmap.layers) - 1
     for l, (weight, bias, *ln) in enumerate(fmap.layers):
-        h = h @ weight
+        shape = (n, weight.shape[1])
+        if l == last:
+            out = work.buffer((fmap, "phi"), shape)
+        else:
+            out = work.buffer((fmap, "act", l) if keep else ("slot", shape[1], l % 2), shape)
+        h = np.matmul(h, weight, out=out)
         h += bias
         if l < last:
             if ln:
-                h -= h.mean(axis=1, keepdims=True)
-                var = np.mean(h * h, axis=1, keepdims=True)
-                inv_sd = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+                inv_sd = work.buffer((fmap, "inv_sd", l) if keep else ("col", 0), (n, 1))
+                tmp = work.buffer(("slot", shape[1], (l + 1) % 2), shape)
+                h -= np.mean(h, axis=1, keepdims=True, out=inv_sd)
+                np.mean(np.multiply(h, h, out=tmp), axis=1, keepdims=True, out=inv_sd)
+                inv_sd += LAYER_NORM_EPS
+                np.sqrt(inv_sd, out=inv_sd)
+                np.divide(1.0, inv_sd, out=inv_sd)
                 h *= inv_sd
                 if keep:
-                    cache["ln"].append((h.copy(), inv_sd))
+                    xhat = work.buffer((fmap, "xhat", l), shape)
+                    np.copyto(xhat, h)
+                    cache["ln"].append((xhat, inv_sd))
                 h *= ln[0]
                 h += ln[1]
             else:
                 cache["ln"].append(None)
             np.maximum(h, 0.0, out=h)
             if keep:
-                # the next layer's product is a new array, so h stays as kept
                 cache["act"].append(h)
     if not fmap.rescale_to_unit:
         return h, cache
-    norms = np.sqrt(np.sum(h * h, axis=1, keepdims=True))
-    safe = np.where(norms > 0.0, norms, 1.0)
+    tmp = work.buffer(("slot", h.shape[1], (last + 1) % 2), h.shape)
+    safe = work.buffer((fmap, "safe"), (n, 1))
+    zero = work.buffer((fmap, "zero"), (n, 1), bool)
+    np.sqrt(np.sum(np.multiply(h, h, out=tmp), axis=1, keepdims=True, out=safe), out=safe)
+    np.logical_not(np.greater(safe, 0.0, out=zero), out=zero)
+    np.copyto(safe, 1.0, where=zero)
     h /= safe
-    cache["rescale"] = (h, safe, norms[:, 0] > 0.0)
+    cache["rescale"] = (h, safe, zero)
     return h, cache
 
 
@@ -266,17 +311,20 @@ def forward(fmap, inputs):
     return _forward_with_cache(fmap, inputs, keep=False)[0]
 
 
-def pullback(fmap, inputs):
+def pullback(fmap, inputs, work=None):
     """Features and their reverse mode from one forward pass.
 
     Returns (phi, vjp): phi = forward(fmap, inputs), and vjp(upstream,
     out) writes the gradient of sum(upstream * phi) into out, a vector
     in the layout of ``params``, and returns out.  upstream is the (n, p)
-    cotangent of phi.  ReLU uses subgradient 0 at exactly 0.
+    cotangent of phi.  ReLU uses subgradient 0 at exactly 0.  With a
+    Workspace, phi and vjp run on its buffers and are valid only until
+    its next use; without, each call allocates its own.
     """
+    work = Workspace() if work is None else work
     if isinstance(fmap, _FeatureMapPair):
-        phi1, vjp1 = pullback(fmap.left, inputs)
-        phi2, vjp2 = pullback(fmap.right, inputs)
+        phi1, vjp1 = pullback(fmap.left, inputs, work=work)
+        phi2, vjp2 = pullback(fmap.right, inputs, work=work)
         phi = fmap.combine(phi1, phi2)
         cut = fmap.left.params.size
 
@@ -290,39 +338,53 @@ def pullback(fmap, inputs):
             return out
         return phi, vjp
 
-    phi, cache = _forward_with_cache(fmap, inputs)
+    phi, cache = _forward_with_cache(fmap, inputs, work=work)
 
     def vjp(upstream, out):
         g = np.asarray(upstream, dtype=np.float64)
         if g.shape != phi.shape:
             raise ShapeError(f"upstream has shape {g.shape}, features {phi.shape}")
         grads = fmap._views(out)
+        n = g.shape[0]
+        m1, m2 = work.buffer(("col", 0), (n, 1)), work.buffer(("col", 1), (n, 1))
+        # the cotangent of layer l's output sits in slot (l + 1) % 2 of its
+        # width and the other slot is its temporary, so layer l can write
+        # its input's cotangent into slot l % 2 without overwriting its own
+        last = len(fmap.layers) - 1
         if cache["rescale"] is not None:
-            unit, safe, nonzero = cache["rescale"]
+            unit, safe, zero = cache["rescale"]
             # unit = raw / |raw|; zero rows pass the map unchanged, so their
             # cotangent passes through unchanged too
-            dot = np.sum(g * unit, axis=1, keepdims=True)
-            g_rows = (g - dot * unit) / safe
-            g = np.where(nonzero[:, None], g_rows, g)
+            rows = work.buffer(("slot", g.shape[1], (last + 1) % 2), g.shape)
+            dot = np.sum(np.multiply(g, unit, out=rows), axis=1, keepdims=True, out=m1)
+            np.subtract(g, np.multiply(dot, unit, out=rows), out=rows)
+            rows /= safe
+            np.copyto(rows, g, where=zero)
+            g = rows
 
-        last = len(fmap.layers) - 1
         for l in range(last, -1, -1):
             weight, _, *ln = fmap.layers[l]
             d_weight, d_bias, *d_ln = grads[l]
             if l < last:
-                g = g * (cache["act"][l + 1] > 0.0)
+                mask = work.buffer(("mask", g.shape[1]), g.shape, bool)
+                g *= np.greater(cache["act"][l + 1], 0.0, out=mask)
                 if ln:
                     xhat, inv_sd = cache["ln"][l]
-                    np.sum(g * xhat, axis=0, out=d_ln[0])
+                    tmp = work.buffer(("slot", g.shape[1], l % 2), g.shape)
+                    np.sum(np.multiply(g, xhat, out=tmp), axis=0, out=d_ln[0])
                     np.sum(g, axis=0, out=d_ln[1])
-                    dxhat = g * ln[0]
-                    m1 = dxhat.mean(axis=1, keepdims=True)
-                    m2 = np.mean(dxhat * xhat, axis=1, keepdims=True)
-                    g = inv_sd * (dxhat - m1 - xhat * m2)
+                    g *= ln[0]  # now dxhat
+                    np.mean(g, axis=1, keepdims=True, out=m1)
+                    np.mean(np.multiply(g, xhat, out=tmp), axis=1, keepdims=True, out=m2)
+                    g -= m1
+                    g -= np.multiply(xhat, m2, out=tmp)
+                    g *= inv_sd
             np.matmul(cache["act"][l].T, g, out=d_weight)
             np.sum(g, axis=0, out=d_bias)
             if l > 0:
-                g = g @ weight.T
+                g = np.matmul(g, weight.T,
+                              out=work.buffer(("slot", weight.shape[0], l % 2),
+                                              (n, weight.shape[0])))
         return out
     return phi, vjp
 

@@ -107,7 +107,8 @@ class FitConfig:
             raise ConfigError(f"iterations must be nonnegative, got {self.iterations}")
 
 
-def gaussian_mll_parts(phi_hat, y, log_sigma_f_sq, log_sigma_xi_sq, extra_noise=None):
+def gaussian_mll_parts(phi_hat, y, log_sigma_f_sq, log_sigma_xi_sq, extra_noise=None,
+                       work=None):
     """MLL and exact gradients for K = c * Phi Phi^T + diag(s^2).
 
     Here c = exp(log_sigma_f_sq) and s_i^2 = extra_noise_i +
@@ -118,7 +119,8 @@ def gaussian_mll_parts(phi_hat, y, log_sigma_f_sq, log_sigma_xi_sq, extra_noise=
 
     Returns (mll, d_phi, d_log_sigma_f_sq, d_log_sigma_xi_sq) where d_phi
     is the gradient of the MLL in the feature matrix, ready to feed the
-    feature map's reverse mode.
+    feature map's reverse mode.  With a features.Workspace the (n, p)
+    arrays are its buffers, and d_phi is valid only until its next use.
     """
     phi_hat = np.asarray(phi_hat, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -139,7 +141,8 @@ def gaussian_mll_parts(phi_hat, y, log_sigma_f_sq, log_sigma_xi_sq, extra_noise=
             raise DomainError("extra noise variances must be nonnegative")
         s2 = extra_noise + sxi2
     s = np.sqrt(s2)
-    phi_w = phi_hat / s[:, None]
+    work = ft.Workspace() if work is None else work
+    phi_w = np.divide(phi_hat, s[:, None], out=work.buffer("phi_w", (n, p)))
     y_w = y / s
 
     decomp = lr.decompose(phi_w.T @ phi_w, phi_w.T @ y_w, n)
@@ -155,15 +158,22 @@ def gaussian_mll_parts(phi_hat, y, log_sigma_f_sq, log_sigma_xi_sq, extra_noise=
             f"(log sigma_f_sq={float(log_sigma_f_sq):.6g}, "
             f"log sigma_xi_sq={float(log_sigma_xi_sq):.6g})")
 
-    r = phi_w @ u
+    r = np.matmul(phi_w, u, out=work.buffer("r", (n, p)))
     w_over = w / denom
     a_w = y_w - r @ (c * w_over)
     b = u @ w_over
-    d_phi = c * (np.outer(a_w, b) - (r / denom) @ u.T) / s[:, None]
     d_log_sf2 = 0.5 * c * (float(b @ b) - float(np.sum(lam / denom)))
     a_norm_sq = float(np.sum(a_w * a_w / s2))
-    tr_kinv = float(np.sum(1.0 / s2) - c * np.sum(np.sum(r * r / denom, axis=1) / s2))
+    # phi_w is done with, so it holds r * r / denom, then (r / denom) U^T
+    r_sq = np.multiply(r, r, out=phi_w)
+    r_sq /= denom
+    tr_kinv = float(np.sum(1.0 / s2) - c * np.sum(np.sum(r_sq, axis=1) / s2))
     d_log_sxi2 = 0.5 * sxi2 * (a_norm_sq - tr_kinv)
+    r /= denom
+    d_phi = np.outer(a_w, b, out=work.buffer("d_phi", (n, p)))
+    d_phi -= np.matmul(r, u.T, out=phi_w)
+    d_phi *= c
+    d_phi /= s[:, None]
     return value, d_phi, d_log_sf2, d_log_sxi2
 
 
@@ -206,16 +216,24 @@ def training_rows(dataset):
             np.asarray(dataset.targets)[train_idx])
 
 
-def _summed_mll(feature_map, log_sf2, log_sxi2, X, Y, extra_noise, rows, grads):
+def _summed_mll(feature_map, log_sf2, log_sxi2, X, Y, extra_noise, rows, grads,
+                work=None):
     """The MLL summed over the C columns of Y on the selected rows.  Its
-    gradient fills grads: the map's, then the (2, C) log-variances."""
-    phi, vjp = ft.pullback(feature_map, X[rows])
-    total = d_phi = 0.0
+    gradient fills grads: the map's, then the (2, C) log-variances.  The
+    step's arrays are buffers of work, a features.Workspace (a new one
+    when None)."""
+    work = ft.Workspace() if work is None else work
+    phi, vjp = ft.pullback(feature_map, X[rows], work=work)
+    total = 0.0
+    # 0.0 + x is exact, so summing into zeros matches starting from the
+    # first class's gradient
+    d_phi = work.buffer("d_phi_sum", phi.shape)
+    d_phi.fill(0.0)
     d_sf, d_sx = grads[-2 * Y.shape[1]:].reshape(2, Y.shape[1])
     for c in range(Y.shape[1]):
         value, dp, d_sf[c], d_sx[c] = gaussian_mll_parts(
             phi, Y[rows, c], log_sf2[c], log_sxi2[c],
-            None if extra_noise is None else extra_noise[rows, c])
+            None if extra_noise is None else extra_noise[rows, c], work=work)
         total += value
         d_phi += dp
     vjp(d_phi, grads[:-2 * Y.shape[1]])
@@ -254,12 +272,14 @@ def train(feature_map, X, Y, extra_noise, config):
     feature_map = feature_map.replace_params(theta[:-2 * num_outputs])
     grads = np.empty_like(theta)
     state = ft.AdamState(theta.size, config.learning_rate)
+    # every subset has the same size, so one step's buffers serve them all
+    work = ft.Workspace()
     trace = []
     for t in range(config.iterations):
         idx = subsets[t % config.num_subsets]
         try:
             total = _summed_mll(feature_map, log_sf2, log_sxi2, X, Y, extra_noise, idx,
-                                grads)
+                                grads, work=work)
         except NumericError as exc:
             raise TrainingError(f"training diverged at iteration {t}: {exc}",
                                 iteration=t) from exc

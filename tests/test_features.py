@@ -294,3 +294,50 @@ class TestComposites:
         other = random_map([2, 4, 2], seed=2)
         with pytest.raises(ShapeError):
             ft.ProductFeatureMap(self.left, other)
+
+
+class TestWorkspace:
+    """One Workspace reused across pullback calls gives what separate
+    workspaces for each call and each component give."""
+
+    @staticmethod
+    def make_map(kind):
+        # the components have equal widths, so a buffer shared by mistake
+        # between them has the shape of both and goes unnoticed by numpy
+        left = random_map([3, 6, 6, 4], seed=0)
+        right = random_map([3, 6, 6, 4], seed=1, normalization="none")
+        if kind == "plain":
+            return left
+        cls = ft.ProductFeatureMap if kind == "product" else ft.AdditiveFeatureMap
+        return cls(left, right)
+
+    @staticmethod
+    def apart(fmap, X, upstream):
+        """phi and the gradient with a new workspace for each component."""
+        if not isinstance(fmap, (ft.ProductFeatureMap, ft.AdditiveFeatureMap)):
+            phi, vjp = ft.pullback(fmap, X)
+            return phi, vjp(upstream, np.empty(fmap.params.size))
+        phi1, vjp1 = ft.pullback(fmap.left, X)
+        phi2, vjp2 = ft.pullback(fmap.right, X)
+        d1, d2 = fmap.split(upstream, phi1, phi2)
+        return fmap.combine(phi1, phi2), np.concatenate(
+            [vjp1(d1, np.empty(fmap.left.params.size)),
+             vjp2(d2, np.empty(fmap.right.params.size))])
+
+    @pytest.mark.parametrize("kind", ["plain", "product", "additive"])
+    def test_reused_workspace_matches_separate_ones(self, kind):
+        rng = np.random.default_rng(17)
+        first = self.make_map(kind)
+        second = first.replace_params(first.params + 0.1 * rng.standard_normal(first.params.size))
+        X1, X2 = rng.standard_normal((11, 3)), rng.standard_normal((7, 3))
+        work = ft.Workspace()
+        # a new map, new inputs, then the same map on other inputs
+        for fmap, X in ((first, X1), (second, X2), (second, X1)):
+            upstream = rng.standard_normal((X.shape[0], fmap.output_dim))
+            phi, grads = self.apart(fmap, X, upstream)
+            phi_fresh, vjp_fresh = ft.pullback(fmap, X)
+            assert np.array_equal(phi_fresh, phi)
+            assert np.array_equal(vjp_fresh(upstream, np.empty(fmap.params.size)), grads)
+            phi_w, vjp_w = ft.pullback(fmap, X, work=work)
+            assert np.array_equal(phi_w, phi)
+            assert np.array_equal(vjp_w(upstream, np.empty(fmap.params.size)), grads)

@@ -223,6 +223,33 @@ class TestFitting:
         components = 2 if composite else 1
         assert len(calls) == components * (iterations + 1)
 
+    @pytest.mark.parametrize("composite", [False, True])
+    def test_buffers_allocated_in_the_first_step_only(self, monkeypatch, composite):
+        # every subset has the same size, so the steps after the first
+        # find each array in the fit's one workspace
+        seen = []
+        run = reg._summed_mll
+
+        def counted(*args, **kwargs):
+            total = run(*args, **kwargs)
+            seen.append((kwargs["work"], kwargs["work"].created))
+            return total
+
+        monkeypatch.setattr(reg, "_summed_mll", counted)
+        fmap = None
+        if composite:
+            fmap = ft.ProductFeatureMap(
+                ft.init_params([1, 8, 4], seed=0, normalization="layer_norm",
+                               rescale_to_unit=True),
+                ft.init_params([1, 8, 4], seed=1, rescale_to_unit=True))
+        ds = self.make_dataset()
+        reg.train(fmap, ds.X, ds.targets[:, None], None,
+                  self.small_config(iterations=5, subset_size=50, num_subsets=3))
+        assert len(seen) == 5
+        assert len({id(work) for work, _ in seen}) == 1
+        assert seen[0][1] > 0
+        assert [created for _, created in seen] == [seen[0][1]] * 5
+
     def test_make_subsets_wraparound(self):
         rng = np.random.default_rng(0)
         subsets = reg.make_subsets(10, 4, 4, rng)
