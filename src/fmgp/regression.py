@@ -158,22 +158,19 @@ def gaussian_mll_parts(phi_hat, y, log_sigma_f_sq, log_sigma_xi_sq, extra_noise=
             f"(log sigma_f_sq={float(log_sigma_f_sq):.6g}, "
             f"log sigma_xi_sq={float(log_sigma_xi_sq):.6g})")
 
-    r = np.matmul(phi_w, u, out=work.buffer("r", (n, p)))
-    w_over = w / denom
-    a_w = y_w - r @ (c * w_over)
-    b = u @ w_over
+    # with M = U diag(1 / denom) U^T, (I + c Phi_w Phi_w^T)^-1 = I - c Phi_w M
+    # Phi_w^T, so every gradient term is an (n, p) by (p, p) product
+    b = u @ (w / denom)
+    pm = np.matmul(phi_w, (u / denom) @ u.T, out=work.buffer("pm", (n, p)))
+    a_w = y_w - phi_w @ (c * b)
     d_log_sf2 = 0.5 * c * (float(b @ b) - float(np.sum(lam / denom)))
     a_norm_sq = float(np.sum(a_w * a_w / s2))
-    # phi_w is done with, so it holds r * r / denom, then (r / denom) U^T
-    r_sq = np.multiply(r, r, out=phi_w)
-    r_sq /= denom
-    tr_kinv = float(np.sum(1.0 / s2) - c * np.sum(np.sum(r_sq, axis=1) / s2))
+    tr_kinv = float(np.sum(1.0 / s2) - c * np.sum(np.einsum("ij,ij->i", pm, phi_w) / s2))
     d_log_sxi2 = 0.5 * sxi2 * (a_norm_sq - tr_kinv)
-    r /= denom
-    d_phi = np.outer(a_w, b, out=work.buffer("d_phi", (n, p)))
-    d_phi -= np.matmul(r, u.T, out=phi_w)
-    d_phi *= c
-    d_phi /= s[:, None]
+    c_over_s = c / s
+    d_phi = np.outer(a_w * c_over_s, b, out=work.buffer("d_phi", (n, p)))
+    pm *= c_over_s[:, None]
+    d_phi -= pm
     return value, d_phi, d_log_sf2, d_log_sxi2
 
 
