@@ -155,7 +155,9 @@ def save(model, path, task):
            **_TASKS[task][0](model)}
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, allow_nan=False)
+            # one dumps call runs CPython's C encoder; json.dump streams
+            # through the pure-Python one, for the same bytes
+            fh.write(json.dumps(doc, allow_nan=False))
     except ValueError as exc:
         os.remove(path)
         raise NumericError(f"cannot save model to {path}: {exc}") from None
