@@ -105,29 +105,60 @@ def _parse_cell(text, path, row, col):
                         f"column {col}") from None
 
 
-def load_csv(path, task="regression"):
-    """Parse a CSV file into a RawTable; final column is the target.
+def _is_header(row):
+    """A first row is a header when any of its cells is not a number."""
+    try:
+        [float(cell) for cell in row]
+    except ValueError:
+        return True
+    return False
 
-    A single header row is auto-detected: if any cell of the first row
-    fails to parse as a number, the row is treated as a header.
-    Classification labels are remapped to contiguous 0..C-1 in sorted
-    order of the distinct raw values, with the mapping recorded.  A
-    non-finite cell (nan, inf) is a DataError naming its row and column.
+
+def _numeric_values(path):
+    """Parse a plain numeric CSV with numpy's C reader, else return None.
+
+    The header rule is the per-cell parser's, applied to the first
+    non-blank row as csv reads it.  Anything loadtxt rejects or warns
+    about (a quoted cell, ``1_0``, a ragged or whitespace-only row, no
+    data), and a table with a non-finite cell, fewer than 2 columns or
+    no rows, returns None, so that _cell_values accepts or rejects it
+    and words the error.  Where loadtxt does parse a table, it converts
+    each cell as float() does, so the values are the same bits.
     """
-    if task not in ("regression", "classification"):
-        raise DomainError(f"unknown task {task!r}")
+    try:
+        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reader = csv.reader(fh)
+            first = next((row for row in reader if row), None)
+            if first is None:
+                return None
+            skip = reader.line_num if _is_header(first) else 0
+            fh.seek(0)
+            values = np.loadtxt(fh, delimiter=",", skiprows=skip, ndmin=2,
+                                comments=None, dtype=np.float64)
+    except (OSError, ValueError, csv.Error, Warning):
+        return None
+    if values.shape[0] == 0 or values.shape[1] < 2 or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _cell_values(path):
+    """Parse a CSV cell by cell with csv and float(); every DataError of
+    load_csv is raised here, naming the row and column at fault."""
+    rows = []
     try:
         with open(path, encoding="utf-8") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+            for row in csv.reader(fh):
+                if row:
+                    rows.append(row)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: cannot read row {len(rows) + 1}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: file is empty")
-    start = 0
-    try:
-        [float(cell) for cell in rows[0]]
-    except ValueError:
-        start = 1
+    start = 1 if _is_header(rows[0]) else 0
     if start == len(rows):
         raise DataError(f"{path}: no data rows after header")
     width = len(rows[start])
@@ -145,6 +176,25 @@ def load_csv(path, task="regression"):
         i, j = (int(k) for k in bad[0])
         raise DataError(f"{path}: non-finite value {rows[start + i][j]!r} at row "
                         f"{start + i + 1}, column {j + 1}")
+    return values
+
+
+def load_csv(path, task="regression"):
+    """Parse a CSV file into a RawTable; final column is the target.
+
+    A single header row is auto-detected: if any cell of the first row
+    fails to parse as a number, the row is treated as a header.
+    Classification labels are remapped to contiguous 0..C-1 in sorted
+    order of the distinct raw values, with the mapping recorded.  A
+    non-finite cell (nan, inf) is a DataError naming its row and column.
+    Plain numeric files take numpy's C reader; any other file, and every
+    DataError, takes the per-cell csv parser.
+    """
+    if task not in ("regression", "classification"):
+        raise DomainError(f"unknown task {task!r}")
+    values = _numeric_values(path)
+    if values is None:
+        values = _cell_values(path)
     X = values[:, :-1]
     raw_targets = values[:, -1]
     if task == "classification":

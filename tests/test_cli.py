@@ -177,6 +177,8 @@ BAD_INPUTS = [
                  id="empty_csv"),
     pytest.param("data", {"kind": "csv", "path": "latin1.csv"}, cli.EXIT_DATA,
                  id="non_utf8_csv"),
+    pytest.param("data", {"kind": "csv", "path": "long_cell.csv"}, cli.EXIT_DATA,
+                 id="csv_field_over_limit"),
 ]
 
 
@@ -296,6 +298,7 @@ class TestConfigErrors:
         (tmp_path / "ragged.csv").write_text("a,b,y\n1,2,3\n4,5\n6,7,8\n")
         (tmp_path / "empty.csv").write_text("")
         (tmp_path / "latin1.csv").write_bytes("x,y\n1,2\n3,4\nna\u00efve,5\n".encode("latin-1"))
+        (tmp_path / "long_cell.csv").write_text("x,y\n1,2\n" + "3" * 200_000 + ",4\n")
         command = "spectral" if str(key_path).startswith("spectral") else "train"
         if key_path is None:
             (tmp_path / "config.json").write_bytes(value)

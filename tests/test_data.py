@@ -63,6 +63,87 @@ class TestLoadCsv:
         with pytest.raises(DomainError):
             dt.load_csv(path, task="ranking")
 
+    def test_cell_over_csv_field_limit_raises_with_row_number(self, tmp_path):
+        # csv refuses a field over 131,072 characters
+        path = self.write(tmp_path, "a,b,y\n1,2,3\n4," + "1" * 200_000 + ",6\n")
+        with pytest.raises(DataError, match="row 3"):
+            dt.load_csv(path)
+
+    def test_plain_numeric_file_takes_the_fast_path(self, tmp_path, monkeypatch):
+        def refuse(path):
+            raise AssertionError("per-cell parser ran on a plain numeric file")
+        monkeypatch.setattr(dt, "_cell_values", refuse)
+        # a blank line before the header, so skipping counts raw lines
+        path = self.write(tmp_path, "\r\na,b,y\r\n1,2.5,3\r\n4,-5e-3,6\r\n")
+        raw = dt.load_csv(path)
+        np.testing.assert_array_equal(raw.X, [[1, 2.5], [4, -5e-3]])
+        np.testing.assert_array_equal(raw.targets, [3, 6])
+
+
+def formatted_table(fmt, task, n=7, d=3, seed=0):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-5, 6, size=(n, d))
+    if task == "classification":
+        last = [str(v) for v in rng.choice([-1, 3, 7], size=n)]
+    else:
+        last = [fmt % v for v in rng.standard_normal(n)]
+    lines = [",".join([fmt % v for v in x] + [y]) for x, y in zip(X, last)]
+    return "x0,x1,x2,y\n" + "\n".join(lines) + "\n"
+
+
+# Inputs on both sides of the fast path: loadtxt rejects some of them
+# (quotes, underscores, whitespace-only rows, trailing commas), others
+# it reads and load_csv must still reject (non-finite cells).
+EQUIVALENCE_INPUTS = [
+    pytest.param('a,b,y\n"1",2,3\n4,"5",6\n', "regression", id="quoted_cells"),
+    pytest.param("1_0,2,3\n4,5,6\n", "regression", id="underscore"),
+    pytest.param("a,b,y\r\n1,2,3\r\n4,5,6\r\n", "regression", id="crlf"),
+    pytest.param("\n\na,b,y\n1,2,3\n\n4,5,6\n\n\n", "regression", id="blank_lines"),
+    pytest.param("1,2,3\n   \n4,5,6\n", "regression", id="whitespace_only_line"),
+    pytest.param("\ufeffa,b,y\n1,2,3\n4,5,6\n", "regression", id="bom_before_header"),
+    pytest.param("\ufeff1,2,3\n4,5,6\n7,8,9\n", "regression", id="bom_before_numbers"),
+    pytest.param("# note\n1,2,3\n4,5,6\n", "regression", id="hash_first_line"),
+    pytest.param("1,2,3\n# note\n4,5,6\n", "regression", id="hash_inner_line"),
+    pytest.param("1,2,3,\n4,5,6,\n", "regression", id="trailing_comma"),
+    pytest.param("a,b,y\n1,2,3\n4,nan,6\n", "regression", id="nan"),
+    pytest.param("a,b,y\n1,2,3\n4,5,-inf\n", "regression", id="inf"),
+    pytest.param("1e309,2,3\n4,5,6\n", "regression", id="overflow_1e309"),
+    pytest.param("1,2,3\n4,5,6\n", "regression", id="numeric_first_row"),
+    pytest.param("a,b,y\n1,2,3\n", "regression", id="one_data_row"),
+    pytest.param("y\n1\n2\n", "regression", id="one_column"),
+    pytest.param("a,b,y\n 1 ,\t2\t, 3\n4 , 5,6\t\n", "regression", id="padded_cells"),
+    pytest.param("a,b,y\n1,2,3\n4,5\n", "regression", id="ragged_row"),
+    pytest.param("", "regression", id="empty_file"),
+    pytest.param("a,b,y\n\n", "regression", id="header_only"),
+    pytest.param("a,b,y\n1,2,3\n4," + "1" * 200_000 + ",6\n", "regression",
+                 id="cell_over_csv_field_limit"),
+    pytest.param(formatted_table("%.9g", "regression"), "regression", id="g9_regression"),
+    pytest.param(formatted_table("%.17g", "regression"), "regression", id="g17_regression"),
+    pytest.param(formatted_table("%.9g", "classification"), "classification",
+                 id="g9_classification"),
+    pytest.param(formatted_table("%.17g", "classification"), "classification",
+                 id="g17_classification"),
+]
+
+
+def load_outcome(path, task):
+    try:
+        raw = dt.load_csv(path, task=task)
+    except DataError as exc:
+        return "DataError", str(exc)
+    return (raw.X.dtype, raw.X.shape, raw.X.tobytes(), raw.targets.dtype,
+            raw.targets.tobytes(), raw.label_map)
+
+
+@pytest.mark.parametrize("text, task", EQUIVALENCE_INPUTS)
+def test_load_csv_matches_the_per_cell_parser(tmp_path, monkeypatch, text, task):
+    """load_csv gives the per-cell parser's table bit for bit, or its error."""
+    path = tmp_path / "table.csv"
+    path.write_bytes(text.encode("utf-8"))
+    chosen = load_outcome(path, task)
+    monkeypatch.setattr(dt, "_numeric_values", lambda path: None)
+    assert chosen == load_outcome(path, task)
+
 
 def random_raw(n, d=3, seed=0):
     rng = np.random.default_rng(seed)
