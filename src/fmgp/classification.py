@@ -35,8 +35,11 @@ from .errors import DomainError, ShapeError
 DEFAULT_ALPHA_EPS = 0.01
 DEFAULT_NUM_SAMPLES = 1024
 DEFAULT_ECE_BINS = 15
-# samples per block of the Monte Carlo decoder; a block of 32 x C x n
-# logits stays in cache through its scale, exp and sums
+# samples per block of the Monte Carlo decoder.  A block of 32 x C x n
+# logits is 2.56 MB at C = 10 and n = 1000, larger than a core's cache:
+# the size bounds the decoder's memory to a few blocks whatever
+# num_samples is, and keeps the per-block Python work small beside each
+# block's arithmetic
 _SAMPLE_BLOCK = 32
 
 
@@ -152,35 +155,52 @@ def class_posteriors(clf, X_star):
     return reg.posterior(psi, clf.caches, 1.0 / clf.sigma_f_sq, clf.sigma_f_sq)
 
 
-def _logit_blocks(means, variances, num_samples, seed):
+def _logit_blocks(means, variances, num_samples, seed, out=None):
     """Posterior draws of the class logits from the seed, shifted by each
     draw's row max, in _SAMPLE_BLOCK-sample blocks laid out (b, C, n).
 
-    Block by block this is one (num_samples, n, C) standard-normal draw;
-    each block is a view of one reused buffer, valid until the next.
+    Block by block this is one (num_samples, n, C) standard-normal draw.
+    Each block is out[start:stop] of a (num_samples, C, n) out if one is
+    given, else a view of one reused buffer, valid until the next.
     """
-    sd = np.sqrt(variances)
-    buf = np.empty((min(_SAMPLE_BLOCK, num_samples), *means.shape))
+    # (C, n) copies, so that every pass after the move to (b, C, n) runs
+    # over contiguous rows of n values
+    sd_t = np.sqrt(variances).T.copy()
+    means_t = means.T.copy()
+    size = min(_SAMPLE_BLOCK, num_samples)
+    draw = np.empty((size, *means.shape))
+    reused = np.empty((size, *means_t.shape)) if out is None else None
+    row_max = np.empty((size, means.shape[0]))
     rng = np.random.default_rng(seed)
     for start in range(0, num_samples, _SAMPLE_BLOCK):
-        f = rng.standard_normal(out=buf[:min(_SAMPLE_BLOCK, num_samples - start)])
-        f *= sd
-        f += means
+        eps = rng.standard_normal(out=draw[:min(_SAMPLE_BLOCK, num_samples - start)])
+        b = eps.shape[0]
+        f = reused[:b] if out is None else out[start:start + b]
+        # the one strided pass is a plain copy: it and a contiguous
+        # multiply take less time than one multiply reading the draw strided
+        np.copyto(f, eps.transpose(0, 2, 1))
+        f *= sd_t
+        f += means_t
+        top = row_max[:b]
+        np.max(f, axis=1, out=top)
         # max(f / T) = max(f) / T for T > 0, so one shift serves every T
-        f -= f.max(axis=-1, keepdims=True)
-        yield f.transpose(0, 2, 1)
+        f -= top[:, None]
+        yield f
 
 
-def _mean_softmax(blocks, temperature):
+def _mean_softmax(blocks, temperature, in_place=False):
     """(n, C) mean of softmax(f / temperature) over the shifted logit
     blocks f of _logit_blocks, classes before rows, so that the class
-    sums add contiguous rows."""
-    scaled = total = None
+    sums add contiguous rows.  in_place overwrites each block; otherwise
+    the blocks are left as they were and one scratch block is used."""
+    scratch = total = None
     count = 0
     for f in blocks:
-        if scaled is None:
-            scaled, total = np.empty(f.shape), np.zeros(f.shape[1:])
-        p = scaled[:f.shape[0]]
+        if total is None:
+            total = np.zeros(f.shape[1:])
+            if not in_place:
+                scratch = np.empty(f.shape)
+        p = f if in_place else scratch[:f.shape[0]]
         np.divide(f, temperature, out=p)
         np.exp(p, out=p)
         p /= p.sum(axis=1, keepdims=True)
@@ -205,7 +225,8 @@ def predict_proba(clf, X_star, num_samples=DEFAULT_NUM_SAMPLES, seed=None,
     if not t > 0:
         raise DomainError(f"temperature must be positive, got {t}")
     means, variances = class_posteriors(clf, X_star)
-    return _mean_softmax(_logit_blocks(means, variances, num_samples, seed), t)
+    return _mean_softmax(_logit_blocks(means, variances, num_samples, seed), t,
+                         in_place=True)
 
 
 def multinomial_nll(probs, labels):
@@ -294,8 +315,9 @@ def fit_temperature(clf, X_hold, y_hold, num_samples=DEFAULT_NUM_SAMPLES, seed=0
         warnings.warn("holdout contains a single class; temperature unchanged")
         return clf.temperature
     means, variances = class_posteriors(clf, X_hold)
-    # every candidate T scores the same draws, kept as contiguous blocks
-    blocks = [f.copy() for f in _logit_blocks(means, variances, num_samples, seed)]
+    # every candidate T scores the same draws, kept in one (S, C, n) array
+    logits = np.empty((num_samples, means.shape[1], means.shape[0]))
+    blocks = list(_logit_blocks(means, variances, num_samples, seed, out=logits))
 
     def nll_at(log_t):
         return multinomial_nll(_mean_softmax(blocks, np.exp(log_t)), y_hold)

@@ -20,8 +20,6 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.spatial.distance
 
 from . import features as ft
 from .errors import DomainError, NumericError, ShapeError
@@ -113,12 +111,16 @@ class ProductKernel:
 
 
 def _pairwise_dist(X, Z):
+    # scipy loads where a Gram or spectrum needs it, so that reading a
+    # run config (the kernel specs above) never imports it
+    import scipy.spatial.distance
     return scipy.spatial.distance.cdist(X, Z)
 
 
 def _base_gram(spec, X, Z):
     """Cross-Gram k(X, Z) for the closed-form kernels."""
     if isinstance(spec, RbfKernel):
+        import scipy.spatial.distance
         _check_lengthscale(spec.lengthscale)
         r2 = scipy.spatial.distance.cdist(X, Z, "sqeuclidean")
         return np.exp(-r2 / (2.0 * spec.lengthscale ** 2))
@@ -151,6 +153,7 @@ def build_gram(spec, X):
         phi = ft.forward(fmap, X)
         gram = phi @ phi.T
     elif isinstance(spec, NystromKernel):
+        import scipy.linalg
         if spec.num_landmarks < 1:
             raise DomainError("need at least one landmark")
         m = min(spec.num_landmarks, X.shape[0])
@@ -205,6 +208,7 @@ def spectrum(gram, kernel_label="", d=0, seed=None):
     gram = np.asarray(gram, dtype=np.float64)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
         raise ShapeError(f"gram must be square, got {gram.shape}")
+    import scipy.linalg
     try:
         lam = scipy.linalg.eigvalsh((gram + gram.T) / 2.0)
     except scipy.linalg.LinAlgError as exc:

@@ -1,5 +1,6 @@
 """Tests for Dirichlet-surrogate GP classification and calibration."""
 
+import threading
 import tracemalloc
 import warnings
 
@@ -398,6 +399,48 @@ class TestTemperature:
         clf = build_classifier(labels, fmap, X, np.ones(2), np.ones(2))
         with pytest.raises(DomainError):
             clf.with_temperature(0.0)
+
+
+def pinned_classifier():
+    """A fixed 3-class classifier with a 90-row holdout."""
+    rng = np.random.default_rng(81)
+    X = rng.standard_normal((150, 2))
+    labels = (X[:, 0] + 0.5 * rng.standard_normal(150) > 0).astype(int) + (X[:, 1] > 0.8)
+    fmap = ft.init_params([2, 8, 5], seed=18, normalization="layer_norm",
+                          rescale_to_unit=True)
+    clf = build_classifier(labels[:60], fmap, X[:60], np.ones(3), np.full(3, 0.3))
+    return clf, X[60:], labels[60:]
+
+
+# recorded before the decoder moved to class-major blocks; the search
+# must keep scoring exactly the same draws
+@pytest.mark.parametrize("seed, num_samples, expected", [
+    (0, 1024, "0x1.243efd2ba1bffp+0"),
+    (5, 100, "0x1.24ec102ea468dp+0"),
+    (2, 7, "0x1.315fa863b672ap+0"),
+    (9, 33, "0x1.2142de045ca69p+0"),
+    (11, 64, "0x1.26ca997d6039cp+0"),
+])
+def test_fitted_temperature_is_pinned(seed, num_samples, expected):
+    clf, X_hold, y_hold = pinned_classifier()
+    t = cls.fit_temperature(clf, X_hold, y_hold, num_samples=num_samples, seed=seed)
+    assert float.hex(t) == expected
+
+
+def test_decoder_runs_on_the_calling_thread_and_restarts_from_the_seed():
+    clf, X, y = pinned_classifier()
+    threads = threading.active_count()
+    a = cls.predict_proba(clf, X, num_samples=100, seed=3)
+    t = cls.fit_temperature(clf, X, y, num_samples=100, seed=3)
+    means, variances = cls.class_posteriors(clf, X)
+    blocks = cls._logit_blocks(means, variances, 100, 3)
+    first = next(blocks).copy()
+    blocks.close()
+    assert threading.active_count() == threads
+    # a decoder closed after its first block leaves nothing behind
+    assert np.array_equal(next(cls._logit_blocks(means, variances, 100, 3)), first)
+    assert np.array_equal(cls.predict_proba(clf, X, num_samples=100, seed=3), a)
+    assert float.hex(cls.fit_temperature(clf, X, y, num_samples=100, seed=3)) == float.hex(t)
 
 
 class TestComputeEce:

@@ -13,18 +13,22 @@ PRODUCT_MODULES = ("data", "features", "lowrank", "model_file", "regression",
                    "classification")
 
 
-def test_product_modules_do_not_import_scipy():
-    # a fresh interpreter, since the test session itself has loaded scipy
+def scipy_modules_after(statements):
+    """The scipy modules loaded once a fresh interpreter has run the
+    statements: fresh, since the test session itself has loaded scipy."""
     env = dict(os.environ)
     src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    code = "; ".join([*(f"import fmgp.{name}" for name in PRODUCT_MODULES),
-                      "import sys",
+    code = "; ".join([*statements, "import sys",
                       "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"])
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_product_modules_do_not_import_scipy():
+    assert scipy_modules_after(f"import fmgp.{name}" for name in PRODUCT_MODULES) == "[]"
 
 
 def test_perfbench_trace_targets_resolve():
@@ -46,3 +50,13 @@ def test_perfbench_trace_targets_resolve():
         name, part = layer["name"].rsplit(".", 1)
         assert part in ("calls", "rows", "self_s"), layer["name"]
         assert name in metrics, layer["name"]
+
+
+def test_reading_a_run_config_does_not_import_scipy():
+    # every command reads its config first, so scipy would load even
+    # where the command itself never needs it
+    doc = {"task": "classification",
+           "data": {"kind": "csv", "path": "blobs.csv", "test_n": 50},
+           "classification": {"num_samples": 64},
+           "spectral": {"kernels": [{"kind": "rbf"}]}}
+    assert scipy_modules_after(["from fmgp import cli", f"cli.RunConfig({doc!r})"]) == "[]"
