@@ -23,10 +23,8 @@ def main():
     print(f"{'ambient d':>9s} {'test MSE':>9s} {'obs var':>11s} "
           f"{'Gram rank':>9s} {'tail>8':>10s}")
     for d_ambient in (4, 16, 64):
-        source = dt.synth_manifold(3000, latent_kind="circle",
-                                   d_ambient=d_ambient, eps=0.3,
-                                   noise_sd=0.1, seed=0)
-        raw = dt.RawTable(source.X, source.targets, "regression")
+        raw = dt.synth_manifold(3000, latent_kind="circle", d_ambient=d_ambient,
+                                eps=0.3, noise_sd=0.1, seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             ds = dt.prepare(raw, seed=0, test_n=600, recal_n=600)

@@ -17,8 +17,7 @@ def main():
     sample = dt.synth_gp_sample(kernel, 2000, 1, noise_sd=0.1, seed=0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        ds = dt.prepare(dt.RawTable(sample.X, sample.targets, "regression"),
-                        seed=0)
+        ds = dt.prepare(sample, seed=0)
     sizes = {k: v.size for k, v in ds.split.items()}
     print(f"splits: {sizes}")
 

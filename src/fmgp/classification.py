@@ -48,10 +48,11 @@ def _check_labels(labels, num_classes):
         raise DomainError(f"labels must lie in [0, {num_classes})")
 
 
-def dirichlet_transform(labels, alpha_eps, num_classes=None):
-    """Surrogate regression targets and noise variances from class labels.
+def dirichlet_transform(labels, alpha_eps, num_classes):
+    """Surrogate regression targets and noise variances from class labels
+    in [0, num_classes).
 
-    Returns (y_tilde, sigma_tilde_sq), both (n, C).
+    Returns (y_tilde, sigma_tilde_sq), both (n, C) with C = num_classes.
     """
     if not alpha_eps > 0:
         raise DomainError(f"alpha_eps must be positive, got {alpha_eps}")
@@ -59,7 +60,7 @@ def dirichlet_transform(labels, alpha_eps, num_classes=None):
     if labels.ndim != 1:
         raise ShapeError("labels must be a vector of class indices")
     labels = labels.astype(np.int64)
-    c = int(labels.max()) + 1 if num_classes is None else int(num_classes)
+    c = int(num_classes)
     _check_labels(labels, c)
     alpha = np.full((labels.size, c), float(alpha_eps))
     alpha[np.arange(labels.size), labels] += 1.0
@@ -72,13 +73,16 @@ class DirichletClassifier:
     """Fitted classifier: shared feature map plus per-class regressions.
 
     caches[c] is a FeatureDecomposition of the class's noise-whitened
-    feature Gram, with proj_targets = U^T Phi_w^T y_w.  Immutable after
-    fit; use with_temperature to derive a re-tempered copy.
+    feature Gram, with proj_targets = U^T Phi_w^T y_w; there is one cache
+    per class, so num_classes is len(caches).  Immutable after fit; use
+    with_temperature to derive a re-tempered copy.
     """
 
-    def __init__(self, feature_map, sigma_f_sq, sigma_xi_sq, caches, num_classes,
-                 alpha_eps, temperature=1.0, train_inputs_stats=None,
-                 surrogate_noise=None, training_trace=None, label_map=None):
+    task = "classification"
+
+    def __init__(self, feature_map, sigma_f_sq, sigma_xi_sq, caches, alpha_eps,
+                 temperature=1.0, train_inputs_stats=None, training_trace=None,
+                 label_map=None):
         self.feature_map = feature_map
         self.sigma_f_sq = np.asarray(sigma_f_sq, dtype=np.float64)
         self.sigma_xi_sq = np.asarray(sigma_xi_sq, dtype=np.float64)
@@ -87,27 +91,23 @@ class DirichletClassifier:
         if not temperature > 0:
             raise DomainError(f"temperature must be positive, got {temperature}")
         self.caches = list(caches)
-        self.num_classes = int(num_classes)
+        self.num_classes = len(self.caches)
         if self.num_classes < 2:
             raise DomainError("need at least two classes")
-        if not (len(self.caches) == self.sigma_f_sq.size == self.sigma_xi_sq.size
-                == self.num_classes):
-            raise ShapeError(f"need one cache and one variance pair per class "
+        if not self.sigma_f_sq.size == self.sigma_xi_sq.size == self.num_classes:
+            raise ShapeError(f"need one variance pair per class "
                              f"for {self.num_classes} classes")
         self.alpha_eps = float(alpha_eps)
         self.temperature = float(temperature)
         self.train_inputs_stats = train_inputs_stats
-        self.surrogate_noise = surrogate_noise
         self.training_trace = training_trace
         self.label_map = label_map
 
     def with_temperature(self, temperature):
         return DirichletClassifier(self.feature_map, self.sigma_f_sq,
-                                   self.sigma_xi_sq, self.caches,
-                                   self.num_classes, self.alpha_eps,
+                                   self.sigma_xi_sq, self.caches, self.alpha_eps,
                                    temperature=temperature,
                                    train_inputs_stats=self.train_inputs_stats,
-                                   surrogate_noise=self.surrogate_noise,
                                    training_trace=self.training_trace,
                                    label_map=self.label_map)
 
@@ -136,12 +136,8 @@ def fit_classifier(dataset, config=None, feature_map=None):
         feature_map, X, y_tilde, s_tilde_sq, config)
     caches = reg.build_caches(feature_map, X, y_tilde, s_tilde_sq + sigma_xi_sq)
     return DirichletClassifier(feature_map, sigma_f_sq, sigma_xi_sq, caches,
-                               num_classes, config.alpha_eps,
-                               train_inputs_stats=getattr(dataset, "stats_dict",
-                                                          lambda: None)(),
-                               surrogate_noise=s_tilde_sq,
-                               training_trace=trace,
-                               label_map=getattr(dataset, "label_map", None))
+                               config.alpha_eps, train_inputs_stats=dataset.stats_dict(),
+                               training_trace=trace, label_map=dataset.label_map)
 
 
 def class_posteriors(clf, X_star):
@@ -233,8 +229,8 @@ def multinomial_nll(probs, labels):
     """Mean negative log-likelihood of the observed classes."""
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels).astype(np.int64)
-    if probs.shape[0] != labels.shape[0]:
-        raise ShapeError("probability rows and labels differ in length")
+    if probs.ndim != 2 or probs.shape[0] != labels.shape[0]:
+        raise ShapeError("need one probability row per label")
     _check_labels(labels, probs.shape[1])
     picked = probs[np.arange(labels.size), labels]
     return float(-np.mean(np.log(np.maximum(picked, 1e-300))))
@@ -383,8 +379,8 @@ def compute_ece(probs, labels, num_bins=DEFAULT_ECE_BINS):
 
 
 def save_classifier(clf, path):
-    mf.save(clf, path, "classification")
+    mf.save(clf, path)
 
 
 def load_classifier(path):
-    return mf.load(path, {"classification": DirichletClassifier})[1]
+    return mf.load(path, DirichletClassifier)

@@ -263,6 +263,7 @@ def cmd_train(config, out_dir):
     import numpy as np
 
     from . import classification as cls
+    from . import model_file as mf
     from . import regression as reg
 
     dataset = build_dataset(config)
@@ -274,17 +275,15 @@ def cmd_train(config, out_dir):
         if config.recalibration and has_recal:
             X_cal, y_cal = dataset.subset_arrays("recalibration")
             model = reg.recalibrate(model, X_cal, y_cal.astype(np.float64))
-        save = reg.save_model
     else:
         model = cls.fit_classifier(dataset, config.fit, feature_map=fmap)
         if config.classification["fit_temperature"] and has_recal:
             X_cal, y_cal = dataset.subset_arrays("recalibration")
             model = model.with_temperature(cls.fit_temperature(
                 model, X_cal, y_cal, config.classification["num_samples"], seed=config.fit.seed))
-        save = cls.save_classifier
     train_time = time.perf_counter() - started
     trace = model.training_trace or []
-    save(model, os.path.join(out_dir, "model.json"))
+    mf.save(model, os.path.join(out_dir, "model.json"))
     _write_trace_csv(os.path.join(out_dir, "training_trace.csv"), trace)
     metrics = {
         "task": config.task,
@@ -307,8 +306,8 @@ def cmd_eval(model_path, config, out_dir):
     from . import model_file as mf
     from . import regression as reg
 
-    task, model = mf.load(model_path, {"regression": reg.GpModel,
-                                       "classification": cls.DirichletClassifier})
+    model = mf.load(model_path, reg.GpModel, cls.DirichletClassifier)
+    task = model.task
     if task != config.task:
         raise ConfigError(f"model {model_path} is a {task} model, "
                           f"but the config's task is {config.task}")

@@ -6,9 +6,9 @@ regression) are computed from the training block only and stored on the
 Dataset so they can be replayed on new inputs.  Metrics downstream are in
 normalized target units.
 
-Synthetic generators return unsplit Datasets (identity normalization, all
-rows in the training block); pass them through prepare() to get the split
-and whitened form used by the fitting code.
+load_csv and the synthetic generators all return a RawTable; prepare()
+is the one step that turns a RawTable into the split and whitened
+Dataset that the fitting code reads.
 """
 
 from __future__ import annotations
@@ -28,9 +28,14 @@ TORUS_MINOR_RADIUS = 0.5
 
 
 class RawTable:
-    """Parsed but unnormalized data: feature matrix plus targets."""
+    """Unsplit, unnormalized data: feature matrix plus targets.
 
-    def __init__(self, X, targets, task, label_map=None):
+    label_map records the raw label of each class index of a parsed
+    classification table; latents holds a synthetic manifold's latent
+    points, for evaluation only.
+    """
+
+    def __init__(self, X, targets, task, label_map=None, latents=None):
         self.X = np.asarray(X, dtype=np.float64)
         self.task = task
         if task == "classification":
@@ -38,6 +43,7 @@ class RawTable:
         else:
             self.targets = np.asarray(targets, dtype=np.float64)
         self.label_map = label_map
+        self.latents = latents
 
 
 class Dataset:
@@ -59,7 +65,7 @@ class Dataset:
 
     def __init__(self, X, targets, split, feature_means, feature_stds,
                  target_mean=0.0, target_std=1.0, task="regression",
-                 label_map=None, latents=None):
+                 label_map=None):
         self.X = np.asarray(X, dtype=np.float64)
         self.targets = np.asarray(targets)
         self.split = {k: np.asarray(v, dtype=np.int64) for k, v in split.items()}
@@ -69,7 +75,6 @@ class Dataset:
         self.target_std = float(target_std)
         self.task = task
         self.label_map = label_map
-        self.latents = latents
 
     def stats_dict(self):
         """Normalization metadata for persistence alongside a model."""
@@ -206,13 +211,17 @@ def load_csv(path, task="regression"):
 
 
 def _split_sizes(n, test_n, recal_n):
-    """Held-out block sizes, shrunk proportionally when data is scarce."""
+    """Held-out block sizes, shrunk proportionally when data is scarce.
+
+    A shrunk block keeps at least one row, unless it was asked for none:
+    then the other block takes the whole held-out budget of n // 2 rows.
+    """
     if n > test_n + recal_n:
         return test_n, recal_n
     budget = n // 2
     total = test_n + recal_n
-    test_shrunk = max(1, int(round(budget * test_n / total)))
-    recal_shrunk = max(1, budget - test_shrunk)
+    test_shrunk = min(test_n, max(1, int(round(budget * test_n / total))))
+    recal_shrunk = min(recal_n, max(1, budget - test_shrunk))
     warnings.warn(f"only {n} rows; shrinking held-out blocks to "
                   f"test={test_shrunk}, recalibration={recal_shrunk}")
     return test_shrunk, recal_shrunk
@@ -253,9 +262,8 @@ def prepare(raw, seed=0, test_n=TEST_N_DEFAULT, recal_n=RECAL_N_DEFAULT):
         stds = np.where(constant, 1.0, stds)
     X_white = (X - means) / stds
 
-    task = getattr(raw, "task", "regression")
     target_mean, target_std = 0.0, 1.0
-    if task == "regression":
+    if raw.task == "regression":
         y_train = targets[split["train"]].astype(np.float64)
         target_mean = float(y_train.mean())
         target_std = float(y_train.std())
@@ -264,18 +272,7 @@ def prepare(raw, seed=0, test_n=TEST_N_DEFAULT, recal_n=RECAL_N_DEFAULT):
             target_std = 1.0
         targets = (targets.astype(np.float64) - target_mean) / target_std
     return Dataset(X_white, targets, split, means, stds, target_mean, target_std,
-                   task=task, label_map=getattr(raw, "label_map", None),
-                   latents=getattr(raw, "latents", None))
-
-
-def _unsplit(X, targets, task="regression", label_map=None, latents=None):
-    """Dataset wrapper with identity normalization and all rows in train."""
-    n, d = X.shape
-    split = {"train": np.arange(n), "test": np.empty(0, dtype=np.int64),
-             "recalibration": np.empty(0, dtype=np.int64)}
-    ds = Dataset(X, targets, split, np.zeros(d), np.ones(d), task=task,
-                 label_map=label_map, latents=latents)
-    return ds
+                   task=raw.task, label_map=raw.label_map)
 
 
 def sample_gp_path(gram, rng, jitter=1e-8, max_jitter=1e-4):
@@ -295,7 +292,7 @@ def sample_gp_path(gram, rng, jitter=1e-8, max_jitter=1e-4):
 
 
 def synth_gp_sample(kernel=None, n=2000, d=1, noise_sd=0.1, seed=0):
-    """Unsplit Dataset whose targets are one noisy GP sample path.
+    """RawTable whose targets are one noisy GP sample path.
 
     Inputs are uniform on [0, 1]^d; the latent function is drawn from
     N(0, K) for the Gram matrix of the kernel spec (None: the exponential
@@ -309,7 +306,7 @@ def synth_gp_sample(kernel=None, n=2000, d=1, noise_sd=0.1, seed=0):
     gram = spectral.build_gram(spectral.ExpKernel(1.0) if kernel is None else kernel, X)
     f = sample_gp_path(gram, rng)
     y = f + noise_sd * rng.standard_normal(n)
-    return _unsplit(X, y)
+    return RawTable(X, y, "regression")
 
 
 def _circle_latents(n, rng):
@@ -329,7 +326,7 @@ def _torus_latents(n, rng):
 
 def synth_manifold(n=2000, latent_kind="circle", d_ambient=16, eps=0.1, noise_sd=0.1,
                    seed=0):
-    """Unsplit regression Dataset embedding a noisy low-dim manifold.
+    """Regression RawTable embedding a noisy low-dim manifold.
 
     Latent points live on the unit circle (2-d latent space) or a torus
     surface (3-d latent space), jittered with N(0, 0.1) per coordinate,
@@ -339,7 +336,7 @@ def synth_manifold(n=2000, latent_kind="circle", d_ambient=16, eps=0.1, noise_sd
 
     with P, Ps, Pc having i.i.d. standard normal entries.  The target is
     a smooth periodic function of the latent angles plus observation
-    noise; the clean latents are stored on the Dataset for evaluation.
+    noise; the jittered latents are kept as the table's latents.
     """
     rng = np.random.default_rng(seed)
     if latent_kind == "circle":
@@ -363,11 +360,11 @@ def synth_manifold(n=2000, latent_kind="circle", d_ambient=16, eps=0.1, noise_sd
     # smooth periodic target of the latent angles
     y = np.sin(2.0 * angles[:, 0]) + np.cos(3.0 * angles[:, -1])
     y = y + noise_sd * rng.standard_normal(n)
-    return _unsplit(X, y, latents=z_noisy)
+    return RawTable(X, y, "regression", latents=z_noisy)
 
 
 def synth_blobs(n=4000, num_classes=2, d=2, separation=4.0, seed=0):
-    """Unsplit classification Dataset of unit-variance Gaussian blobs.
+    """Classification RawTable of unit-variance Gaussian blobs.
 
     Class centers sit at the origin and at separation-scaled axis
     points, so every pair of centers is at least `separation` apart in
@@ -386,4 +383,4 @@ def synth_blobs(n=4000, num_classes=2, d=2, separation=4.0, seed=0):
         centers[c, axis] = sign * separation
     labels = rng.integers(num_classes, size=n)
     X = centers[labels] + rng.standard_normal((n, d))
-    return _unsplit(X, labels, task="classification")
+    return RawTable(X, labels, "classification")

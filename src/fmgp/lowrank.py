@@ -45,7 +45,7 @@ class FeatureDecomposition:
 
 
 class GramAccumulator:
-    """Streaming accumulator for Phi^T Phi and (optionally) Phi^T y.
+    """Streaming accumulator for Phi^T Phi and Phi^T y.
 
     Batches are added in a fixed order; the sums are exact in that order,
     which is what makes partitioning-invariance hold to rounding error.
@@ -59,16 +59,15 @@ class GramAccumulator:
         self.phi_t_y = np.zeros(p)
         self.n = 0
 
-    def add(self, phi_batch, y_batch=None):
+    def add(self, phi_batch, y_batch):
         phi_batch = np.asarray(phi_batch, dtype=np.float64)
         if phi_batch.ndim != 2 or phi_batch.shape[1] != self.p:
             raise ShapeError(f"batch has shape {phi_batch.shape}, expected (*, {self.p})")
+        y_batch = np.asarray(y_batch, dtype=np.float64)
+        if y_batch.shape != (phi_batch.shape[0],):
+            raise ShapeError("target batch length does not match feature batch")
         self.gram += phi_batch.T @ phi_batch
-        if y_batch is not None:
-            y_batch = np.asarray(y_batch, dtype=np.float64)
-            if y_batch.shape != (phi_batch.shape[0],):
-                raise ShapeError("target batch length does not match feature batch")
-            self.phi_t_y += phi_batch.T @ y_batch
+        self.phi_t_y += phi_batch.T @ y_batch
         self.n += phi_batch.shape[0]
         return self
 

@@ -129,12 +129,14 @@ def _classifier_document(clf):
 
 def _classifier_fields(doc, p):
     per_class = doc["per_class"]
+    if _read(doc, "num_classes") != len(per_class):
+        raise DataError(f"num_classes is {doc['num_classes']}, but per_class "
+                        f"holds {len(per_class)} classes")
     label_map = doc.get("label_map")
     return {
         "sigma_f_sq": np.array([_read(entry, "sigma_f_sq") for entry in per_class]),
         "sigma_xi_sq": np.array([_read(entry, "sigma_xi_sq") for entry in per_class]),
         "caches": [_read_decomposition(entry["cache"], p) for entry in per_class],
-        "num_classes": int(_read(doc, "num_classes")),
         "alpha_eps": _read(doc["surrogate_noise_policy"], "alpha_eps"),
         "temperature": _read(doc, "temperature"),
         "label_map": (None if label_map is None else
@@ -147,12 +149,13 @@ _TASKS = {"regression": (_regression_document, _regression_fields),
           "classification": (_classifier_document, _classifier_fields)}
 
 
-def save(model, path, task):
-    """Write the model of the given task to path; a NaN or infinity fails
-    here and the partial file is removed, so a bad model is never saved."""
-    doc = {"schema": SCHEMA, "task": task,
+def save(model, path):
+    """Write the model to path under its class's task; a NaN or infinity
+    fails here and the partial file is removed, so a bad model is never
+    saved."""
+    doc = {"schema": SCHEMA, "task": model.task,
            "feature_map": feature_map_document(model.feature_map),
-           **_TASKS[task][0](model)}
+           **_TASKS[model.task][0](model)}
     try:
         with open(path, "w", encoding="utf-8") as fh:
             # one dumps call runs CPython's C encoder; json.dump streams
@@ -163,15 +166,17 @@ def save(model, path, task):
         raise NumericError(f"cannot save model to {path}: {exc}") from None
 
 
-def load(path, builders):
-    """(task, model) of the model file at path.
+def load(path, *model_types):
+    """The model stored at path, built by whichever of model_types has
+    the task the file names.
 
-    builders maps each task the caller accepts to the model's
-    constructor, which gets the feature map and the stored fields as
-    keyword arguments.  An unreadable file, another schema or task, a
-    missing key, or a value of the wrong type, shape or finiteness is
-    one DataError naming the file.
+    Each model type has a task attribute and a constructor that takes
+    the feature map and the stored fields as keyword arguments.  An
+    unreadable file, another schema or task, a missing key, or a value
+    of the wrong type, shape or finiteness is one DataError naming the
+    file.
     """
+    builders = {kind.task: kind for kind in model_types}
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -191,8 +196,8 @@ def load(path, builders):
         for key in stats or ():  # checked, but kept as stored for the re-save
             _read(stats, key, np.shape(stats[key]))
         fmap = read_feature_map(doc["feature_map"])
-        return task, builders[task](feature_map=fmap, train_inputs_stats=stats,
-                                    **_TASKS[task][1](doc, fmap.output_dim))
+        return builders[task](feature_map=fmap, train_inputs_stats=stats,
+                              **_TASKS[task][1](doc, fmap.output_dim))
     except (FmgpError, LookupError, TypeError, ValueError, AttributeError,
             ArithmeticError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)

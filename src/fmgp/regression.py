@@ -62,6 +62,8 @@ class GpModel:
     normalization metadata of the training inputs.  Immutable after fit.
     """
 
+    task = "regression"
+
     def __init__(self, feature_map, sigma_f_sq, sigma_xi_sq, decomp,
                  train_inputs_stats=None, gamma=None, training_trace=None):
         if not sigma_f_sq > 0 or not sigma_xi_sq > 0:
@@ -326,8 +328,7 @@ def fit(dataset, config=None, feature_map=None):
                                                         None, config)
     decomp = build_decomposition(feature_map, X, y)
     return GpModel(feature_map, float(sigma_f_sq[0]), float(sigma_xi_sq[0]), decomp,
-                   train_inputs_stats=getattr(dataset, "stats_dict", lambda: None)(),
-                   training_trace=trace)
+                   train_inputs_stats=dataset.stats_dict(), training_trace=trace)
 
 
 def posterior(psi, caches, gammas, sigma_f_sq):
@@ -401,8 +402,8 @@ def mean_nll(pred, y):
 
 
 def save_model(model, path):
-    mf.save(model, path, "regression")
+    mf.save(model, path)
 
 
 def load_model(path):
-    return mf.load(path, {"regression": GpModel})[1]
+    return mf.load(path, GpModel)

@@ -191,7 +191,7 @@ class TestAcceptance:
 
     def test_09_dirichlet_transform_and_whitening(self, verdict):
         y_tilde, s_tilde_sq = cls.dirichlet_transform(np.array([0, 1]),
-                                                      alpha_eps=1.0)
+                                                      alpha_eps=1.0, num_classes=2)
         const_err = max(abs(y_tilde[0, 1] - (-0.346574)),
                         abs(s_tilde_sq[0, 1] - 0.693147))
         consts_ok = const_err <= 1e-6
@@ -206,8 +206,7 @@ class TestAcceptance:
         sigma_xi_sq = np.array([0.3, 0.9, 0.05])
         y_t, s_t = cls.dirichlet_transform(labels, 0.01, 3)
         caches = reg.build_caches(fmap, X, y_t, s_t + sigma_xi_sq)
-        clf = cls.DirichletClassifier(fmap, sigma_f_sq, sigma_xi_sq, caches,
-                                      3, 0.01, surrogate_noise=s_t)
+        clf = cls.DirichletClassifier(fmap, sigma_f_sq, sigma_xi_sq, caches, 0.01)
         Xs = rng.standard_normal((25, 3))
         means, variances = cls.class_posteriors(clf, Xs)
         worst_mean = worst_var = 0.0

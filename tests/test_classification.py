@@ -37,16 +37,14 @@ def build_classifier(labels, fmap, X, sigma_f_sq, sigma_xi_sq, alpha_eps=0.01):
     y_tilde, s_tilde_sq = cls.dirichlet_transform(labels, alpha_eps, num_classes)
     caches = reg.build_caches(fmap, X, y_tilde,
                               s_tilde_sq + np.asarray(sigma_xi_sq, dtype=float))
-    return cls.DirichletClassifier(fmap, sigma_f_sq, sigma_xi_sq, caches,
-                                   num_classes, alpha_eps,
-                                   surrogate_noise=s_tilde_sq)
+    return cls.DirichletClassifier(fmap, sigma_f_sq, sigma_xi_sq, caches, alpha_eps)
 
 
 class TestDirichletTransform:
     def test_unit_concentration_constants(self):
         # concentration exactly 1 gives noise log 2 and target -log(2)/2
         y_tilde, s_tilde_sq = cls.dirichlet_transform(np.array([0, 1]),
-                                                      alpha_eps=1.0)
+                                                      alpha_eps=1.0, num_classes=2)
         off = y_tilde[0, 1]
         noise_off = s_tilde_sq[0, 1]
         np.testing.assert_allclose(noise_off, 0.693147, atol=1e-6)
@@ -55,24 +53,24 @@ class TestDirichletTransform:
     def test_exact_identities(self):
         labels = np.array([0, 2, 1, 1, 0])
         eps = 0.01
-        y_tilde, s_tilde_sq = cls.dirichlet_transform(labels, eps)
+        y_tilde, s_tilde_sq = cls.dirichlet_transform(labels, eps, 3)
         alpha = np.full((5, 3), eps)
         alpha[np.arange(5), labels] += 1.0
         np.testing.assert_array_equal(s_tilde_sq, np.log(1.0 / alpha + 1.0))
         np.testing.assert_array_equal(y_tilde, np.log(alpha) - s_tilde_sq / 2.0)
 
     def test_label_entry_less_noisy(self):
-        y_tilde, s_tilde_sq = cls.dirichlet_transform(np.array([1]), 0.01)
+        y_tilde, s_tilde_sq = cls.dirichlet_transform(np.array([1]), 0.01, 2)
         assert s_tilde_sq[0, 1] < s_tilde_sq[0, 0]
         assert y_tilde[0, 1] > y_tilde[0, 0]
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
-            cls.dirichlet_transform(np.array([0, 1]), alpha_eps=0.0)
+            cls.dirichlet_transform(np.array([0, 1]), alpha_eps=0.0, num_classes=2)
         with pytest.raises(DomainError):
             cls.dirichlet_transform(np.array([0, 3]), 0.01, num_classes=2)
         with pytest.raises(ShapeError):
-            cls.dirichlet_transform(np.zeros((2, 2)), 0.01)
+            cls.dirichlet_transform(np.zeros((2, 2)), 0.01, 2)
 
 
 class TestHeteroscedasticWhitening:
@@ -290,7 +288,7 @@ class TestPredictProba:
         variances[which][0] = np.nan
         with pytest.raises(DomainError):
             cls.DirichletClassifier(self.clf.feature_map, variances["sigma_f_sq"],
-                                    variances["sigma_xi_sq"], self.clf.caches, 2,
+                                    variances["sigma_xi_sq"], self.clf.caches,
                                     self.clf.alpha_eps)
 
 
@@ -400,6 +398,26 @@ class TestTemperature:
         with pytest.raises(DomainError):
             clf.with_temperature(0.0)
 
+    def test_with_temperature_changes_only_the_temperature(self):
+        rng = np.random.default_rng(82)
+        X = rng.standard_normal((30, 2))
+        labels = np.arange(30) % 3
+        fmap = ft.init_params([2, 4, 3], seed=19, rescale_to_unit=True)
+        fitted = build_classifier(labels, fmap, X, np.ones(3), np.full(3, 0.3),
+                                  alpha_eps=0.02)
+        clf = cls.DirichletClassifier(
+            fmap, fitted.sigma_f_sq, fitted.sigma_xi_sq, fitted.caches, 0.02,
+            train_inputs_stats={"target_mean": 0.0}, training_trace=[0.5, 0.4],
+            label_map={3.0: 0, 5.0: 1, 9.0: 2})
+        hot = clf.with_temperature(2.5)
+        assert hot.temperature == 2.5 and clf.temperature == 1.0
+        for name in ("feature_map", "sigma_f_sq", "sigma_xi_sq", "train_inputs_stats",
+                     "training_trace", "label_map"):
+            assert getattr(hot, name) is getattr(clf, name), name
+        assert len(hot.caches) == hot.num_classes == 3
+        assert all(a is b for a, b in zip(hot.caches, clf.caches))
+        assert hot.alpha_eps == clf.alpha_eps == 0.02
+
 
 def pinned_classifier():
     """A fixed 3-class classifier with a 90-row holdout."""
@@ -488,6 +506,13 @@ def test_label_outside_the_classes_raises(score, label):
     probs = np.array([[0.85, 0.15], [0.15, 0.85]])
     with pytest.raises(DomainError, match=r"labels must lie in \[0, 2\)"):
         score(probs, np.array([0, label]))
+
+
+@pytest.mark.parametrize("score", [cls.multinomial_nll, cls.compute_ece])
+@pytest.mark.parametrize("probs", [np.array([0.4, 0.6]), np.full((2, 2, 3), 0.5)])
+def test_probabilities_must_be_one_row_per_label(score, probs):
+    with pytest.raises(ShapeError, match="one probability row per label"):
+        score(probs, np.array([0, 1]))
 
 
 class TestPersistence:

@@ -188,6 +188,14 @@ class TestPrepare:
         assert ds.split["test"].size == 25
         assert ds.split["recalibration"].size == 25
         assert ds.split["train"].size == 50
+        # on 10 rows (test, recalibration, train); a block asked for no
+        # rows stays empty and the other takes the held-out budget
+        for test_n, recal_n, expected in [(5, 5, (2, 3, 5)), (0, 100, (0, 5, 5)),
+                                          (100, 0, (5, 0, 5))]:
+            with pytest.warns(UserWarning, match="shrinking"):
+                ds = dt.prepare(random_raw(10), seed=0, test_n=test_n, recal_n=recal_n)
+            sizes = tuple(ds.split[k].size for k in ("test", "recalibration", "train"))
+            assert sizes == expected
 
     def test_too_few_rows_raise(self):
         with pytest.raises(DomainError):
@@ -234,8 +242,8 @@ class TestSynthGpSample:
         b = dt.synth_gp_sample(sp.RbfKernel(0.5), 64, 2, noise_sd=0.1, seed=5)
         np.testing.assert_array_equal(a.X, b.X)
         np.testing.assert_array_equal(a.targets, b.targets)
-        assert a.split["train"].size == 64
-        assert a.split["test"].size == 0
+        assert isinstance(a, dt.RawTable) and a.task == "regression"
+        assert a.X.shape == (64, 2) and a.targets.shape == (64,)
         assert a.X.min() >= 0.0 and a.X.max() <= 1.0
 
     def test_marginal_variance_matches_kernel(self):

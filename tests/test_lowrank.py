@@ -67,11 +67,12 @@ class TestGramAccumulator:
         # different batch boundaries agree to tight relative tolerance
         rng = np.random.default_rng(3)
         phi = rng.standard_normal((64, 4))
+        y = rng.standard_normal(64)
         grams = []
         for size in (1, 5, 16, 64):
             acc = lr.GramAccumulator(4)
             for start in range(0, 64, size):
-                acc.add(phi[start:start + size])
+                acc.add(phi[start:start + size], y[start:start + size])
             grams.append(acc.gram)
         for gram in grams[1:]:
             np.testing.assert_allclose(gram, grams[0], rtol=1e-9)
@@ -79,7 +80,7 @@ class TestGramAccumulator:
     def test_rejects_wrong_width(self):
         acc = lr.GramAccumulator(3)
         with pytest.raises(ShapeError):
-            acc.add(np.zeros((4, 2)))
+            acc.add(np.zeros((4, 2)), np.zeros(4))
 
 
 class TestProductFeatures:

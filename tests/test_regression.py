@@ -359,6 +359,18 @@ class TestRecalibrate:
         np.testing.assert_allclose(after.variance, alpha * before.variance,
                                    rtol=1e-12)
 
+    def test_changes_only_the_variances(self):
+        flat = self.build_flat_model()
+        stats, trace = {"target_mean": 0.5, "target_std": 2.0}, [1.2, 0.9]
+        model = reg.GpModel(flat.feature_map, np.float64(1.0), np.float64(1.0),
+                            flat.decomp, train_inputs_stats=stats, training_trace=trace)
+        recal = reg.recalibrate(model, np.array([[1.0], [2.0]]), np.array([3.0, 0.0]))
+        for name in ("feature_map", "decomp", "train_inputs_stats", "training_trace"):
+            assert getattr(recal, name) is getattr(model, name), name
+        assert float.hex(recal.gamma) == float.hex(model.gamma)
+        # the variances stay Python floats, which json writes as plain numbers
+        assert type(recal.sigma_f_sq) is float and type(recal.sigma_xi_sq) is float
+
     def test_empty_calibration_raises(self):
         model = self.build_flat_model()
         with pytest.raises(DomainError):
