@@ -13,7 +13,9 @@ of the regression module's engine.  The per-point noise breaks the
 single-noise Woodbury form, so rows of the feature matrix and targets
 are divided by the per-point noise standard deviation, which restores a
 unit-noise low-rank problem; this whitening is checked against a dense
-heteroscedastic oracle in the tests.
+heteroscedastic oracle in the tests.  Training forms the same whitened
+Grams from one Gram per label group, since a row's surrogate noise
+depends only on its label.
 
 Class probabilities come from Monte-Carlo sampling of the per-class
 latent posteriors pushed through a temperature-scaled softmax; the

@@ -132,16 +132,28 @@ def _classifier_fields(doc, p):
     if _read(doc, "num_classes") != len(per_class):
         raise DataError(f"num_classes is {doc['num_classes']}, but per_class "
                         f"holds {len(per_class)} classes")
-    label_map = doc.get("label_map")
     return {
         "sigma_f_sq": np.array([_read(entry, "sigma_f_sq") for entry in per_class]),
         "sigma_xi_sq": np.array([_read(entry, "sigma_xi_sq") for entry in per_class]),
         "caches": [_read_decomposition(entry["cache"], p) for entry in per_class],
         "alpha_eps": _read(doc["surrogate_noise_policy"], "alpha_eps"),
         "temperature": _read(doc, "temperature"),
-        "label_map": (None if label_map is None else
-                      {float(k): int(_read(label_map, k)) for k in label_map}),
+        "label_map": _read_label_map(doc.get("label_map"), len(per_class)),
     }
+
+
+def _read_label_map(doc, num_classes):
+    """The raw label to class index map, or None; each index must be a
+    distinct integer in [0, num_classes), so no two raw labels share a class."""
+    if doc is None:
+        return None
+    label_map = {float(k): _read(doc, k) for k in doc}
+    indices = list(label_map.values())
+    if (any(i != int(i) or not 0 <= i < num_classes for i in indices)
+            or len(set(indices)) != len(indices)):
+        raise DataError(f"label_map values must be distinct class indices in "
+                        f"[0, {num_classes}), got {indices}")
+    return {k: int(i) for k, i in label_map.items()}
 
 
 # per task: the document of a model, and its constructor's fields from one

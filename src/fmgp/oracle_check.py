@@ -109,7 +109,9 @@ def _random_instance(rng, max_n, max_p, force_wide=False):
 
 def _mll_at(phi, y, sigma_xi_sq, extra_noise=None):
     # the training MLL for K = Phi Phi^T + diag(extra_noise + sigma_xi_sq)
-    return reg.gaussian_mll_parts(phi, y, 0.0, np.log(sigma_xi_sq), extra_noise)[0]
+    return reg.gaussian_mll_parts(
+        phi, y[:, None], [0.0], [np.log(sigma_xi_sq)],
+        None if extra_noise is None else extra_noise[:, None])[0]
 
 
 def check_woodbury(num_instances=100, seed=0):

@@ -30,7 +30,7 @@ from .errors import (ConfigError, DataError, DomainError, NumericError, ShapeErr
                      TrainingError)
 
 LOG_2PI = float(np.log(2.0 * np.pi))
-DECOMP_BATCH_ROWS = 8192
+DECOMP_BATCH_ROWS = 2048
 
 
 class PredictiveDistribution:
@@ -109,71 +109,114 @@ class FitConfig:
             raise ConfigError(f"iterations must be nonnegative, got {self.iterations}")
 
 
-def gaussian_mll_parts(phi_hat, y, log_sigma_f_sq, log_sigma_xi_sq, extra_noise=None,
+def gaussian_mll_parts(phi_hat, Y, log_sigma_f_sq, log_sigma_xi_sq, extra_noise=None,
                        work=None):
-    """MLL and exact gradients for K = c * Phi Phi^T + diag(s^2).
+    """Summed MLL and exact gradients of C regressions on one feature matrix.
 
-    Here c = exp(log_sigma_f_sq) and s_i^2 = extra_noise_i +
-    exp(log_sigma_xi_sq); extra_noise = None means the homoscedastic
-    case.  Internally the rows of Phi and y are divided by s_i, turning
-    the problem into a unit-noise low-rank one whose eigendecomposition
-    gives value and gradients in O(n p^2).
+    Column c of Y (n, C) has K_c = c_c Phi Phi^T + diag(s_c^2), where
+    c_c = exp(log_sigma_f_sq[c]) and s_ic^2 = extra_noise[i, c] +
+    exp(log_sigma_xi_sq[c]); extra_noise = None means the homoscedastic
+    case.  Each run of consecutive rows with equal noise rows is one
+    group k with weights w_kc = 1 / s_kc^2, so the whitened Gram of
+    column c is sum_k w_kc Phi_k^T Phi_k: the n x p work is done once
+    for all columns, and each column's eigendecomposition gives its value
+    and gradients in p x p algebra.  Any per-point noise is exact, but a
+    group costs a p x p Gram, so rows sorted by noise row (as train sorts
+    them) keep a C-class call to at most C groups.
 
-    Returns (mll, d_phi, d_log_sigma_f_sq, d_log_sigma_xi_sq) where d_phi
-    is the gradient of the MLL in the feature matrix, ready to feed the
-    feature map's reverse mode.  With a features.Workspace the (n, p)
+    Returns (mll, d_phi, d_log_sigma_f_sq, d_log_sigma_xi_sq): the MLL
+    summed over the columns, its gradient in the feature matrix, ready to
+    feed the feature map's reverse mode, and the (C,) gradients in the
+    log-variances.  With a features.Workspace the (n, p) and (n, C)
     arrays are its buffers, and d_phi is valid only until its next use.
     """
-    phi_hat = np.asarray(phi_hat, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n, p = phi_hat.shape
-    if y.shape != (n,):
-        raise ShapeError(f"targets have shape {y.shape}, expected ({n},)")
+    phi = np.asarray(phi_hat, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
+    n, p = phi.shape
+    if Y.ndim != 2 or Y.shape[0] != n:
+        raise ShapeError(f"targets have shape {Y.shape}, expected ({n}, C)")
+    num_outputs = Y.shape[1]
+    log_sf2 = np.asarray(log_sigma_f_sq, dtype=np.float64)
+    log_sxi2 = np.asarray(log_sigma_xi_sq, dtype=np.float64)
+    if log_sf2.shape != (num_outputs,) or log_sxi2.shape != (num_outputs,):
+        raise ShapeError(f"need one pair of log-variances per target column, "
+                         f"got shapes {log_sf2.shape} and {log_sxi2.shape}")
     if n < 1:
         raise DomainError("need at least one data point")
-    c = float(np.exp(log_sigma_f_sq))
-    sxi2 = float(np.exp(log_sigma_xi_sq))
+    c = np.exp(log_sf2)
+    sxi2 = np.exp(log_sxi2)
     if extra_noise is None:
-        s2 = np.full(n, sxi2)
+        starts = np.zeros(1, dtype=np.intp)
+        s2 = sxi2[None, :]
     else:
         extra_noise = np.asarray(extra_noise, dtype=np.float64)
-        if extra_noise.shape != (n,):
-            raise ShapeError("extra noise must be one value per data point")
+        if extra_noise.shape != (n, num_outputs):
+            raise ShapeError("extra noise must be one value per data point and column")
         if np.any(extra_noise < 0):
             raise DomainError("extra noise variances must be nonnegative")
-        s2 = extra_noise + sxi2
-    s = np.sqrt(s2)
+        change = np.any(extra_noise[1:] != extra_noise[:-1], axis=1)
+        starts = np.concatenate(([0], np.flatnonzero(change) + 1))
+        s2 = extra_noise[starts] + sxi2
+    stops = np.append(starts[1:], n)
+    groups = list(zip(starts, stops))
+    sizes = stops - starts
+    wts = 1.0 / s2
     work = ft.Workspace() if work is None else work
-    phi_w = np.divide(phi_hat, s[:, None], out=work.buffer("phi_w", (n, p)))
-    y_w = y / s
+    grams = np.stack([phi[lo:hi].T @ phi[lo:hi] for lo, hi in groups]).reshape(-1, p * p)
+    class_grams = (wts.T @ grams).reshape(num_outputs, p, p)
+    wy = work.buffer(("mll", "wy"), (n, num_outputs))
+    for k, (lo, hi) in enumerate(groups):
+        np.multiply(Y[lo:hi], wts[k], out=wy[lo:hi])
+    phi_t_wy = phi.T @ wy
+    y_quad = np.einsum("ic,ic->c", wy, Y)
+    noise_logdet = sizes @ np.log(s2)
 
-    decomp = lr.decompose(phi_w.T @ phi_w, phi_w.T @ y_w, n)
-    u, lam, w = decomp.u, decomp.lam, decomp.proj_targets
-    denom = c * lam + 1.0
+    # per column, with M = U diag(1 / denom) U^T and b = U (w / denom),
+    # (I + c Phi_w Phi_w^T)^-1 = I - c Phi_w M Phi_w^T and K^-1 y is
+    # W (y - c Phi b), so every gradient term is a p x p or (n, p) product
+    b_all = np.empty((p, num_outputs))
+    m_all = np.empty((num_outputs, p, p))
+    d_sf = np.empty(num_outputs)
+    total = 0.0
+    for j in range(num_outputs):
+        decomp = lr.decompose(class_grams[j], phi_t_wy[:, j], n)
+        u, lam, w = decomp.u, decomp.lam, decomp.proj_targets
+        denom = c[j] * lam + 1.0
+        quad = float(y_quad[j] - np.sum(c[j] * w * w / denom))
+        logdet = float(noise_logdet[j] + np.sum(np.log(denom)))
+        value = -0.5 * quad - 0.5 * logdet - 0.5 * n * LOG_2PI
+        if not np.isfinite(value):
+            raise NumericError(
+                f"marginal log-likelihood is not finite "
+                f"(log sigma_f_sq={float(log_sf2[j]):.6g}, "
+                f"log sigma_xi_sq={float(log_sxi2[j]):.6g})")
+        total += value
+        b = b_all[:, j] = u @ (w / denom)
+        m_all[j] = (u / denom) @ u.T
+        d_sf[j] = 0.5 * c[j] * (float(b @ b) - float(np.sum(lam / denom)))
 
-    quad = float(y_w @ y_w - np.sum(c * w * w / denom))
-    logdet = float(np.sum(np.log(s2)) + np.sum(np.log(denom)))
-    value = -0.5 * quad - 0.5 * logdet - 0.5 * n * LOG_2PI
-    if not np.isfinite(value):
-        raise NumericError(
-            f"marginal log-likelihood is not finite "
-            f"(log sigma_f_sq={float(log_sigma_f_sq):.6g}, "
-            f"log sigma_xi_sq={float(log_sigma_xi_sq):.6g})")
-
-    # with M = U diag(1 / denom) U^T, (I + c Phi_w Phi_w^T)^-1 = I - c Phi_w M
-    # Phi_w^T, so every gradient term is an (n, p) by (p, p) product
-    b = u @ (w / denom)
-    pm = np.matmul(phi_w, (u / denom) @ u.T, out=work.buffer("pm", (n, p)))
-    a_w = y_w - phi_w @ (c * b)
-    d_log_sf2 = 0.5 * c * (float(b @ b) - float(np.sum(lam / denom)))
-    a_norm_sq = float(np.sum(a_w * a_w / s2))
-    tr_kinv = float(np.sum(1.0 / s2) - c * np.sum(np.einsum("ij,ij->i", pm, phi_w) / s2))
-    d_log_sxi2 = 0.5 * sxi2 * (a_norm_sq - tr_kinv)
-    c_over_s = c / s
-    d_phi = np.outer(a_w * c_over_s, b, out=work.buffer("d_phi", (n, p)))
-    pm *= c_over_s[:, None]
-    d_phi -= pm
-    return value, d_phi, d_log_sf2, d_log_sxi2
+    # wy's buffer becomes the residual R = Y - c (Phi B), then W R = K^-1 y,
+    # then c W R, the rows' weights on B in d_phi
+    resid = np.matmul(phi, b_all, out=wy)
+    resid *= c
+    np.subtract(Y, resid, out=resid)
+    for k, (lo, hi) in enumerate(groups):
+        resid[lo:hi] *= wts[k]
+    alpha_sq = np.einsum("ic,ic->c", resid, resid)
+    resid *= c
+    m_flat = m_all.reshape(num_outputs, p * p)
+    # tr(K^-1) = sum_k n_k w_kc - c sum_k w_kc^2 tr(M_c G_k)
+    tr_m_g = m_flat @ grams.T
+    tr_kinv = sizes @ wts - c * np.einsum("kc,ck->c", wts * wts, tr_m_g)
+    d_sx = 0.5 * sxi2 * (alpha_sq - tr_kinv)
+    # d_phi = c W R B^T - Phi_k N_k per group, N_k = sum_c c_c w_kc M_c
+    d_phi = np.matmul(resid, b_all.T, out=work.buffer(("mll", "d_phi"), (n, p)))
+    weighted_m = ((wts * c) @ m_flat).reshape(-1, p, p)
+    phi_n = work.buffer(("mll", "phi_n"), (n, p))
+    for k, (lo, hi) in enumerate(groups):
+        np.matmul(phi[lo:hi], weighted_m[k], out=phi_n[lo:hi])
+    d_phi -= phi_n
+    return total, d_phi, d_sf, d_sx
 
 
 def mll(feature_map, log_sigma_f_sq, log_sigma_xi_sq, X, y, extra_noise=None):
@@ -187,7 +230,8 @@ def mll(feature_map, log_sigma_f_sq, log_sigma_xi_sq, X, y, extra_noise=None):
     value = _summed_mll(
         feature_map, np.atleast_1d(log_sigma_f_sq), np.atleast_1d(log_sigma_xi_sq),
         np.asarray(X), np.asarray(y)[:, None],
-        None if extra_noise is None else np.asarray(extra_noise)[:, None], slice(None), grads)
+        None if extra_noise is None else np.asarray(extra_noise)[:, None],
+        np.arange(len(X)), grads)
     return value, grads[:-2], float(grads[-2]), float(grads[-1])
 
 
@@ -217,25 +261,22 @@ def training_rows(dataset):
 
 def _summed_mll(feature_map, log_sf2, log_sxi2, X, Y, extra_noise, rows, grads,
                 work=None):
-    """The MLL summed over the C columns of Y on the selected rows.  Its
-    gradient fills grads: the map's, then the (2, C) log-variances.  The
-    step's arrays are buffers of work, a features.Workspace (a new one
-    when None)."""
+    """The MLL summed over the C columns of Y on the selected rows, in
+    one gaussian_mll_parts call.  Its gradient fills grads: the map's,
+    then the (2, C) log-variances.  The step's arrays are buffers of
+    work, a features.Workspace (a new one when None)."""
     work = ft.Workspace() if work is None else work
+    num_outputs = Y.shape[1]
+    shape = (rows.size, num_outputs)
     phi, vjp = ft.pullback(feature_map, X[rows], work=work)
-    total = 0.0
-    # 0.0 + x is exact, so summing into zeros matches starting from the
-    # first class's gradient
-    d_phi = work.buffer("d_phi_sum", phi.shape)
-    d_phi.fill(0.0)
-    d_sf, d_sx = grads[-2 * Y.shape[1]:].reshape(2, Y.shape[1])
-    for c in range(Y.shape[1]):
-        value, dp, d_sf[c], d_sx[c] = gaussian_mll_parts(
-            phi, Y[rows, c], log_sf2[c], log_sxi2[c],
-            None if extra_noise is None else extra_noise[rows, c], work=work)
-        total += value
-        d_phi += dp
-    vjp(d_phi, grads[:-2 * Y.shape[1]])
+    # rows index the training rows by construction, so clip never acts;
+    # it spares take the temporary that its default mode makes
+    y_rows = np.take(Y, rows, axis=0, mode="clip", out=work.buffer(("rows", "y"), shape))
+    noise_rows = None if extra_noise is None else np.take(
+        extra_noise, rows, axis=0, mode="clip", out=work.buffer(("rows", "noise"), shape))
+    total, d_phi, grads[-2 * num_outputs:-num_outputs], grads[-num_outputs:] = \
+        gaussian_mll_parts(phi, y_rows, log_sf2, log_sxi2, noise_rows, work=work)
+    vjp(d_phi, grads[:-2 * num_outputs])
     return total
 
 
@@ -262,6 +303,11 @@ def train(feature_map, X, Y, extra_noise, config):
 
     rng = np.random.default_rng(config.seed)
     subsets = make_subsets(n, config.num_subsets, config.subset_size, rng)
+    if extra_noise is not None:
+        # rows with equal noise rows next to each other, so that each step
+        # has one run per distinct noise row: with Dirichlet noise, one per
+        # class present in the subset
+        subsets = [idx[np.lexsort(extra_noise[idx].T)] for idx in subsets]
 
     # a copy of the map's parameters, then the (2, C) log-variances
     theta = np.concatenate([feature_map.params,

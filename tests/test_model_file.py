@@ -5,6 +5,7 @@ The files in tests/data were written by tests/data/make_legacy_models.py
 with the fmgp of commit 61fdecb, beside its predictions on inputs.npy.
 """
 
+import json
 import os
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 from fmgp import classification as cls
 from fmgp import regression as reg
+from fmgp.errors import DataError
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 NAMES = ["regression_mlp", "regression_product", "regression_additive",
@@ -51,3 +53,17 @@ def test_classifier_keeps_label_map_and_temperature():
     clf, _, _ = load("classifier_3class")
     assert clf.label_map == {3.0: 0, 5.0: 1, 9.0: 2}
     assert clf.temperature != 1.0
+
+
+@pytest.mark.parametrize("label_map", [{"3.0": 0.7, "5.0": 0.2, "9.0": 2},
+                                       {"3.0": 0, "5.0": 0, "9.0": 2},
+                                       {"3.0": 0, "5.0": 1, "9.0": 3}])
+def test_classifier_label_map_must_hold_distinct_class_indices(label_map, tmp_path):
+    # an edited copy: fractional, repeated or out-of-range class indices
+    with open(os.path.join(DATA, "classifier_3class.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["label_map"] = label_map
+    path = tmp_path / "classifier.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(DataError, match="label_map"):
+        cls.load_classifier(path)

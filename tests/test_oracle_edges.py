@@ -142,7 +142,9 @@ def assert_mll_gradients_match_dense(phi, y, c, sxi2, extra=None):
     cho = scipy.linalg.cho_factor(k, lower=True)
     alpha = oc._refined_cho_solve(cho, k, y)
     k_inv = oc._refined_cho_solve(cho, k, np.eye(n))
-    _, d_phi, d_sf, d_sx = reg.gaussian_mll_parts(phi, y, np.log(c), np.log(sxi2), extra)
+    _, d_phi, (d_sf,), (d_sx,) = reg.gaussian_mll_parts(
+        phi, y[:, None], [np.log(c)], [np.log(sxi2)],
+        None if extra is None else extra[:, None])
     phi_w = phi / np.sqrt(s2)[:, None]
     kappa = 1.0 + c * np.linalg.eigvalsh(phi_w.T @ phi_w)[-1]
     tol = BOUND * EPS * kappa

@@ -40,8 +40,8 @@ class TestMllValues:
         # Phi = 0 leaves only the noise: -(1/2)(y^T y / s2 + n log s2 + n log 2pi)
         y = np.array([1.0, -2.0, 0.5])
         s2 = 0.3
-        value = reg.gaussian_mll_parts(np.zeros((3, 2)), y, np.log(1.0),
-                                       np.log(s2))[0]
+        value = reg.gaussian_mll_parts(np.zeros((3, 2)), y[:, None], [np.log(1.0)],
+                                       [np.log(s2)])[0]
         expected = -0.5 * (y @ y / s2 + 3 * np.log(s2) + 3 * LOG_2PI)
         np.testing.assert_allclose(value, expected, rtol=1e-12)
 
@@ -50,7 +50,7 @@ class TestMllValues:
         # data fit -(1/2)(2/3), log det -(1/2) log 3
         phi = np.ones((2, 1))
         y = np.array([1.0, 0.0])
-        value = reg.gaussian_mll_parts(phi, y, np.log(1.0), np.log(1.0))[0]
+        value = reg.gaussian_mll_parts(phi, y[:, None], [np.log(1.0)], [np.log(1.0)])[0]
         expected = -0.5 * (2.0 / 3.0) - 0.5 * np.log(3.0) - LOG_2PI
         np.testing.assert_allclose(value, expected, rtol=1e-12)
 
@@ -63,7 +63,7 @@ class TestMllValues:
             y = rng.standard_normal(n)
             sf2 = float(np.exp(rng.uniform(-1, 1)))
             sx2 = float(np.exp(rng.uniform(np.log(1e-3), np.log(4.0))))
-            got = reg.gaussian_mll_parts(phi, y, np.log(sf2), np.log(sx2))[0]
+            got = reg.gaussian_mll_parts(phi, y[:, None], [np.log(sf2)], [np.log(sx2)])[0]
             np.testing.assert_allclose(got, dense_mll(phi, y, sf2, sx2),
                                        rtol=1e-9, atol=1e-9)
 
@@ -77,14 +77,14 @@ class TestMllValues:
             extra = rng.uniform(0.05, 2.0, size=n)
             sf2 = float(np.exp(rng.uniform(-1, 1)))
             sx2 = float(np.exp(rng.uniform(np.log(1e-3), np.log(4.0))))
-            got = reg.gaussian_mll_parts(phi, y, np.log(sf2), np.log(sx2),
-                                         extra_noise=extra)[0]
+            got = reg.gaussian_mll_parts(phi, y[:, None], [np.log(sf2)], [np.log(sx2)],
+                                         extra_noise=extra[:, None])[0]
             np.testing.assert_allclose(got, dense_mll(phi, y, sf2, extra + sx2),
                                        rtol=1e-9, atol=1e-9)
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeError):
-            reg.gaussian_mll_parts(np.zeros((3, 2)), np.zeros(4), 0.0, 0.0)
+            reg.gaussian_mll_parts(np.zeros((3, 2)), np.zeros((4, 1)), [0.0], [0.0])
 
 
 class TestMllGradients:
@@ -121,8 +121,8 @@ class TestMllGradients:
         assert worst <= 1e-4
 
     def test_signal_gradient_zero_at_zero_features(self):
-        _, d_phi, d_sf, _ = reg.gaussian_mll_parts(np.zeros((4, 3)),
-                                                   np.ones(4), 0.0, np.log(0.5))
+        _, d_phi, (d_sf,), _ = reg.gaussian_mll_parts(np.zeros((4, 3)), np.ones((4, 1)),
+                                                      [0.0], [np.log(0.5)])
         np.testing.assert_array_equal(d_phi, np.zeros((4, 3)))
         assert d_sf == 0.0
 
