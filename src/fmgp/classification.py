@@ -9,13 +9,11 @@ targets: with concentration alpha_{i,c} = alpha_eps + 1{label_i = c},
 Each class is then an independent GP regression on one shared feature
 map, with per-point noise sigma_tilde_sq_{i,c} plus a learned per-class
 noise variance; training, caches and posterior are the C-column calls
-of the regression module's engine.  The per-point noise breaks the
-single-noise Woodbury form, so rows of the feature matrix and targets
-are divided by the per-point noise standard deviation, which restores a
-unit-noise low-rank problem; this whitening is checked against a dense
-heteroscedastic oracle in the tests.  Training forms the same whitened
-Grams from one Gram per label group, since a row's surrogate noise
-depends only on its label.
+of the regression module's engine.  Weighting each row by its inverse
+noise restores a unit-noise low-rank problem (checked against a dense
+heteroscedastic oracle in the tests).  A row's surrogate noise depends
+only on its label, so training and the caches alike form these whitened
+Grams from one Gram per label group.
 
 Class probabilities come from Monte-Carlo sampling of the per-class
 latent posteriors pushed through a temperature-scaled softmax; the

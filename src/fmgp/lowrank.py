@@ -2,8 +2,9 @@
 
 With features Phi (n x p, p << n) the noisy kernel matrix is
 K = Phi Phi^T + sigma_xi_sq I.  This module streams the p x p Gram
-Phi^T Phi over row batches and eigendecomposes it as U Lambda U^T; the
-regression module's likelihood and posterior read log-determinants,
+Phi^T Phi over row batches, whitened by any per-point noise from one
+Gram per run of equal noise rows, and eigendecomposes it as U Lambda U^T;
+the regression module's likelihood and posterior read log-determinants,
 quadratic forms and predictive moments of K from U and Lambda in
 O(n p^2) instead of O(n^3).  With n < p at most n eigenvalues are
 nonzero, and the identities still hold.
@@ -44,31 +45,47 @@ class FeatureDecomposition:
         self.trace_phi_sq = float(trace_phi_sq)
 
 
-class GramAccumulator:
-    """Streaming accumulator for Phi^T Phi and Phi^T y.
+def run_grams(phi, noise=None):
+    """Runs of consecutive rows with equal noise rows (n, C), and one Gram
+    each: run k is rows bounds[k]:bounds[k + 1], grams[k] its flattened
+    Phi_k^T Phi_k.  noise None is one run.  Returns (bounds, grams)."""
+    n, p = phi.shape
+    bounds = np.array([0, n])
+    if noise is not None:
+        change = np.any(noise[1:] != noise[:-1], axis=1)
+        bounds = np.concatenate(([0], np.flatnonzero(change) + 1, [n]))
+    grams = np.stack([phi[lo:hi].T @ phi[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])])
+    return bounds, grams.reshape(-1, p * p)
 
-    Batches are added in a fixed order; the sums are exact in that order,
-    which is what makes partitioning-invariance hold to rounding error.
+
+class GramAccumulator:
+    """Streaming accumulator for C whitened Grams and Phi^T (W o Y).
+
+    Row i weighs w_ic = 1 / noise[i, c] in column c (1.0 without noise):
+    gram[c] sums the training MLL's run Grams with those weights.  Batches
+    are added in a fixed order; the sums are exact in that order, which is
+    what makes partitioning-invariance hold to rounding error.
     """
 
-    def __init__(self, p):
+    def __init__(self, p, num_outputs):
         if p < 1:
             raise ShapeError("feature dimension must be >= 1")
         self.p = int(p)
-        self.gram = np.zeros((p, p))
-        self.phi_t_y = np.zeros(p)
-        self.n = 0
+        self.gram = np.zeros((num_outputs, p, p))
+        self.phi_t_y = np.zeros((p, num_outputs))
 
-    def add(self, phi_batch, y_batch):
+    def add(self, phi_batch, y_batch, noise=None):
         phi_batch = np.asarray(phi_batch, dtype=np.float64)
         if phi_batch.ndim != 2 or phi_batch.shape[1] != self.p:
             raise ShapeError(f"batch has shape {phi_batch.shape}, expected (*, {self.p})")
         y_batch = np.asarray(y_batch, dtype=np.float64)
-        if y_batch.shape != (phi_batch.shape[0],):
-            raise ShapeError("target batch length does not match feature batch")
-        self.gram += phi_batch.T @ phi_batch
-        self.phi_t_y += phi_batch.T @ y_batch
-        self.n += phi_batch.shape[0]
+        shape = (phi_batch.shape[0], self.phi_t_y.shape[1])
+        if y_batch.shape != shape or (noise is not None and noise.shape != shape):
+            raise ShapeError(f"targets and noise must have shape {shape}")
+        bounds, grams = run_grams(phi_batch, noise)
+        wts = np.ones((1, shape[1])) if noise is None else 1.0 / noise[bounds[:-1]]
+        self.gram += (wts.T @ grams).reshape(self.gram.shape)
+        self.phi_t_y += phi_batch.T @ (y_batch * np.repeat(wts, np.diff(bounds), axis=0))
         return self
 
 
@@ -76,12 +93,17 @@ def decompose(gram, phi_t_y, n):
     """Eigendecompose a p x p Gram into a FeatureDecomposition.
 
     Eigenvalues come back descending with tiny negatives clamped to zero.
-    Asymmetry beyond tolerance, or negatives too large to be rounding
-    noise, raise a numeric error.
+    A non-finite entry, asymmetry beyond tolerance, or negatives too
+    large to be rounding noise raise a numeric error.
     """
     gram = np.asarray(gram, dtype=np.float64)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
         raise ShapeError(f"gram must be square, got shape {gram.shape}")
+    phi_t_y = np.asarray(phi_t_y, dtype=np.float64)
+    if phi_t_y.shape != (gram.shape[0],):
+        raise ShapeError("Phi^T y length does not match gram size")
+    if not (np.isfinite(gram).all() and np.isfinite(phi_t_y).all()):
+        raise NumericError("gram or Phi^T y is not finite")
     scale = max(1.0, float(np.abs(gram).max()) if gram.size else 1.0)
     asym = float(np.abs(gram - gram.T).max()) if gram.size else 0.0
     if asym > 1e-10 * scale:
@@ -97,9 +119,6 @@ def decompose(gram, phi_t_y, n):
     if lam.size and lam[-1] < -REJECT_TOL * lam_scale:
         raise NumericError(f"gram is not PSD: min eigenvalue {lam[-1]:.3e}")
     lam = np.maximum(lam, 0.0)
-    phi_t_y = np.asarray(phi_t_y, dtype=np.float64)
-    if phi_t_y.shape != (gram.shape[0],):
-        raise ShapeError("Phi^T y length does not match gram size")
     return FeatureDecomposition(u, lam, u.T @ phi_t_y, n, np.trace(gram))
 
 

@@ -145,24 +145,18 @@ def gaussian_mll_parts(phi_hat, Y, log_sigma_f_sq, log_sigma_xi_sq, extra_noise=
         raise DomainError("need at least one data point")
     c = np.exp(log_sf2)
     sxi2 = np.exp(log_sxi2)
-    if extra_noise is None:
-        starts = np.zeros(1, dtype=np.intp)
-        s2 = sxi2[None, :]
-    else:
+    if extra_noise is not None:
         extra_noise = np.asarray(extra_noise, dtype=np.float64)
         if extra_noise.shape != (n, num_outputs):
             raise ShapeError("extra noise must be one value per data point and column")
         if np.any(extra_noise < 0):
             raise DomainError("extra noise variances must be nonnegative")
-        change = np.any(extra_noise[1:] != extra_noise[:-1], axis=1)
-        starts = np.concatenate(([0], np.flatnonzero(change) + 1))
-        s2 = extra_noise[starts] + sxi2
-    stops = np.append(starts[1:], n)
-    groups = list(zip(starts, stops))
-    sizes = stops - starts
+    bounds, grams = lr.run_grams(phi, extra_noise)
+    groups = list(zip(bounds[:-1], bounds[1:]))
+    sizes = np.diff(bounds)
+    s2 = sxi2[None, :] if extra_noise is None else extra_noise[bounds[:-1]] + sxi2
     wts = 1.0 / s2
     work = ft.Workspace() if work is None else work
-    grams = np.stack([phi[lo:hi].T @ phi[lo:hi] for lo, hi in groups]).reshape(-1, p * p)
     class_grams = (wts.T @ grams).reshape(num_outputs, p, p)
     wy = work.buffer(("mll", "wy"), (n, num_outputs))
     for k, (lo, hi) in enumerate(groups):
@@ -341,22 +335,21 @@ def train(feature_map, X, Y, extra_noise, config):
 def build_caches(feature_map, X, Y, noise_var=None):
     """One decomposition per column of Y (n, C), from one feature pass.
 
-    With per-point noise variances noise_var (n, C), column c's rows of
-    Phi and Y are divided by sqrt(noise_var[:, c]): the whitened,
-    unit-noise form of a heteroscedastic regression.
+    With per-point noise variances noise_var (n, C), column c's cache is
+    the whitened, unit-noise form of a heteroscedastic regression, summed
+    from the run Grams that training uses: each batch is stable-sorted by
+    noise row, as train sorts its subsets, so it has one run per distinct
+    noise row.
     """
     n = X.shape[0]
-    accs = [lr.GramAccumulator(feature_map.output_dim) for _ in range(Y.shape[1])]
+    acc = lr.GramAccumulator(feature_map.output_dim, Y.shape[1])
     for start in range(0, n, DECOMP_BATCH_ROWS):
-        stop = min(start + DECOMP_BATCH_ROWS, n)
-        phi_b = ft.forward(feature_map, X[start:stop])
-        for c, acc in enumerate(accs):
-            if noise_var is None:
-                acc.add(phi_b, Y[start:stop, c])
-            else:
-                s = np.sqrt(noise_var[start:stop, c])
-                acc.add(phi_b / s[:, None], Y[start:stop, c] / s)
-    return [lr.decompose(acc.gram, acc.phi_t_y, n) for acc in accs]
+        rows = slice(start, start + DECOMP_BATCH_ROWS)
+        if noise_var is not None:
+            rows = start + np.lexsort(noise_var[rows].T)
+        acc.add(ft.forward(feature_map, X[rows]), Y[rows],
+                None if noise_var is None else noise_var[rows])
+    return [lr.decompose(acc.gram[c], acc.phi_t_y[:, c], n) for c in range(Y.shape[1])]
 
 
 def build_decomposition(feature_map, X, y):

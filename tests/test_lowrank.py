@@ -47,6 +47,15 @@ class TestDecompose:
         with pytest.raises(NumericError):
             lr.decompose(np.array([[-1.0]]), np.zeros(1), n=2)
 
+    @pytest.mark.parametrize("gram, phi_t_y", [
+        (np.full((2, 2), np.nan), np.zeros(2)),
+        (np.array([[np.inf, 0.0], [0.0, 1.0]]), np.zeros(2)),
+        (np.eye(2), np.array([np.nan, 1.0])),
+    ])
+    def test_rejects_non_finite(self, gram, phi_t_y):
+        with pytest.raises(NumericError):
+            lr.decompose(gram, phi_t_y, n=3)
+
     def test_rejects_non_square(self):
         with pytest.raises(ShapeError):
             lr.decompose(np.zeros((2, 3)), np.zeros(3), n=4)
@@ -56,31 +65,54 @@ class TestGramAccumulator:
     def test_matches_single_shot(self):
         rng = np.random.default_rng(2)
         phi = rng.standard_normal((30, 5))
-        y = rng.standard_normal(30)
-        acc = lr.GramAccumulator(5)
+        y = rng.standard_normal((30, 1))
+        acc = lr.GramAccumulator(5, 1)
         for start in range(0, 30, 7):
             acc.add(phi[start:start + 7], y[start:start + 7])
-        np.testing.assert_allclose(acc.gram, phi.T @ phi, atol=1e-12)
+        np.testing.assert_allclose(acc.gram[0], phi.T @ phi, atol=1e-12)
         np.testing.assert_allclose(acc.phi_t_y, phi.T @ y, atol=1e-12)
 
     def test_partition_invariance(self):
         # different batch boundaries agree to tight relative tolerance
         rng = np.random.default_rng(3)
         phi = rng.standard_normal((64, 4))
-        y = rng.standard_normal(64)
+        y = rng.standard_normal((64, 1))
         grams = []
         for size in (1, 5, 16, 64):
-            acc = lr.GramAccumulator(4)
+            acc = lr.GramAccumulator(4, 1)
             for start in range(0, 64, size):
                 acc.add(phi[start:start + size], y[start:start + size])
             grams.append(acc.gram)
         for gram in grams[1:]:
             np.testing.assert_allclose(gram, grams[0], rtol=1e-9)
 
+    def test_noisy_columns_match_whitened_rows(self):
+        # shuffled label-style noise, so batches hold many short runs; the
+        # reference divides rows by the noise standard deviation
+        rng = np.random.default_rng(4)
+        n, p, num_classes = 64, 5, 3
+        phi = rng.standard_normal((n, p))
+        y = rng.standard_normal((n, num_classes))
+        noise = rng.uniform(0.1, 2.0, size=(num_classes, num_classes))[
+            rng.integers(num_classes, size=n)]
+        for size in (1, 7, 16, 64):
+            acc = lr.GramAccumulator(p, num_classes)
+            for start in range(0, n, size):
+                rows = slice(start, start + size)
+                acc.add(phi[rows], y[rows], noise[rows])
+            for c in range(num_classes):
+                s = np.sqrt(noise[:, c])
+                phi_w = phi / s[:, None]
+                gram, phi_t_y = phi_w.T @ phi_w, phi_w.T @ (y[:, c] / s)
+                np.testing.assert_allclose(acc.gram[c], gram, rtol=0,
+                                           atol=1e-12 * np.abs(gram).max())
+                np.testing.assert_allclose(acc.phi_t_y[:, c], phi_t_y, rtol=0,
+                                           atol=1e-12 * np.abs(phi_t_y).max())
+
     def test_rejects_wrong_width(self):
-        acc = lr.GramAccumulator(3)
+        acc = lr.GramAccumulator(3, 1)
         with pytest.raises(ShapeError):
-            acc.add(np.zeros((4, 2)), np.zeros(4))
+            acc.add(np.zeros((4, 2)), np.zeros((4, 1)))
 
 
 class TestProductFeatures:
