@@ -1,5 +1,6 @@
 """Tests for Dirichlet-surrogate GP classification and calibration."""
 
+import os
 import threading
 import tracemalloc
 import warnings
@@ -449,8 +450,38 @@ def pinned_classifier():
     return clf, X[60:], labels[60:]
 
 
-# recorded before the decoder moved to class-major blocks; the search
-# must keep scoring exactly the same draws
+PINNED_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                           "classifier_pinned.json")
+
+
+# recorded before the caches shared training's run Grams, on the caches
+# that tests/data/classifier_pinned.json keeps from then: with the caches
+# held fixed, the decoder and the search must keep scoring exactly the
+# same draws
+@pytest.mark.parametrize("seed, num_samples, expected", [
+    (0, 1024, "0x1.243efd2ba1bffp+0"),
+    (5, 100, "0x1.24ec102ea468dp+0"),
+    (2, 7, "0x1.315fa863b672ap+0"),
+    (9, 33, "0x1.2142de045ca69p+0"),
+    (11, 64, "0x1.26ca997d6039cp+0"),
+])
+def test_fitted_temperature_is_pinned(seed, num_samples, expected):
+    _, X_hold, y_hold = pinned_classifier()
+    clf = cls.load_classifier(PINNED_FILE)
+    t = cls.fit_temperature(clf, X_hold, y_hold, num_samples=num_samples, seed=seed)
+    assert float.hex(t) == expected
+
+
+def test_pinned_file_holds_the_pinned_classifier():
+    clf, _, _ = pinned_classifier()
+    stored = cls.load_classifier(PINNED_FILE)
+    assert np.array_equal(stored.feature_map.params, clf.feature_map.params)
+    for a, b in zip(stored.caches, clf.caches):
+        np.testing.assert_allclose(a.lam, b.lam, rtol=1e-13)
+        np.testing.assert_allclose(a.proj_targets, b.proj_targets, rtol=1e-12, atol=1e-12)
+
+
+# the same pins on caches built from the run Grams
 @pytest.mark.parametrize("seed, num_samples, expected", [
     (0, 1024, "0x1.243efd2be5f4cp+0"),
     (5, 100, "0x1.24ec102e81096p+0"),
@@ -458,7 +489,7 @@ def pinned_classifier():
     (9, 33, "0x1.2142de0428697p+0"),
     (11, 64, "0x1.26ca997e033ebp+0"),
 ])
-def test_fitted_temperature_is_pinned(seed, num_samples, expected):
+def test_fitted_temperature_on_built_caches_is_pinned(seed, num_samples, expected):
     clf, X_hold, y_hold = pinned_classifier()
     t = cls.fit_temperature(clf, X_hold, y_hold, num_samples=num_samples, seed=seed)
     assert float.hex(t) == expected
