@@ -86,8 +86,9 @@ class DirichletClassifier:
         self.feature_map = feature_map
         self.sigma_f_sq = np.asarray(sigma_f_sq, dtype=np.float64)
         self.sigma_xi_sq = np.asarray(sigma_xi_sq, dtype=np.float64)
-        if not (np.all(self.sigma_f_sq > 0) and np.all(self.sigma_xi_sq > 0)):
-            raise DomainError("per-class variances must be positive")
+        variances = (self.sigma_f_sq, self.sigma_xi_sq)
+        if not all(np.all(np.isfinite(v) & (v > 0)) for v in variances):
+            raise DomainError("per-class variances must be finite and positive")
         if not temperature > 0:
             raise DomainError(f"temperature must be positive, got {temperature}")
         self.caches = list(caches)

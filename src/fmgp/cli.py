@@ -32,6 +32,8 @@ from .errors import (ConfigError, DataError, DomainError, FmgpError, NumericErro
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+# numpy's ValueErrors for an array beyond the address space, raised before allocating
+_SIZE_ERRORS = ("Maximum allowed dimension exceeded", "array is too big")
 
 _THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
@@ -452,9 +454,12 @@ def _run(argv):
         elif args.command == "spectral":
             cmd_spectral(config, out_dir)
         return 0
-    except FmgpError as exc:
-        payload = {"error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(payload), file=sys.stderr)
+    except (FmgpError, MemoryError, ValueError) as exc:
+        if isinstance(exc, ValueError) and not str(exc).startswith(_SIZE_ERRORS):
+            raise
+        if not isinstance(exc, FmgpError):
+            exc = ConfigError(f"a configured size cannot be allocated: {exc}")
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         if isinstance(exc, (ConfigError, ShapeError, DomainError)):
             return EXIT_CONFIG
         if isinstance(exc, DataError):

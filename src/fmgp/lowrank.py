@@ -32,7 +32,7 @@ class FeatureDecomposition:
     lam : (p,) nonnegative eigenvalues, descending
     proj_targets : (p,) vector U^T Phi^T y
     n : training count the Gram was accumulated over
-    trace_phi_sq : sum of squares of Phi entries (diagnostics)
+    trace_phi_sq : trace of the decomposed Gram (whitened for a classifier)
 
     Immutable after construction; all downstream solves only read it.
     """
@@ -45,15 +45,13 @@ class FeatureDecomposition:
         self.trace_phi_sq = float(trace_phi_sq)
 
 
-def run_grams(phi, noise=None):
+def run_grams(phi, noise):
     """Runs of consecutive rows with equal noise rows (n, C), and one Gram
     each: run k is rows bounds[k]:bounds[k + 1], grams[k] its flattened
-    Phi_k^T Phi_k.  noise None is one run.  Returns (bounds, grams)."""
+    Phi_k^T Phi_k; constant noise is one run.  Returns (bounds, grams)."""
     n, p = phi.shape
-    bounds = np.array([0, n])
-    if noise is not None:
-        change = np.any(noise[1:] != noise[:-1], axis=1)
-        bounds = np.concatenate(([0], np.flatnonzero(change) + 1, [n]))
+    change = np.any(noise[1:] != noise[:-1], axis=1)
+    bounds = np.concatenate(([0], np.flatnonzero(change) + 1, [n]))
     grams = np.stack([phi[lo:hi].T @ phi[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])])
     return bounds, grams.reshape(-1, p * p)
 
@@ -61,10 +59,11 @@ def run_grams(phi, noise=None):
 class GramAccumulator:
     """Streaming accumulator for C whitened Grams and Phi^T (W o Y).
 
-    Row i weighs w_ic = 1 / noise[i, c] in column c (1.0 without noise):
-    gram[c] sums the training MLL's run Grams with those weights.  Batches
-    are added in a fixed order; the sums are exact in that order, which is
-    what makes partitioning-invariance hold to rounding error.
+    Row i weighs w_ic = 1 / noise[i, c] in column c (None: unit noise,
+    weights 1.0): gram[c] sums the training MLL's run Grams with those
+    weights.  Batches are added in a fixed order; the sums are exact in
+    that order, which is what makes partitioning-invariance hold to
+    rounding error.
     """
 
     def __init__(self, p, num_outputs):
@@ -75,15 +74,16 @@ class GramAccumulator:
         self.phi_t_y = np.zeros((p, num_outputs))
 
     def add(self, phi_batch, y_batch, noise=None):
+        y_batch = np.asarray(y_batch, dtype=np.float64)
+        noise = np.broadcast_to(1.0, y_batch.shape) if noise is None else noise
         phi_batch = np.asarray(phi_batch, dtype=np.float64)
         if phi_batch.ndim != 2 or phi_batch.shape[1] != self.p:
             raise ShapeError(f"batch has shape {phi_batch.shape}, expected (*, {self.p})")
-        y_batch = np.asarray(y_batch, dtype=np.float64)
         shape = (phi_batch.shape[0], self.phi_t_y.shape[1])
-        if y_batch.shape != shape or (noise is not None and noise.shape != shape):
+        if y_batch.shape != shape or noise.shape != shape:
             raise ShapeError(f"targets and noise must have shape {shape}")
         bounds, grams = run_grams(phi_batch, noise)
-        wts = np.ones((1, shape[1])) if noise is None else 1.0 / noise[bounds[:-1]]
+        wts = 1.0 / noise[bounds[:-1]]
         self.gram += (wts.T @ grams).reshape(self.gram.shape)
         self.phi_t_y += phi_batch.T @ (y_batch * np.repeat(wts, np.diff(bounds), axis=0))
         return self

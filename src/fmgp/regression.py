@@ -9,9 +9,9 @@ Prediction runs through a cached eigendecomposition of the feature Gram,
 so its cost does not grow with the training-set size.
 
 train, build_caches and posterior serve C target columns on one shared
-map: regression is their one-output, homoscedastic call, Dirichlet
-classification their C-class, heteroscedastic one.  save_model and
-load_model go through model_file.
+map: regression is their one-output call with zero extra noise (and unit-
+noise caches), Dirichlet classification their C-class, heteroscedastic
+one.  save_model and load_model go through model_file.
 
 The dense Cholesky oracle that checks every identity used here lives
 in oracle_check.
@@ -19,6 +19,7 @@ in oracle_check.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,8 +84,8 @@ class GpModel:
 class FitConfig:
     """Training settings; defaults follow the reference protocol
     (two 512-wide hidden layers, 64 features, 200 Adam iterations over
-    4 subsets of at most 20000 points).  A value out of range is a
-    ConfigError at construction."""
+    4 subsets of at most 20000 points).  A non-integer count, width or
+    seed, or a value out of range, is a ConfigError at construction."""
     hidden_widths: tuple = (512, 512)
     output_dim: int = 64
     normalization: str = "layer_norm"
@@ -99,14 +100,16 @@ class FitConfig:
     init_sigma_xi_sq: float = 0.1
 
     def __post_init__(self):
-        for name in ("output_dim", "num_subsets", "subset_size", "learning_rate",
-                     "init_sigma_f_sq", "init_sigma_xi_sq"):
+        ints = [(name, getattr(self, name), 1)
+                for name in ("output_dim", "num_subsets", "subset_size")]
+        ints += [("iterations", self.iterations, 0), ("seed", self.seed, 0)]
+        # numbers.Integral holds Python's and numpy's integers, not 3.0
+        for name, value, low in ints + [("hidden_widths", w, 1) for w in self.hidden_widths]:
+            if not (isinstance(value, numbers.Integral) and value >= low):
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+        for name in ("learning_rate", "init_sigma_f_sq", "init_sigma_xi_sq"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if not all(w > 0 for w in self.hidden_widths):
-            raise ConfigError(f"hidden widths must be positive, got {self.hidden_widths}")
-        if not self.iterations >= 0:
-            raise ConfigError(f"iterations must be nonnegative, got {self.iterations}")
 
 
 def gaussian_mll_parts(phi_hat, Y, log_sigma_f_sq, log_sigma_xi_sq, extra_noise=None,
@@ -115,9 +118,9 @@ def gaussian_mll_parts(phi_hat, Y, log_sigma_f_sq, log_sigma_xi_sq, extra_noise=
 
     Column c of Y (n, C) has K_c = c_c Phi Phi^T + diag(s_c^2), where
     c_c = exp(log_sigma_f_sq[c]) and s_ic^2 = extra_noise[i, c] +
-    exp(log_sigma_xi_sq[c]); extra_noise = None means the homoscedastic
-    case.  Each run of consecutive rows with equal noise rows is one
-    group k with weights w_kc = 1 / s_kc^2, so the whitened Gram of
+    exp(log_sigma_xi_sq[c]); extra_noise = None means zero extra noise.
+    Each run of consecutive rows with equal noise rows is one group k
+    with weights w_kc = 1 / s_kc^2, so the whitened Gram of
     column c is sum_k w_kc Phi_k^T Phi_k: the n x p work is done once
     for all columns, and each column's eigendecomposition gives its value
     and gradients in p x p algebra.  Any per-point noise is exact, but a
@@ -145,16 +148,16 @@ def gaussian_mll_parts(phi_hat, Y, log_sigma_f_sq, log_sigma_xi_sq, extra_noise=
         raise DomainError("need at least one data point")
     c = np.exp(log_sf2)
     sxi2 = np.exp(log_sxi2)
-    if extra_noise is not None:
-        extra_noise = np.asarray(extra_noise, dtype=np.float64)
-        if extra_noise.shape != (n, num_outputs):
-            raise ShapeError("extra noise must be one value per data point and column")
-        if np.any(extra_noise < 0):
-            raise DomainError("extra noise variances must be nonnegative")
+    extra_noise = np.asarray(np.broadcast_to(0.0, Y.shape) if extra_noise is None
+                             else extra_noise, dtype=np.float64)
+    if extra_noise.shape != (n, num_outputs):
+        raise ShapeError("extra noise must be one value per data point and column")
+    if np.any(extra_noise < 0):
+        raise DomainError("extra noise variances must be nonnegative")
     bounds, grams = lr.run_grams(phi, extra_noise)
     groups = list(zip(bounds[:-1], bounds[1:]))
     sizes = np.diff(bounds)
-    s2 = sxi2[None, :] if extra_noise is None else extra_noise[bounds[:-1]] + sxi2
+    s2 = extra_noise[bounds[:-1]] + sxi2
     wts = 1.0 / s2
     work = ft.Workspace() if work is None else work
     class_grams = (wts.T @ grams).reshape(num_outputs, p, p)
@@ -224,8 +227,7 @@ def mll(feature_map, log_sigma_f_sq, log_sigma_xi_sq, X, y, extra_noise=None):
     value = _summed_mll(
         feature_map, np.atleast_1d(log_sigma_f_sq), np.atleast_1d(log_sigma_xi_sq),
         np.asarray(X), np.asarray(y)[:, None],
-        None if extra_noise is None else np.asarray(extra_noise)[:, None],
-        np.arange(len(X)), grads)
+        None if extra_noise is None else np.asarray(extra_noise)[:, None], grads)
     return value, grads[:-2], float(grads[-2]), float(grads[-1])
 
 
@@ -253,23 +255,16 @@ def training_rows(dataset):
             np.asarray(dataset.targets)[train_idx])
 
 
-def _summed_mll(feature_map, log_sf2, log_sxi2, X, Y, extra_noise, rows, grads,
-                work=None):
-    """The MLL summed over the C columns of Y on the selected rows, in
-    one gaussian_mll_parts call.  Its gradient fills grads: the map's,
-    then the (2, C) log-variances.  The step's arrays are buffers of
-    work, a features.Workspace (a new one when None)."""
+def _summed_mll(feature_map, log_sf2, log_sxi2, X, Y, extra_noise, grads, work=None):
+    """The MLL of the C columns of Y (n, C) at the rows X with extra noise
+    (n, C), in one gaussian_mll_parts call.  Its gradient fills grads: the
+    map's, then the (2, C) log-variances.  The step's (n, p) arrays are
+    buffers of work, a features.Workspace (a new one when None)."""
     work = ft.Workspace() if work is None else work
     num_outputs = Y.shape[1]
-    shape = (rows.size, num_outputs)
-    phi, vjp = ft.pullback(feature_map, X[rows], work=work)
-    # rows index the training rows by construction, so clip never acts;
-    # it spares take the temporary that its default mode makes
-    y_rows = np.take(Y, rows, axis=0, mode="clip", out=work.buffer(("rows", "y"), shape))
-    noise_rows = None if extra_noise is None else np.take(
-        extra_noise, rows, axis=0, mode="clip", out=work.buffer(("rows", "noise"), shape))
+    phi, vjp = ft.pullback(feature_map, X, work=work)
     total, d_phi, grads[-2 * num_outputs:-num_outputs], grads[-num_outputs:] = \
-        gaussian_mll_parts(phi, y_rows, log_sf2, log_sxi2, noise_rows, work=work)
+        gaussian_mll_parts(phi, Y, log_sf2, log_sxi2, extra_noise, work=work)
     vjp(d_phi, grads[:-2 * num_outputs])
     return total
 
@@ -278,7 +273,7 @@ def train(feature_map, X, Y, extra_noise, config):
     """Adam on the summed MLL of the C target columns of Y (n, C).
 
     Column c is a GP regression on the shared feature map with its own
-    two variances and per-point noise extra_noise[:, c] (None: none) on
+    two variances and per-point noise extra_noise[:, c] (None: zero) on
     top of the learned one; regression is the C = 1 call.  Iterations
     cycle through the configured subsets; the loss is the negative MLL
     per point and column.  A prebuilt feature map overrides the config's
@@ -297,11 +292,11 @@ def train(feature_map, X, Y, extra_noise, config):
 
     rng = np.random.default_rng(config.seed)
     subsets = make_subsets(n, config.num_subsets, config.subset_size, rng)
-    if extra_noise is not None:
-        # rows with equal noise rows next to each other, so that each step
-        # has one run per distinct noise row: with Dirichlet noise, one per
-        # class present in the subset
-        subsets = [idx[np.lexsort(extra_noise[idx].T)] for idx in subsets]
+    extra_noise = np.broadcast_to(0.0, Y.shape) if extra_noise is None else extra_noise
+    # rows with equal noise rows next to each other, so that each step has
+    # one run per distinct noise row (one per class present, with Dirichlet
+    # noise); the sort is stable, so zero noise keeps the subsets' order
+    subsets = [idx[np.lexsort(extra_noise[idx].T)] for idx in subsets]
 
     # a copy of the map's parameters, then the (2, C) log-variances
     theta = np.concatenate([feature_map.params,
@@ -317,8 +312,8 @@ def train(feature_map, X, Y, extra_noise, config):
     for t in range(config.iterations):
         idx = subsets[t % config.num_subsets]
         try:
-            total = _summed_mll(feature_map, log_sf2, log_sxi2, X, Y, extra_noise, idx,
-                                grads, work=work)
+            total = _summed_mll(feature_map, log_sf2, log_sxi2, X[idx], Y[idx],
+                                extra_noise[idx], grads, work=work)
         except NumericError as exc:
             raise TrainingError(f"training diverged at iteration {t}: {exc}",
                                 iteration=t) from exc
@@ -339,16 +334,14 @@ def build_caches(feature_map, X, Y, noise_var=None):
     the whitened, unit-noise form of a heteroscedastic regression, summed
     from the run Grams that training uses: each batch is stable-sorted by
     noise row, as train sorts its subsets, so it has one run per distinct
-    noise row.
+    noise row.  None is unit noise: a regression's cache, gamma its ratio.
     """
     n = X.shape[0]
+    noise_var = np.broadcast_to(1.0, Y.shape) if noise_var is None else noise_var
     acc = lr.GramAccumulator(feature_map.output_dim, Y.shape[1])
     for start in range(0, n, DECOMP_BATCH_ROWS):
-        rows = slice(start, start + DECOMP_BATCH_ROWS)
-        if noise_var is not None:
-            rows = start + np.lexsort(noise_var[rows].T)
-        acc.add(ft.forward(feature_map, X[rows]), Y[rows],
-                None if noise_var is None else noise_var[rows])
+        rows = start + np.lexsort(noise_var[start:start + DECOMP_BATCH_ROWS].T)
+        acc.add(ft.forward(feature_map, X[rows]), Y[rows], noise_var[rows])
     return [lr.decompose(acc.gram[c], acc.phi_t_y[:, c], n) for c in range(Y.shape[1])]
 
 

@@ -302,14 +302,16 @@ class TestPredictProba:
 
     @pytest.mark.parametrize("which", ["sigma_f_sq", "sigma_xi_sq"])
     def test_nan_class_variance_rejected(self, which):
-        # NaN fails every comparison, so only "all positive" catches it
-        variances = {"sigma_f_sq": np.array([1.0, 1.0]),
-                     "sigma_xi_sq": np.array([0.3, 0.3])}
-        variances[which][0] = np.nan
-        with pytest.raises(DomainError):
-            cls.DirichletClassifier(self.clf.feature_map, variances["sigma_f_sq"],
-                                    variances["sigma_xi_sq"], self.clf.caches,
-                                    self.clf.alpha_eps)
+        # NaN fails every comparison, so only "all positive" catches it;
+        # an infinite variance would decode to NaN probabilities
+        for bad in (np.nan, np.inf):
+            variances = {"sigma_f_sq": np.array([1.0, 1.0]),
+                         "sigma_xi_sq": np.array([0.3, 0.3])}
+            variances[which][0] = bad
+            with pytest.raises(DomainError):
+                cls.DirichletClassifier(self.clf.feature_map, variances["sigma_f_sq"],
+                                        variances["sigma_xi_sq"], self.clf.caches,
+                                        self.clf.alpha_eps)
 
 
 class TestTemperature:

@@ -165,6 +165,13 @@ BAD_INPUTS = [
                  id="num_samples_zero"),
     pytest.param("classification", {"ece_bins": 0}, cli.EXIT_CONFIG,
                  id="ece_bins_zero"),
+    # a size beyond the address space, which numpy refuses before allocating
+    pytest.param("architecture.hidden_widths", [10 ** 30], cli.EXIT_CONFIG,
+                 id="hidden_width_beyond_address_space"),
+    pytest.param("classification.num_samples", 10 ** 30, cli.EXIT_CONFIG,
+                 id="num_samples_beyond_max_dimension"),
+    pytest.param("classification.num_samples", 2 ** 62, cli.EXIT_CONFIG,
+                 id="num_samples_array_too_big"),
     # unreadable input (the config file's bytes when key_path is None)
     pytest.param(None, b'{"task": ', cli.EXIT_CONFIG, id="malformed_json"),
     pytest.param(None, b"\xff\xfe{}", cli.EXIT_CONFIG, id="non_utf8_config"),
@@ -304,7 +311,9 @@ class TestConfigErrors:
             (tmp_path / "config.json").write_bytes(value)
             config = str(tmp_path / "config.json")
         else:
-            doc = (spectral_doc if command == "spectral" else regression_doc)(tmp_path)
+            doc = (spectral_doc if command == "spectral"
+                   else classification_doc if key_path.startswith("classification.")
+                   else regression_doc)(tmp_path)
             *outer, last = key_path.split(".")
             block = doc
             for key in outer:
@@ -317,6 +326,17 @@ class TestConfigErrors:
         lines = err.strip().splitlines()
         assert len(lines) == 1
         assert set(json.loads(lines[0])) == {"error", "message"}
+
+    def test_memory_error_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        def exhausted(config, out_dir):
+            raise MemoryError("Unable to allocate 8.00 EiB for an array")
+
+        monkeypatch.setattr(cli, "cmd_train", exhausted)
+        config = write_config(tmp_path, regression_doc(tmp_path))
+        assert cli.main(["train", "--config", config]) == cli.EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert "cannot be allocated" in err["message"]
 
     def test_negative_seed_flag(self, capsys):
         assert cli.main(["oracle-check", "--seed", "-1"]) == cli.EXIT_CONFIG

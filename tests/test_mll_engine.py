@@ -180,7 +180,7 @@ def test_regression_subsets_keep_their_order(monkeypatch):
     run = reg._summed_mll
 
     def recorded(*args, **kwargs):
-        seen.append(args[6].copy())
+        seen.append(args[3].copy())
         return run(*args, **kwargs)
 
     monkeypatch.setattr(reg, "_summed_mll", recorded)
@@ -192,4 +192,4 @@ def test_regression_subsets_keep_their_order(monkeypatch):
     subsets = reg.make_subsets(90, 3, 40, np.random.default_rng(2))
     assert len(seen) == 5
     for t, rows in enumerate(seen):
-        np.testing.assert_array_equal(rows, subsets[t % 3])
+        np.testing.assert_array_equal(rows, X[subsets[t % 3]])

@@ -8,7 +8,7 @@ from fmgp import features as ft
 from fmgp import lowrank as lr
 from fmgp import oracle_check as oc
 from fmgp import regression as reg
-from fmgp.errors import (DataError, DomainError, NumericError, ShapeError,
+from fmgp.errors import (ConfigError, DataError, DomainError, NumericError, ShapeError,
                          TrainingError)
 
 LOG_2PI = np.log(2.0 * np.pi)
@@ -148,6 +148,18 @@ class TestFitting:
         np.testing.assert_allclose(model.sigma_xi_sq, 0.1)
         pred = reg.predict(model, ds.X[:5])
         assert np.all(np.isfinite(pred.mean))
+
+    @pytest.mark.parametrize("field, value", [
+        ("iterations", 2.5), ("num_subsets", 1.5), ("subset_size", 50.5),
+        ("seed", -1), ("seed", 1.5), ("output_dim", 4.5), ("output_dim", 3.0),
+        ("hidden_widths", (8.5,))], ids=str)
+    def test_config_refuses_non_integer_counts(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            self.small_config(**{field: value})
+        # a numpy integer is an integer
+        good = (np.int64(3),) if field == "hidden_widths" else np.int64(3)
+        model = reg.fit(self.make_dataset(), self.small_config(**{"iterations": 3, field: good}))
+        assert len(model.training_trace) == 3
 
     def test_loss_trace_length_and_progress(self):
         ds = self.make_dataset()
