@@ -13,6 +13,8 @@ differences in the test suite.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import lowrank as lr
@@ -74,6 +76,14 @@ class FeatureMap:
             raise ConfigError(f"unknown normalization {normalization!r}")
         self.normalization = normalization
         self.rescale_to_unit = bool(rescale_to_unit)
+        # per layer, the (start, stop, shape) of each parameter in params
+        self._layout, stop = [], 0
+        for shapes in _layer_shapes(self.widths, normalization):
+            self._layout.append([])
+            for shape in shapes:
+                start, stop = stop, stop + math.prod(shape)
+                self._layout[-1].append((start, stop, shape))
+        self._size = stop
         self.params = np.asarray(params, dtype=np.float64)
         self.layers = self._views(self.params)
 
@@ -87,12 +97,10 @@ class FeatureMap:
 
     def _views(self, vector):
         """Per-layer views of a vector in the layout of params."""
-        shapes = _layer_shapes(self.widths, self.normalization)
-        sizes = [np.prod(shape) for layer in shapes for shape in layer]
-        if vector.shape != (sum(sizes),):
-            raise ShapeError(f"expected {sum(sizes)} parameters, got shape {vector.shape}")
-        pieces = iter(np.split(vector, np.cumsum(sizes)[:-1]))
-        return [[next(pieces).reshape(shape) for shape in layer] for layer in shapes]
+        if vector.shape != (self._size,):
+            raise ShapeError(f"expected {self._size} parameters, got shape {vector.shape}")
+        return [[vector[start:stop].reshape(shape) for start, stop, shape in layer]
+                for layer in self._layout]
 
     def replace_params(self, params):
         """The same architecture on the parameter vector params, not copied."""
@@ -219,9 +227,10 @@ class Workspace:
     under key, and allocates a new one only when that array has fewer rows
     or another row shape; created counts those allocations.  The forward
     pass keys what it keeps by the component map that keeps it, so the
-    two components of a pair keep theirs apart.  Its scratch is keyed by
-    width alone and shared: two buffers per width ("slot", used in turn)
-    and one bool ReLU mask, since the components run one after the other.
+    two components of a pair keep theirs apart: one (n, width) array per
+    hidden layer and the features.  Its scratch is keyed by width alone
+    and shared: two buffers per width ("slot", used in turn) and one bool
+    ReLU mask, since the components run one after the other.
     """
 
     def __init__(self):
@@ -236,17 +245,29 @@ class Workspace:
         return array[:shape[0]]
 
 
-def _forward_with_cache(fmap, inputs, keep=True, work=None):
-    """Check parameters and inputs, then run the map, keeping every
-    intermediate needed for reverse mode unless keep is false.
+def _ln_relu(xhat, gain, offset, out):
+    """max(xhat * gain + offset, 0), a normalized layer's ReLU output, into
+    out (which may be xhat).  The forward pass and its reverse mode both
+    call it, so the output reverse mode recomputes is the forward one bit
+    for bit."""
+    np.multiply(xhat, gain, out=out)
+    out += offset
+    return np.maximum(out, 0.0, out=out)
 
-    cache["act"][l] is the input of layer l (the inputs, then each hidden
-    ReLU output); cache["ln"][l] is (xhat, inv_sd) of a layer-normalized
-    hidden layer, else None.  Every array is a buffer of work (a new
-    Workspace when None), and each layer works in place on its product.
-    The features and what keep keeps belong to fmap; without keep, layer
-    l writes its product into slot l % 2 of its width, so it never
-    overwrites its input, and uses the other slot as its temporary.
+
+def _forward_with_cache(fmap, inputs, keep=True, work=None):
+    """Check parameters and inputs, then run the map, keeping what reverse
+    mode needs unless keep is false: one (n, width) array per hidden layer.
+
+    cache["act"][l] is the input of layer l: the inputs, the ReLU output
+    of an unnormalized hidden layer, or None after a layer-normalized one,
+    whose output reverse mode recomputes with _ln_relu from
+    cache["ln"][l - 1] = (xhat, inv_sd); cache["ln"][l] is None on an
+    unnormalized layer.  Every array is a buffer of work (a new Workspace
+    when None), and each layer works in place on its product.  The
+    features and what keep keeps belong to fmap.  A hidden layer's output
+    that is not kept goes into slot l % 2 of its width, so it never
+    overwrites the layer's input, and the other slot is its temporary.
     """
     _check_finite_params(fmap)
     h = inputs = _check_inputs(fmap, inputs)
@@ -256,33 +277,32 @@ def _forward_with_cache(fmap, inputs, keep=True, work=None):
     last = len(fmap.layers) - 1
     for l, (weight, bias, *ln) in enumerate(fmap.layers):
         shape = (n, weight.shape[1])
+        slot = ("slot", shape[1], l % 2)
         if l == last:
-            out = work.buffer((fmap, "phi"), shape)
+            key = (fmap, "phi")
+        elif keep:
+            key = (fmap, "xhat" if ln else "act", l)
         else:
-            out = work.buffer((fmap, "act", l) if keep else ("slot", shape[1], l % 2), shape)
-        h = np.matmul(h, weight, out=out)
+            key = slot
+        h = np.matmul(h, weight, out=work.buffer(key, shape))
         h += bias
-        if l < last:
-            if ln:
-                inv_sd = work.buffer((fmap, "inv_sd", l) if keep else ("col", 0), (n, 1))
-                tmp = work.buffer(("slot", shape[1], (l + 1) % 2), shape)
-                h -= np.mean(h, axis=1, keepdims=True, out=inv_sd)
-                np.mean(np.multiply(h, h, out=tmp), axis=1, keepdims=True, out=inv_sd)
-                inv_sd += LAYER_NORM_EPS
-                np.sqrt(inv_sd, out=inv_sd)
-                np.divide(1.0, inv_sd, out=inv_sd)
-                h *= inv_sd
-                if keep:
-                    xhat = work.buffer((fmap, "xhat", l), shape)
-                    np.copyto(xhat, h)
-                    cache["ln"].append((xhat, inv_sd))
-                h *= ln[0]
-                h += ln[1]
-            else:
-                cache["ln"].append(None)
-            np.maximum(h, 0.0, out=h)
-            if keep:
-                cache["act"].append(h)
+        if l == last:
+            break
+        if ln:
+            inv_sd = work.buffer((fmap, "inv_sd", l) if keep else ("col", 0), (n, 1))
+            tmp = work.buffer(("slot", shape[1], (l + 1) % 2), shape)
+            h -= np.mean(h, axis=1, keepdims=True, out=inv_sd)
+            np.mean(np.multiply(h, h, out=tmp), axis=1, keepdims=True, out=inv_sd)
+            inv_sd += LAYER_NORM_EPS
+            np.sqrt(inv_sd, out=inv_sd)
+            np.divide(1.0, inv_sd, out=inv_sd)
+            h *= inv_sd
+            cache["ln"].append((h, inv_sd))
+            cache["act"].append(None)
+            h = _ln_relu(h, ln[0], ln[1], out=work.buffer(slot, shape))
+        else:
+            cache["ln"].append(None)
+            cache["act"].append(np.maximum(h, 0.0, out=h))
     if not fmap.rescale_to_unit:
         return h, cache
     tmp = work.buffer(("slot", h.shape[1], (last + 1) % 2), h.shape)
@@ -296,19 +316,21 @@ def _forward_with_cache(fmap, inputs, keep=True, work=None):
     return h, cache
 
 
-def forward(fmap, inputs):
+def forward(fmap, inputs, work=None):
     """Map inputs (n, d) to features (n, p).
 
     Raises a numeric error naming the offending parameter and layer if any
     parameter is non-finite, and a shape error on dimension mismatch.
     Composite maps evaluate their components one after the other and
-    combine the features per their rule.
+    combine the features per their rule.  With a Workspace, a single
+    map's features are a buffer of work, valid only until its next use.
     """
     if isinstance(fmap, _FeatureMapPair):
-        return fmap.combine(forward(fmap.left, inputs), forward(fmap.right, inputs))
+        return fmap.combine(forward(fmap.left, inputs, work=work),
+                            forward(fmap.right, inputs, work=work))
     # kept intermediates double the working set, and freeing that much at once
     # lets the allocator return the pages to the OS, to fault in every call
-    return _forward_with_cache(fmap, inputs, keep=False)[0]
+    return _forward_with_cache(fmap, inputs, keep=False, work=work)[0]
 
 
 def pullback(fmap, inputs, work=None):
@@ -366,8 +388,7 @@ def pullback(fmap, inputs, work=None):
             weight, _, *ln = fmap.layers[l]
             d_weight, d_bias, *d_ln = grads[l]
             if l < last:
-                mask = work.buffer(("mask", g.shape[1]), g.shape, bool)
-                g *= np.greater(cache["act"][l + 1], 0.0, out=mask)
+                g *= mask
                 if ln:
                     xhat, inv_sd = cache["ln"][l]
                     tmp = work.buffer(("slot", g.shape[1], l % 2), g.shape)
@@ -379,12 +400,20 @@ def pullback(fmap, inputs, work=None):
                     g -= m1
                     g -= np.multiply(xhat, m2, out=tmp)
                     g *= inv_sd
-            np.matmul(cache["act"][l].T, g, out=d_weight)
+            act = cache["act"][l]
+            if l > 0:
+                # the slot that takes the input's cotangent holds the
+                # recomputed input of layer l until its mask is taken
+                slot = work.buffer(("slot", weight.shape[0], l % 2), (n, weight.shape[0]))
+                if act is None:
+                    _, _, gain, offset = fmap.layers[l - 1]
+                    act = _ln_relu(cache["ln"][l - 1][0], gain, offset, out=slot)
+                mask = np.greater(act, 0.0, out=work.buffer(("mask", slot.shape[1]),
+                                                            slot.shape, bool))
+            np.matmul(act.T, g, out=d_weight)
             np.sum(g, axis=0, out=d_bias)
             if l > 0:
-                g = np.matmul(g, weight.T,
-                              out=work.buffer(("slot", weight.shape[0], l % 2),
-                                              (n, weight.shape[0])))
+                g = np.matmul(g, weight.T, out=slot)
         return out
     return phi, vjp
 

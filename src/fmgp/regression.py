@@ -339,9 +339,11 @@ def build_caches(feature_map, X, Y, noise_var=None):
     n = X.shape[0]
     noise_var = np.broadcast_to(1.0, Y.shape) if noise_var is None else noise_var
     acc = lr.GramAccumulator(feature_map.output_dim, Y.shape[1])
+    # no batch is larger than the first, so its buffers serve them all
+    work = ft.Workspace()
     for start in range(0, n, DECOMP_BATCH_ROWS):
         rows = start + np.lexsort(noise_var[start:start + DECOMP_BATCH_ROWS].T)
-        acc.add(ft.forward(feature_map, X[rows]), Y[rows], noise_var[rows])
+        acc.add(ft.forward(feature_map, X[rows], work=work), Y[rows], noise_var[rows])
     return [lr.decompose(acc.gram[c], acc.phi_t_y[:, c], n) for c in range(Y.shape[1])]
 
 

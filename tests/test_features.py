@@ -127,8 +127,19 @@ class TestBackward:
     @pytest.mark.parametrize("normalization", ["none", "layer_norm"])
     @pytest.mark.parametrize("rescale", [False, True])
     def test_matches_finite_differences(self, normalization, rescale):
+        self.check_finite_differences([3, 5, 4], normalization, rescale)
+
+    # the default map's depth, with unequal widths: reverse mode recomputes
+    # a normalized layer's output that is the input of another hidden layer
+    @pytest.mark.parametrize("normalization", ["none", "layer_norm"])
+    @pytest.mark.parametrize("rescale", [False, True])
+    def test_matches_finite_differences_with_two_hidden_layers(self, normalization, rescale):
+        self.check_finite_differences([3, 5, 6, 4], normalization, rescale)
+
+    @staticmethod
+    def check_finite_differences(widths, normalization, rescale):
         rng = np.random.default_rng(11)
-        fmap = ft.init_params([3, 5, 4], seed=7, normalization=normalization,
+        fmap = ft.init_params(widths, seed=7, normalization=normalization,
                               rescale_to_unit=rescale)
         X = rng.standard_normal((9, 3))
         upstream = rng.standard_normal((9, 4))

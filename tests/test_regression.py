@@ -262,6 +262,50 @@ class TestFitting:
         assert seen[0][1] > 0
         assert [created for _, created in seen] == [seen[0][1]] * 5
 
+    def test_training_keeps_one_array_per_hidden_layer(self, monkeypatch):
+        # each 16-wide normalized hidden layer keeps its xhat, and reverse
+        # mode recomputes its ReLU output into one of the two 16-wide slots
+        seen = []
+        run = reg._summed_mll
+
+        def captured(*args, **kwargs):
+            seen.append(kwargs["work"])
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(reg, "_summed_mll", captured)
+        X = np.random.default_rng(0).standard_normal((60, 2))
+        reg.train(None, X, np.sin(X[:, :1]), None,
+                  self.small_config(hidden_widths=(16, 16), output_dim=4, iterations=3,
+                                    subset_size=50, num_subsets=2,
+                                    normalization="layer_norm"))
+        wide = [a for a in seen[-1]._arrays.values()
+                if a.dtype == np.float64 and a.shape[1:] == (16,)]
+        assert len(wide) == 4
+
+    @pytest.mark.parametrize("composite", [False, True])
+    def test_cache_batches_share_one_workspace(self, monkeypatch, composite):
+        # three batches, the last one shorter: only the first allocates
+        seen = []
+        run = ft.forward
+
+        def counted(fmap, inputs, **kwargs):
+            phi = run(fmap, inputs, **kwargs)
+            if fmap is top:
+                seen.append((kwargs["work"], kwargs["work"].created))
+            return phi
+
+        monkeypatch.setattr(ft, "forward", counted)
+        top = ft.init_params([1, 8, 4], seed=0, normalization="layer_norm",
+                             rescale_to_unit=True)
+        if composite:
+            top = ft.ProductFeatureMap(top, ft.init_params([1, 8, 3], seed=1))
+        X = np.random.default_rng(0).standard_normal((2 * reg.DECOMP_BATCH_ROWS + 100, 1))
+        reg.build_caches(top, X, np.sin(X))
+        assert len(seen) == 3
+        assert len({id(work) for work, _ in seen}) == 1
+        assert seen[0][1] > 0
+        assert [created for _, created in seen] == [seen[0][1]] * 3
+
     def test_make_subsets_wraparound(self):
         rng = np.random.default_rng(0)
         subsets = reg.make_subsets(10, 4, 4, rng)
