@@ -229,8 +229,9 @@ class Workspace:
     pass keys what it keeps by the component map that keeps it, so the
     two components of a pair keep theirs apart: one (n, width) array per
     hidden layer and the features.  Its scratch is keyed by width alone
-    and shared: two buffers per width ("slot", used in turn) and one bool
-    ReLU mask, since the components run one after the other.
+    and shared: two buffers per width ("slot", used in turn), one bool
+    ReLU mask and reverse mode's matvec column, since the components run
+    one after the other.
     """
 
     def __init__(self):
@@ -369,6 +370,10 @@ def pullback(fmap, inputs, work=None):
         grads = fmap._views(out)
         n = g.shape[0]
         m1, m2 = work.buffer(("col", 0), (n, 1)), work.buffer(("col", 1), (n, 1))
+        # row means and column sums as matvecs, which BLAS runs several
+        # times faster than a ufunc reduction over short rows
+        ones = work.buffer(("ones",), (n,))
+        ones.fill(1.0)
         # the cotangent of layer l's output sits in slot (l + 1) % 2 of its
         # width and the other slot is its temporary, so layer l can write
         # its input's cotangent into slot l % 2 without overwriting its own
@@ -378,7 +383,9 @@ def pullback(fmap, inputs, work=None):
             # unit = raw / |raw|; zero rows pass the map unchanged, so their
             # cotangent passes through unchanged too
             rows = work.buffer(("slot", g.shape[1], (last + 1) % 2), g.shape)
-            dot = np.sum(np.multiply(g, unit, out=rows), axis=1, keepdims=True, out=m1)
+            col = work.buffer(("matvec", g.shape[1]), (g.shape[1], 1))
+            col.fill(1.0)
+            dot = np.matmul(np.multiply(g, unit, out=rows), col, out=m1)
             np.subtract(g, np.multiply(dot, unit, out=rows), out=rows)
             rows /= safe
             np.copyto(rows, g, where=zero)
@@ -391,14 +398,18 @@ def pullback(fmap, inputs, work=None):
                 g *= mask
                 if ln:
                     xhat, inv_sd = cache["ln"][l]
-                    tmp = work.buffer(("slot", g.shape[1], l % 2), g.shape)
-                    np.sum(np.multiply(g, xhat, out=tmp), axis=0, out=d_ln[0])
-                    np.sum(g, axis=0, out=d_ln[1])
+                    g_xhat = np.multiply(g, xhat, out=work.buffer(
+                        ("slot", g.shape[1], l % 2), g.shape))
+                    np.matmul(ones, g_xhat, out=d_ln[0])
+                    np.matmul(ones, g, out=d_ln[1])
+                    # the row means of dxhat = g * gain and of dxhat * xhat
+                    col = work.buffer(("matvec", g.shape[1]), (g.shape[1], 1))
+                    np.divide(ln[0], g.shape[1], out=col[:, 0])
+                    np.matmul(g, col, out=m1)
+                    np.matmul(g_xhat, col, out=m2)
                     g *= ln[0]  # now dxhat
-                    np.mean(g, axis=1, keepdims=True, out=m1)
-                    np.mean(np.multiply(g, xhat, out=tmp), axis=1, keepdims=True, out=m2)
                     g -= m1
-                    g -= np.multiply(xhat, m2, out=tmp)
+                    g -= np.multiply(xhat, m2, out=g_xhat)
                     g *= inv_sd
             act = cache["act"][l]
             if l > 0:
@@ -411,7 +422,7 @@ def pullback(fmap, inputs, work=None):
                 mask = np.greater(act, 0.0, out=work.buffer(("mask", slot.shape[1]),
                                                             slot.shape, bool))
             np.matmul(act.T, g, out=d_weight)
-            np.sum(g, axis=0, out=d_bias)
+            np.matmul(ones, g, out=d_bias)
             if l > 0:
                 g = np.matmul(g, weight.T, out=slot)
         return out
