@@ -74,8 +74,7 @@ def main():
     # both factors rescale to unit norm, so the tail bound applies too
     X_spec = np.random.default_rng(11).uniform(size=(128, 2))
     g1, g2 = gram(left, X_spec), gram(right, X_spec)
-    upper = sp.hadamard_partial_sum_slack(g1, g2)
-    lower = sp.hadamard_tail_sum_slack(g1, g2)
+    upper, lower = sp.hadamard_slacks(g1, g2)
     print(f"\nmajorization slack on 128-point Grams (negative = violated):")
     print(f"  partial-sum upper bound: min slack {upper.min():+.2e}")
     print(f"  tail-sum lower bound:    min slack {lower.min():+.2e}")

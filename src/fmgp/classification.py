@@ -22,6 +22,7 @@ temperature is fitted on held-out data by multinomial log-likelihood.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -41,6 +42,12 @@ DEFAULT_ECE_BINS = 15
 # num_samples is, and keeps the per-block Python work small beside each
 # block's arithmetic
 _SAMPLE_BLOCK = 32
+
+
+def _check_count(name, value):
+    # numbers.Integral holds Python's and numpy's integers, not 2.0
+    if not (isinstance(value, numbers.Integral) and value >= 1):
+        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _check_labels(labels, num_classes):
@@ -86,9 +93,7 @@ class DirichletClassifier:
         self.feature_map = feature_map
         self.sigma_f_sq = np.asarray(sigma_f_sq, dtype=np.float64)
         self.sigma_xi_sq = np.asarray(sigma_xi_sq, dtype=np.float64)
-        variances = (self.sigma_f_sq, self.sigma_xi_sq)
-        if not all(np.all(np.isfinite(v) & (v > 0)) for v in variances):
-            raise DomainError("per-class variances must be finite and positive")
+        reg._check_positive(sigma_f_sq=self.sigma_f_sq, sigma_xi_sq=self.sigma_xi_sq)
         if not temperature > 0:
             raise DomainError(f"temperature must be positive, got {temperature}")
         self.caches = list(caches)
@@ -216,8 +221,7 @@ def predict_proba(clf, X_star, num_samples=DEFAULT_NUM_SAMPLES, seed=None,
     the draws are those of fit_temperature: with the same X, seed and
     num_samples, the probabilities at T are the ones its search scored.
     """
-    if num_samples < 1:
-        raise DomainError("need at least one sample")
+    _check_count("num_samples", num_samples)
     t = clf.temperature if temperature is None else float(temperature)
     if not t > 0:
         raise DomainError(f"temperature must be positive, got {t}")
@@ -303,8 +307,7 @@ def fit_temperature(clf, X_hold, y_hold, num_samples=DEFAULT_NUM_SAMPLES, seed=0
     predictions are unaffected by any positive T for each individual
     latent sample.
     """
-    if num_samples < 1:
-        raise DomainError("need at least one sample")
+    _check_count("num_samples", num_samples)
     y_hold = np.asarray(y_hold).astype(np.int64)
     if y_hold.size < 1:
         raise DomainError("holdout is empty")
@@ -358,25 +361,21 @@ def compute_ece(probs, labels, num_bins=DEFAULT_ECE_BINS):
         raise ShapeError("need one probability row per label")
     if probs.shape[0] == 0:
         raise DomainError("cannot compute calibration of an empty set")
-    if num_bins < 1:
-        raise DomainError("need at least one bin")
+    _check_count("num_bins", num_bins)
     _check_labels(labels, probs.shape[1])
     confidence = probs.max(axis=1)
     predicted = probs.argmax(axis=1)
     correct = (predicted == labels).astype(np.float64)
     idx = np.clip(np.ceil(confidence * num_bins).astype(np.int64) - 1, 0, num_bins - 1)
-    counts = np.zeros(num_bins)
-    conf_sum = np.zeros(num_bins)
-    acc_sum = np.zeros(num_bins)
-    np.add.at(counts, idx, 1.0)
-    np.add.at(conf_sum, idx, confidence)
-    np.add.at(acc_sum, idx, correct)
+    counts = np.bincount(idx, minlength=num_bins)
+    conf_sum = np.bincount(idx, confidence, minlength=num_bins)
+    acc_sum = np.bincount(idx, correct, minlength=num_bins)
     filled = counts > 0
     bin_conf = np.where(filled, conf_sum / np.maximum(counts, 1.0), 0.0)
     bin_acc = np.where(filled, acc_sum / np.maximum(counts, 1.0), 0.0)
     total = float(counts.sum())
     ece = float(np.sum(counts / total * np.abs(bin_acc - bin_conf)))
-    return CalibrationReport(ece, bin_conf, bin_acc, counts.astype(np.int64), num_bins)
+    return CalibrationReport(ece, bin_conf, bin_acc, counts, num_bins)
 
 
 def save_classifier(clf, path):

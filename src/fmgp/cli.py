@@ -235,15 +235,12 @@ def build_feature_map(config, input_dim):
         return None
     arch = config.fit
     dims = config.output_dims or [max(1, arch.output_dim // 2)] * 2
-    left = ft.init_params([input_dim, *arch.hidden_widths, int(dims[0])], arch.seed,
-                          normalization=arch.normalization,
-                          rescale_to_unit=arch.rescale_to_unit)
-    right = ft.init_params([input_dim, *arch.hidden_widths, int(dims[1])], arch.seed + 1,
+    maps = [ft.init_params([input_dim, *arch.hidden_widths, int(dims[i])], arch.seed + i,
                            normalization=arch.normalization,
-                           rescale_to_unit=arch.rescale_to_unit)
+                           rescale_to_unit=arch.rescale_to_unit) for i in range(2)]
     if config.composition == "product":
-        return ft.ProductFeatureMap(left, right)
-    return ft.AdditiveFeatureMap(left, right)
+        return ft.ProductFeatureMap(*maps)
+    return ft.AdditiveFeatureMap(*maps)
 
 
 def _write_json(path, payload):

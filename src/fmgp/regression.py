@@ -47,6 +47,13 @@ class PredictiveDistribution:
         self.observation_variance = observation_variance
 
 
+def _check_positive(**values):
+    # each value, a scalar or an array, finite and > 0 throughout
+    for name, value in values.items():
+        if not np.all(np.isfinite(value) & (value > 0)):
+            raise DomainError(f"{name} must be finite and positive, got {value}")
+
+
 def _clamp_variance(core, scale):
     bad = core < -1e-6 * max(1.0, float(np.max(scale)) if np.size(scale) else 1.0)
     if np.any(bad):
@@ -67,14 +74,12 @@ class GpModel:
 
     def __init__(self, feature_map, sigma_f_sq, sigma_xi_sq, decomp,
                  train_inputs_stats=None, gamma=None, training_trace=None):
-        if not sigma_f_sq > 0 or not sigma_xi_sq > 0:
-            raise DomainError("variances must be positive")
+        _check_positive(sigma_f_sq=sigma_f_sq, sigma_xi_sq=sigma_xi_sq)
         self.feature_map = feature_map
         self.sigma_f_sq = float(sigma_f_sq)
         self.sigma_xi_sq = float(sigma_xi_sq)
         self.gamma = float(gamma) if gamma is not None else self.sigma_xi_sq / self.sigma_f_sq
-        if not (np.isfinite(self.gamma) and self.gamma > 0):
-            raise DomainError(f"noise-to-signal ratio must be positive and finite, got {self.gamma}")
+        _check_positive(gamma=self.gamma)
         self.decomp = decomp
         self.train_inputs_stats = train_inputs_stats
         self.training_trace = training_trace
@@ -155,15 +160,13 @@ def gaussian_mll_parts(phi_hat, Y, log_sigma_f_sq, log_sigma_xi_sq, extra_noise=
     if np.any(extra_noise < 0):
         raise DomainError("extra noise variances must be nonnegative")
     bounds, grams = lr.run_grams(phi, extra_noise)
-    groups = list(zip(bounds[:-1], bounds[1:]))
     sizes = np.diff(bounds)
     s2 = extra_noise[bounds[:-1]] + sxi2
     wts = 1.0 / s2
+    row_wts = np.repeat(wts, sizes, axis=0)
     work = ft.Workspace() if work is None else work
     class_grams = (wts.T @ grams).reshape(num_outputs, p, p)
-    wy = work.buffer(("mll", "wy"), (n, num_outputs))
-    for k, (lo, hi) in enumerate(groups):
-        np.multiply(Y[lo:hi], wts[k], out=wy[lo:hi])
+    wy = np.multiply(Y, row_wts, out=work.buffer(("mll", "wy"), (n, num_outputs)))
     phi_t_wy = phi.T @ wy
     y_quad = np.einsum("ic,ic->c", wy, Y)
     noise_logdet = sizes @ np.log(s2)
@@ -197,8 +200,7 @@ def gaussian_mll_parts(phi_hat, Y, log_sigma_f_sq, log_sigma_xi_sq, extra_noise=
     resid = np.matmul(phi, b_all, out=wy)
     resid *= c
     np.subtract(Y, resid, out=resid)
-    for k, (lo, hi) in enumerate(groups):
-        resid[lo:hi] *= wts[k]
+    resid *= row_wts
     alpha_sq = np.einsum("ic,ic->c", resid, resid)
     resid *= c
     m_flat = m_all.reshape(num_outputs, p * p)
@@ -210,7 +212,7 @@ def gaussian_mll_parts(phi_hat, Y, log_sigma_f_sq, log_sigma_xi_sq, extra_noise=
     d_phi = np.matmul(resid, b_all.T, out=work.buffer(("mll", "d_phi"), (n, p)))
     weighted_m = ((wts * c) @ m_flat).reshape(-1, p, p)
     phi_n = work.buffer(("mll", "phi_n"), (n, p))
-    for k, (lo, hi) in enumerate(groups):
+    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         np.matmul(phi[lo:hi], weighted_m[k], out=phi_n[lo:hi])
     d_phi -= phi_n
     return total, d_phi, d_sf, d_sx
@@ -223,6 +225,8 @@ def mll(feature_map, log_sigma_f_sq, log_sigma_xi_sq, X, y, extra_noise=None):
     (value, map_grads, d_log_sigma_f_sq, d_log_sigma_xi_sq); map_grads
     is one vector in the layout of the feature map's params.
     """
+    if extra_noise is not None and np.shape(extra_noise) != (len(X),):
+        raise ShapeError("extra noise must be one value per data point")
     grads = np.empty(feature_map.params.size + 2)
     value = _summed_mll(
         feature_map, np.atleast_1d(log_sigma_f_sq), np.atleast_1d(log_sigma_xi_sq),

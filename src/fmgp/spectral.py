@@ -10,8 +10,8 @@ spectra decay.
 Also provides Hadamard (entrywise) product spectral bounds: partial sums
 of the product spectrum are bounded by eigenvalue/diagonal products of
 the factors, and for unit-diagonal factors the tail sums are bounded
-below correspondingly.  The slack helpers return (bound - sum) style
-quantities that should be nonnegative up to eigensolver noise.
+below correspondingly.  hadamard_slacks returns both slacks from one
+pair of eigensolves; each should be nonnegative up to eigensolver noise.
 """
 
 from __future__ import annotations
@@ -110,19 +110,18 @@ class ProductKernel:
         return f"product({self.left.label},{self.right.label})"
 
 
-def _pairwise_dist(X, Z):
+def _pairwise_dist(X, Z, metric="euclidean"):
     # scipy loads where a Gram or spectrum needs it, so that reading a
     # run config (the kernel specs above) never imports it
     import scipy.spatial.distance
-    return scipy.spatial.distance.cdist(X, Z)
+    return scipy.spatial.distance.cdist(X, Z, metric)
 
 
 def _base_gram(spec, X, Z):
     """Cross-Gram k(X, Z) for the closed-form kernels."""
     if isinstance(spec, RbfKernel):
-        import scipy.spatial.distance
         _check_lengthscale(spec.lengthscale)
-        r2 = scipy.spatial.distance.cdist(X, Z, "sqeuclidean")
+        r2 = _pairwise_dist(X, Z, "sqeuclidean")
         return np.exp(-r2 / (2.0 * spec.lengthscale ** 2))
     if isinstance(spec, ExpKernel):
         _check_lengthscale(spec.lengthscale)
@@ -254,52 +253,26 @@ def write_spectra_csv(reports, path):
                                  repr(float(lam))])
 
 
-def _descending_eigs(gram):
-    gram = np.asarray(gram, dtype=np.float64)
-    return np.linalg.eigvalsh((gram + gram.T) / 2.0)[::-1]
+def hadamard_slacks(gram1, gram2):
+    """Slacks (partial, tail), each of length n - 1, of the Hadamard-product
+    spectral bounds; nonnegative up to eigensolver noise where they hold.
 
-
-def hadamard_partial_sum_slack(gram1, gram2):
-    """Slack of the Hadamard-product partial-sum spectral bound.
-
-    For each k in 1..n-1, the sum of the k largest eigenvalues of
-    gram1 * gram2 (entrywise product) is at most the sum over i <= k of
-    lambda_i(gram1) (descending) times the i-th largest diagonal entry
-    of gram2.  Returns bound minus achieved partial sums, length n-1;
-    nonnegative up to eigensolver noise when the bound holds.
+    For k in 1..n-1, the sum of the k largest eigenvalues of gram1 * gram2
+    (entrywise) is at most the sum over i <= k of lambda_i(gram1)
+    (descending) times the i-th largest diagonal entry of gram2: partial
+    is bound minus sum.  For unit-diagonal factors the traces agree, so
+    the sum of the k smallest is at least lambda_i(gram1) times the i-th
+    smallest diagonal of gram2 summed over the last k positions: tail is
+    sum minus bound.
     """
     gram1 = np.asarray(gram1, dtype=np.float64)
     gram2 = np.asarray(gram2, dtype=np.float64)
     if gram1.shape != gram2.shape:
         raise ShapeError("factor Grams must have equal shapes")
     n = gram1.shape[0]
-    lam_prod = _descending_eigs(gram1 * gram2)
-    lam1 = _descending_eigs(gram1)
-    diag2 = np.sort(np.diag(gram2))[::-1]
-    bound = np.cumsum(lam1 * diag2)
-    achieved = np.cumsum(lam_prod)
-    return (bound - achieved)[: n - 1]
-
-
-def hadamard_tail_sum_slack(gram1, gram2):
-    """Slack of the Hadamard-product tail-sum lower bound.
-
-    For unit-diagonal factors the trace of the product equals the common
-    trace, and the partial-sum bound flips into a lower bound on tails:
-    for each k in 1..n-1, the sum of the k smallest eigenvalues of
-    gram1 * gram2 is at least the sum of lambda_i(gram1) (descending)
-    times the i-th smallest diagonal of gram2 over the last k positions.
-    Returns achieved minus bound for k = 1..n-1.
-    """
-    gram1 = np.asarray(gram1, dtype=np.float64)
-    gram2 = np.asarray(gram2, dtype=np.float64)
-    if gram1.shape != gram2.shape:
-        raise ShapeError("factor Grams must have equal shapes")
-    n = gram1.shape[0]
-    lam_prod = _descending_eigs(gram1 * gram2)
-    lam1 = _descending_eigs(gram1)
+    lam_prod, lam1 = (np.linalg.eigvalsh((g + g.T) / 2.0)[::-1]
+                      for g in (gram1 * gram2, gram1))
     diag2 = np.sort(np.diag(gram2))
-    x = lam1 * diag2
-    achieved = np.cumsum(lam_prod[::-1])
-    bound = np.cumsum(x[::-1])
-    return (achieved - bound)[: n - 1]
+    partial = np.cumsum(lam1 * diag2[::-1]) - np.cumsum(lam_prod)
+    tail = np.cumsum(lam_prod[::-1]) - np.cumsum((lam1 * diag2)[::-1])
+    return partial[: n - 1], tail[: n - 1]

@@ -567,6 +567,22 @@ def test_probabilities_must_be_one_row_per_label(score, probs):
         score(probs, np.array([0, 1]))
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda clf, X, y: cls.predict_proba(clf, X, num_samples=1.5), "num_samples"),
+    (lambda clf, X, y: cls.fit_temperature(clf, X, y, num_samples=1.5), "num_samples"),
+    (lambda clf, X, y: cls.compute_ece(np.full((y.size, 2), 0.5), y, num_bins=2.5),
+     "num_bins"),
+], ids=["predict_proba", "fit_temperature", "compute_ece"])
+def test_counts_must_be_integers(call, name):
+    # 1.5 passes a "< 1" check, then fails inside numpy with a TypeError
+    X = np.random.default_rng(79).standard_normal((10, 2))
+    labels = np.array([0, 1] * 5)
+    fmap = ft.init_params([2, 4, 3], seed=15, rescale_to_unit=True)
+    clf = build_classifier(labels, fmap, X, np.ones(2), np.ones(2))
+    with pytest.raises(DomainError, match=f"{name} must be an integer"):
+        call(clf, X, labels)
+
+
 class TestPersistence:
     def test_round_trip_probabilities(self, tmp_path):
         rng = np.random.default_rng(76)

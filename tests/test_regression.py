@@ -86,6 +86,12 @@ class TestMllValues:
         with pytest.raises(ShapeError):
             reg.gaussian_mll_parts(np.zeros((3, 2)), np.zeros((4, 1)), [0.0], [0.0])
 
+    @pytest.mark.parametrize("extra", [0.1, np.full((3, 2), 0.1)], ids=["scalar", "two_columns"])
+    def test_extra_noise_must_be_one_value_per_point(self, extra):
+        with pytest.raises(ShapeError, match="one value per data point"):
+            reg.mll(scalar_positive_map(), 0.0, 0.0, np.ones((3, 1)), np.zeros(3),
+                    extra_noise=extra)
+
 
 class TestMllGradients:
     @pytest.mark.parametrize("hetero", [False, True])
@@ -316,6 +322,16 @@ class TestFitting:
         # the four blocks cover a 16-element cycle of a 10-point shuffle,
         # so every point appears at least once
         assert np.unique(np.concatenate(subsets)).size == 10
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("field", ["sigma_f_sq", "sigma_xi_sq", "gamma"])
+def test_model_refuses_a_non_finite_variance(field, bad):
+    # an infinite variance would predict infinite variances
+    values = {"sigma_f_sq": 1.0, "sigma_xi_sq": 0.5, "gamma": 0.5, field: bad}
+    with pytest.raises(DomainError, match=f"{field} must be finite and positive"):
+        reg.GpModel(scalar_positive_map(), values["sigma_f_sq"], values["sigma_xi_sq"],
+                    None, gamma=values["gamma"])
 
 
 class TestPredict:
