@@ -105,6 +105,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", required=True, help="directory that holds the fmgp package")
     src = os.path.abspath(parser.parse_args(argv).src)
+    # set before numpy is first imported, which is why no import above loads it
     for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[name] = "1"
     sys.path.insert(0, src)
