@@ -361,6 +361,10 @@ def compute_ece(probs, labels, num_bins=DEFAULT_ECE_BINS):
         raise ShapeError("need one probability row per label")
     if probs.shape[0] == 0:
         raise DomainError("cannot compute calibration of an empty set")
+    finite = np.isfinite(probs).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise DomainError(f"probabilities must be finite, row {row} is {probs[row]}")
     _check_count("num_bins", num_bins)
     _check_labels(labels, probs.shape[1])
     confidence = probs.max(axis=1)

@@ -4,10 +4,10 @@ With features Phi (n x p, p << n) the noisy kernel matrix is
 K = Phi Phi^T + sigma_xi_sq I.  This module streams the p x p Gram
 Phi^T Phi over row batches, whitened by any per-point noise from one
 Gram per run of equal noise rows, and eigendecomposes it as U Lambda U^T;
-the regression module's likelihood and posterior read log-determinants,
-quadratic forms and predictive moments of K from U and Lambda in
-O(n p^2) instead of O(n^3).  With n < p at most n eigenvalues are
-nonzero, and the identities still hold.
+the regression module's posterior reads predictive moments of K from U
+and Lambda in O(n p^2) instead of O(n^3), and its training likelihood
+factors the run Grams' sums by Cholesky instead.  With n < p at most n
+eigenvalues are nonzero, and the identities still hold.
 
 Product feature maps realize Hadamard products of Grams exactly.
 """

@@ -117,6 +117,21 @@ class FitConfig:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
 
 
+def _column_error(what, j, log_sf2, log_sxi2):
+    return NumericError(f"{what} in target column {j} "
+                        f"(log sigma_f_sq={float(log_sf2[j]):.6g}, "
+                        f"log sigma_xi_sq={float(log_sxi2[j]):.6g})")
+
+
+def _first_not_pd(mats):
+    """Index of the first matrix of the stack that has no Cholesky factor."""
+    for j, mat in enumerate(mats):
+        try:
+            np.linalg.cholesky(mat)
+        except np.linalg.LinAlgError:
+            return j
+
+
 def gaussian_mll_parts(phi_hat, Y, log_sigma_f_sq, log_sigma_xi_sq, extra_noise=None,
                        work=None):
     """Summed MLL and exact gradients of C regressions on one feature matrix.
@@ -127,16 +142,19 @@ def gaussian_mll_parts(phi_hat, Y, log_sigma_f_sq, log_sigma_xi_sq, extra_noise=
     Each run of consecutive rows with equal noise rows is one group k
     with weights w_kc = 1 / s_kc^2, so the whitened Gram of
     column c is sum_k w_kc Phi_k^T Phi_k: the n x p work is done once
-    for all columns, and each column's eigendecomposition gives its value
-    and gradients in p x p algebra.  Any per-point noise is exact, but a
-    group costs a p x p Gram, so rows sorted by noise row (as train sorts
-    them) keep a C-class call to at most C groups.
+    for all columns, and one stacked Cholesky factorization of the C
+    matrices I + c_c G_c gives their values and gradients in p x p
+    algebra.  Any per-point noise is exact, but a group costs a p x p
+    Gram, so rows sorted by noise row (as train sorts them) keep a
+    C-class call to at most C groups.
 
     Returns (mll, d_phi, d_log_sigma_f_sq, d_log_sigma_xi_sq): the MLL
     summed over the columns, its gradient in the feature matrix, ready to
     feed the feature map's reverse mode, and the (C,) gradients in the
     log-variances.  With a features.Workspace the (n, p) and (n, C)
     arrays are its buffers, and d_phi is valid only until its next use.
+    A column whose value is not finite, or whose I + c_c G_c has no
+    Cholesky factor, is a NumericError that names it.
     """
     phi = np.asarray(phi_hat, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -171,29 +189,37 @@ def gaussian_mll_parts(phi_hat, Y, log_sigma_f_sq, log_sigma_xi_sq, extra_noise=
     y_quad = np.einsum("ic,ic->c", wy, Y)
     noise_logdet = sizes @ np.log(s2)
 
-    # per column, with M = U diag(1 / denom) U^T and b = U (w / denom),
-    # (I + c Phi_w Phi_w^T)^-1 = I - c Phi_w M Phi_w^T and K^-1 y is
-    # W (y - c Phi b), so every gradient term is a p x p or (n, p) product
-    b_all = np.empty((p, num_outputs))
-    m_all = np.empty((num_outputs, p, p))
-    d_sf = np.empty(num_outputs)
-    total = 0.0
-    for j in range(num_outputs):
-        decomp = lr.decompose(class_grams[j], phi_t_wy[:, j], n)
-        u, lam, w = decomp.u, decomp.lam, decomp.proj_targets
-        denom = c[j] * lam + 1.0
-        quad = float(y_quad[j] - np.sum(c[j] * w * w / denom))
-        logdet = float(noise_logdet[j] + np.sum(np.log(denom)))
-        value = -0.5 * quad - 0.5 * logdet - 0.5 * n * LOG_2PI
-        if not np.isfinite(value):
-            raise NumericError(
-                f"marginal log-likelihood is not finite "
-                f"(log sigma_f_sq={float(log_sf2[j]):.6g}, "
-                f"log sigma_xi_sq={float(log_sxi2[j]):.6g})")
-        total += value
-        b = b_all[:, j] = u @ (w / denom)
-        m_all[j] = (u / denom) @ u.T
-        d_sf[j] = 0.5 * c[j] * (float(b @ b) - float(np.sum(lam / denom)))
+    # per column, with L the Cholesky factor of A = I + c G, M = A^-1 =
+    # L^-T L^-1, v = Phi^T W y, z = L^-1 v and b = L^-T z = M v:
+    # (I + c Phi_w Phi_w^T)^-1 = I - c Phi_w M Phi_w^T, y^T K^-1 y is
+    # y^T W y - c |z|^2 and K^-1 y is W (y - c Phi b), so every gradient
+    # term is a p x p or (n, p) product; one stacked call factors all C
+    a_all = c[:, None, None] * class_grams + np.eye(p)
+    finite = np.isfinite(a_all).all(axis=(1, 2)) & np.isfinite(phi_t_wy).all(axis=0)
+    if not finite.all():
+        raise _column_error("marginal log-likelihood is not finite",
+                            int(np.argmin(finite)), log_sf2, log_sxi2)
+    try:
+        chol = np.linalg.cholesky(a_all)
+    except np.linalg.LinAlgError:
+        raise _column_error("I + c G is not positive definite",
+                            _first_not_pd(a_all), log_sf2, log_sxi2) from None
+    # one solve gives z and L^-1; y^T K^-1 y reads |z|^2, as v^T M v loses
+    # digits at tiny noise
+    rhs = np.concatenate([phi_t_wy.T[:, :, None],
+                          np.broadcast_to(np.eye(p), (num_outputs, p, p))], axis=2)
+    solved = np.linalg.solve(chol, rhs)
+    z, l_inv = solved[:, :, 0], solved[:, :, 1:]
+    quad = y_quad - c * np.einsum("ci,ci->c", z, z)
+    logdet = noise_logdet + 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    values = -0.5 * quad - 0.5 * logdet - 0.5 * n * LOG_2PI
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise _column_error("marginal log-likelihood is not finite",
+                            int(np.argmin(finite)), log_sf2, log_sxi2)
+    total = float(np.sum(values))
+    m_all = np.swapaxes(l_inv, 1, 2) @ l_inv
+    b_all = np.einsum("cji,cj->ic", l_inv, z)
 
     # wy's buffer becomes the residual R = Y - c (Phi B), then W R = K^-1 y,
     # then c W R, the rows' weights on B in d_phi
@@ -204,8 +230,11 @@ def gaussian_mll_parts(phi_hat, Y, log_sigma_f_sq, log_sigma_xi_sq, extra_noise=
     alpha_sq = np.einsum("ic,ic->c", resid, resid)
     resid *= c
     m_flat = m_all.reshape(num_outputs, p * p)
-    # tr(K^-1) = sum_k n_k w_kc - c sum_k w_kc^2 tr(M_c G_k)
+    # tr(K^-1) = sum_k n_k w_kc - c sum_k w_kc^2 tr(M_c G_k), and
+    # tr(M_c G_c) = sum_k w_kc tr(M_c G_k)
     tr_m_g = m_flat @ grams.T
+    d_sf = 0.5 * c * (np.einsum("ic,ic->c", b_all, b_all)
+                      - np.einsum("kc,ck->c", wts, tr_m_g))
     tr_kinv = sizes @ wts - c * np.einsum("kc,ck->c", wts * wts, tr_m_g)
     d_sx = 0.5 * sxi2 * (alpha_sq - tr_kinv)
     # d_phi = c W R B^T - Phi_k N_k per group, N_k = sum_c c_c w_kc M_c
@@ -225,8 +254,11 @@ def mll(feature_map, log_sigma_f_sq, log_sigma_xi_sq, X, y, extra_noise=None):
     (value, map_grads, d_log_sigma_f_sq, d_log_sigma_xi_sq); map_grads
     is one vector in the layout of the feature map's params.
     """
+    if np.shape(y) != (len(X),):
+        raise ShapeError(f"targets must be one value per data point, got shape {np.shape(y)}")
     if extra_noise is not None and np.shape(extra_noise) != (len(X),):
-        raise ShapeError("extra noise must be one value per data point")
+        raise ShapeError(f"extra noise must be one value per data point, "
+                         f"got shape {np.shape(extra_noise)}")
     grads = np.empty(feature_map.params.size + 2)
     value = _summed_mll(
         feature_map, np.atleast_1d(log_sigma_f_sq), np.atleast_1d(log_sigma_xi_sq),

@@ -13,6 +13,15 @@ counts, model.json), the six oracle_check.run_all(seed=2) errors and the
 two Hadamard-product slacks.  Floats are printed as float hex; arrays and
 files as the first 16 hex digits of their SHA-256.  BLAS runs on one
 thread, so that its rounding does not depend on the machine's core count.
+
+When a change moves outputs by rounding, --values prints the same keys,
+each with the list of its underlying floats as float hex (a model file's
+are its numbers in document order), and --against compares them with a
+saved --values line, printing per key the largest relative move
+|a - b| / max(|a|, |b|):
+
+    python tests/fingerprint.py --src <dir>/src --values > base.json
+    python tests/fingerprint.py --src src --against base.json
 """
 
 import argparse
@@ -29,24 +38,46 @@ KEYS = ("regression_trace", "regression_mean", "regression_variance",
         "ece", "ece_bin_counts", "oracle_max_err", "hadamard_partial", "hadamard_tail")
 
 
+# Each key of out holds (digest, values): its digest as printed by default,
+# and its underlying floats as float hex, printed by --values.
+
 def _digest(data):
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+def _hexes(values):
+    import numpy as np
+    return [float(v).hex() for v in np.ravel(np.asarray(values, dtype=np.float64))]
+
+
 def _array(values):
     import numpy as np
-    return _digest(np.ascontiguousarray(values, dtype="<f8").tobytes())
+    return (_digest(np.ascontiguousarray(values, dtype="<f8").tobytes()), _hexes(values))
 
 
 def _trace(values):
-    return _digest(",".join(float(v).hex() for v in values).encode())
+    return _digest(",".join(float(v).hex() for v in values).encode()), _hexes(values)
+
+
+def _scalar(value):
+    return float(value).hex(), _hexes(value)
+
+
+def _numbers(doc):
+    """Every number of a JSON document, in document order."""
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        return [number for item in doc for number in _numbers(item)]
+    return [doc] if isinstance(doc, (int, float)) and not isinstance(doc, bool) else []
 
 
 def _model_json(save, model, tmp):
     path = os.path.join(tmp, "model.json")
     save(model, path)
     with open(path, "rb") as fh:
-        return _digest(fh.read())
+        data = fh.read()
+    return _digest(data), _hexes(_numbers(json.loads(data)))
 
 
 def _regression(out, tmp):
@@ -83,14 +114,16 @@ def _classifier(out, tmp):
     report = cls.compute_ece(probs, y_test)
     out.update(classifier_trace=_trace(clf.training_trace),
                classifier_model_json=_model_json(cls.save_classifier, clf, tmp),
-               temperature=float(temperature).hex(), probabilities=_array(probs),
-               ece=report.ece.hex(), ece_bin_counts=[int(c) for c in report.bin_counts])
+               temperature=_scalar(temperature), probabilities=_array(probs),
+               ece=_scalar(report.ece),
+               ece_bin_counts=([int(c) for c in report.bin_counts], _hexes(report.bin_counts)))
 
 
 def _spectral(out):
     import numpy as np
     from fmgp import oracle_check as oc, spectral as sp
-    out["oracle_max_err"] = [float(r["max_err"]).hex() for r in oc.run_all(seed=2)]
+    errors = _hexes([r["max_err"] for r in oc.run_all(seed=2)])
+    out["oracle_max_err"] = (errors, errors)
     X = np.random.default_rng(9).uniform(size=(40, 2))
     k1, k2 = sp.build_gram(sp.ExpKernel(0.4), X), sp.build_gram(sp.RbfKernel(0.8), X)
     if hasattr(sp, "hadamard_slacks"):
@@ -101,10 +134,31 @@ def _spectral(out):
     out.update(hadamard_partial=_array(partial), hadamard_tail=_array(tail))
 
 
+def _largest_moves(base, values):
+    """Per key, the largest relative move of its floats from base's."""
+    import numpy as np
+    moves = {}
+    for key in KEYS:
+        a = np.array([float.fromhex(v) for v in base[key]])
+        b = np.array([float.fromhex(v) for v in values[key]])
+        if a.shape != b.shape:
+            moves[key] = f"{a.size} floats against {b.size}"
+            continue
+        scale = np.maximum(np.abs(a), np.abs(b))
+        rel = np.abs(a - b) / np.where(scale > 0, scale, 1.0)
+        moves[key] = float(rel.max()) if rel.size else 0.0
+    return moves
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", required=True, help="directory that holds the fmgp package")
-    src = os.path.abspath(parser.parse_args(argv).src)
+    parser.add_argument("--values", action="store_true",
+                        help="print each key's floats as float hex, not its digest")
+    parser.add_argument("--against", metavar="FILE",
+                        help="print each key's largest relative move from a --values line")
+    args = parser.parse_args(argv)
+    src = os.path.abspath(args.src)
     # set before numpy is first imported, which is why no import above loads it
     for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[name] = "1"
@@ -118,7 +172,12 @@ def main(argv=None):
         _regression(out, tmp)
         _classifier(out, tmp)
         _spectral(out)
-    print(json.dumps({key: out[key] for key in KEYS}))
+    values = {key: out[key][1] for key in KEYS}
+    if args.against:
+        with open(args.against) as fh:
+            print(json.dumps(_largest_moves(json.load(fh), values)))
+    else:
+        print(json.dumps(values if args.values else {key: out[key][0] for key in KEYS}))
 
 
 if __name__ == "__main__":

@@ -550,6 +550,12 @@ class TestComputeEce:
         with pytest.raises(DomainError):
             cls.compute_ece(np.empty((0, 2)), np.empty(0, dtype=int))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_probabilities_raise(self, bad):
+        probs = np.array([[0.5, 0.5], [bad, 0.8], [0.3, bad]])
+        with pytest.raises(DomainError, match="probabilities must be finite, row 1 "):
+            cls.compute_ece(probs, np.array([0, 1, 1]))
+
 
 @pytest.mark.parametrize("score", [cls.multinomial_nll, cls.compute_ece])
 @pytest.mark.parametrize("label", [-1, 2])

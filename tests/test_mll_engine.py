@@ -26,7 +26,7 @@ from fmgp import classification as cls
 from fmgp import features as ft
 from fmgp import lowrank as lr
 from fmgp import regression as reg
-from fmgp.errors import DomainError, ShapeError
+from fmgp.errors import DomainError, NumericError, ShapeError, TrainingError
 
 LOOP_BOUND = 1e-12
 
@@ -193,3 +193,56 @@ def test_regression_subsets_keep_their_order(monkeypatch):
     assert len(seen) == 5
     for t, rows in enumerate(seen):
         np.testing.assert_array_equal(rows, X[subsets[t % 3]])
+
+
+# Features of 2^30 make every step below exact: four such rows give a Gram
+# of 2^62 in every entry, I + G rounds to that (the ones are lost), and the
+# second pivot of its Cholesky factor, 2^62 - (2^31)^2, is exactly zero.
+# Noise of 2^200 whitens the other columns' Grams to about 2^-138.
+HUGE = 2.0 ** 30
+
+
+@pytest.mark.parametrize("bad", [0, 2])
+def test_a_column_without_a_cholesky_factor_is_named(bad):
+    extra = np.full((4, 3), 2.0 ** 200)
+    extra[:, bad] = 0.0
+    with pytest.raises(NumericError, match=f"not positive definite in target column {bad} "):
+        reg.gaussian_mll_parts(np.full((4, 2), HUGE), np.ones((4, 3)), np.zeros(3),
+                               np.zeros(3), extra)
+
+
+def test_training_reports_the_iteration_of_a_failed_factorization():
+    # x -> x W + b with W = (2^30, -2^30), b = (2^30, 2^30): x = +-1 gives
+    # features (2^31, 0) and (0, 2^31), a diagonal Gram, and x = 0 gives the
+    # features above.  A learning rate of 1e-300 leaves every parameter, and
+    # exp of both log-variances, exactly as it was, so subset 0 trains and
+    # subset 1, at iteration 1, has column 1's Gram of the test above.
+    fmap = ft.FeatureMap([1, 2], np.array([HUGE, -HUGE, HUGE, HUGE]))
+    config = reg.FitConfig(iterations=4, num_subsets=2, subset_size=4, learning_rate=1e-300,
+                           init_sigma_xi_sq=1.0, seed=5)
+    X = np.zeros((8, 1))
+    X[reg.make_subsets(8, 2, 4, np.random.default_rng(config.seed))[0], 0] = [1, -1, 1, -1]
+    extra = np.zeros((8, 2))
+    extra[:, 0] = 2.0 ** 200
+    with pytest.raises(TrainingError, match="not positive definite in target column 1 ") as err:
+        reg.train(fmap, X, np.ones((8, 2)), extra, config)
+    assert err.value.iteration == 1
+
+
+def test_training_never_decomposes_and_the_caches_once_per_class(monkeypatch):
+    calls = []
+    decompose = lr.decompose
+
+    def counted(*args):
+        calls.append(args)
+        return decompose(*args)
+
+    monkeypatch.setattr(lr, "decompose", counted)
+    X, labels = _blobs(150, 5, 3)
+    Y, noise = cls.dirichlet_transform(labels, 0.01, 5)
+    config = reg.FitConfig(hidden_widths=(8,), output_dim=4, iterations=6, num_subsets=3,
+                           subset_size=60)
+    fmap = reg.train(None, X, Y, noise, config)[0]
+    assert calls == []
+    assert len(reg.build_caches(fmap, X, Y, noise)) == 5
+    assert len(calls) == 5

@@ -1,5 +1,7 @@
 """Tests for GP regression: likelihood, fitting, prediction, recalibration."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,14 @@ class TestMllValues:
         with pytest.raises(ShapeError, match="one value per data point"):
             reg.mll(scalar_positive_map(), 0.0, 0.0, np.ones((3, 1)), np.zeros(3),
                     extra_noise=extra)
+
+    @pytest.mark.parametrize("y", [0.0, np.zeros((3, 2)), np.zeros(4)],
+                             ids=["scalar", "two_columns", "wrong_length"])
+    def test_targets_must_be_one_value_per_point(self, y):
+        # the message reports the shape as given, not as reshaped inside
+        with pytest.raises(ShapeError, match=re.escape(
+                f"targets must be one value per data point, got shape {np.shape(y)}")):
+            reg.mll(scalar_positive_map(), 0.0, 0.0, np.ones((3, 1)), y)
 
 
 class TestMllGradients:
