@@ -22,7 +22,6 @@ temperature is fitted on held-out data by multinomial log-likelihood.
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -31,7 +30,7 @@ import numpy as np
 from . import features as ft
 from . import model_file as mf
 from . import regression as reg
-from .errors import DomainError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError, check_count, check_positive
 
 DEFAULT_ALPHA_EPS = 0.01
 DEFAULT_NUM_SAMPLES = 1024
@@ -44,15 +43,33 @@ DEFAULT_ECE_BINS = 15
 _SAMPLE_BLOCK = 32
 
 
-def _check_count(name, value):
-    # numbers.Integral holds Python's and numpy's integers, not 2.0
-    if not (isinstance(value, numbers.Integral) and value >= 1):
-        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
-
-
-def _check_labels(labels, num_classes):
+def _class_indices(labels, num_classes):
+    """labels as an int64 vector of class indices in [0, num_classes):
+    whole-valued floats pass, a fraction, NaN or infinity does not."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise ShapeError("labels must be a vector of class indices")
+    # floor(nan) != nan; an infinity fails the range test, before any cast
+    if labels.dtype.kind == "f" and not np.all(np.floor(labels) == labels):
+        raise DomainError(f"labels must be whole numbers, got {labels}")
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise DomainError(f"labels must lie in [0, {num_classes})")
+    return labels.astype(np.int64)
+
+
+def _scored_rows(probs, labels):
+    """(probs, labels) as float64 probability rows and their class indices:
+    at least one row, one per label, every probability finite."""
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.ndim != 2 or np.shape(labels) != probs.shape[:1]:
+        raise ShapeError("need one probability row per label")
+    if probs.shape[0] == 0:
+        raise DomainError("cannot score an empty set")
+    finite = np.isfinite(probs).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise DomainError(f"probabilities must be finite, row {row} is {probs[row]}")
+    return probs, _class_indices(labels, probs.shape[1])
 
 
 def dirichlet_transform(labels, alpha_eps, num_classes):
@@ -61,15 +78,10 @@ def dirichlet_transform(labels, alpha_eps, num_classes):
 
     Returns (y_tilde, sigma_tilde_sq), both (n, C) with C = num_classes.
     """
-    if not alpha_eps > 0:
-        raise DomainError(f"alpha_eps must be positive, got {alpha_eps}")
-    labels = np.asarray(labels)
-    if labels.ndim != 1:
-        raise ShapeError("labels must be a vector of class indices")
-    labels = labels.astype(np.int64)
-    c = int(num_classes)
-    _check_labels(labels, c)
-    alpha = np.full((labels.size, c), float(alpha_eps))
+    check_positive(DomainError, alpha_eps=alpha_eps)
+    check_count(DomainError, num_classes=num_classes)
+    labels = _class_indices(labels, num_classes)
+    alpha = np.full((labels.size, num_classes), float(alpha_eps))
     alpha[np.arange(labels.size), labels] += 1.0
     sigma_tilde_sq = np.log(1.0 / alpha + 1.0)
     y_tilde = np.log(alpha) - sigma_tilde_sq / 2.0
@@ -93,9 +105,8 @@ class DirichletClassifier:
         self.feature_map = feature_map
         self.sigma_f_sq = np.asarray(sigma_f_sq, dtype=np.float64)
         self.sigma_xi_sq = np.asarray(sigma_xi_sq, dtype=np.float64)
-        reg._check_positive(sigma_f_sq=self.sigma_f_sq, sigma_xi_sq=self.sigma_xi_sq)
-        if not temperature > 0:
-            raise DomainError(f"temperature must be positive, got {temperature}")
+        check_positive(DomainError, sigma_f_sq=self.sigma_f_sq, sigma_xi_sq=self.sigma_xi_sq,
+                       temperature=temperature, alpha_eps=alpha_eps)
         self.caches = list(caches)
         self.num_classes = len(self.caches)
         if self.num_classes < 2:
@@ -121,6 +132,10 @@ class DirichletClassifier:
 @dataclass
 class ClassifierConfig(reg.FitConfig):
     alpha_eps: float = DEFAULT_ALPHA_EPS
+
+    def __post_init__(self):
+        super().__post_init__()
+        check_positive(ConfigError, alpha_eps=self.alpha_eps)
 
 
 def fit_classifier(dataset, config=None, feature_map=None):
@@ -221,10 +236,9 @@ def predict_proba(clf, X_star, num_samples=DEFAULT_NUM_SAMPLES, seed=None,
     the draws are those of fit_temperature: with the same X, seed and
     num_samples, the probabilities at T are the ones its search scored.
     """
-    _check_count("num_samples", num_samples)
+    check_count(DomainError, num_samples=num_samples)
     t = clf.temperature if temperature is None else float(temperature)
-    if not t > 0:
-        raise DomainError(f"temperature must be positive, got {t}")
+    check_positive(DomainError, temperature=t)
     means, variances = class_posteriors(clf, X_star)
     return _mean_softmax(_logit_blocks(means, variances, num_samples, seed), t,
                          in_place=True)
@@ -232,11 +246,7 @@ def predict_proba(clf, X_star, num_samples=DEFAULT_NUM_SAMPLES, seed=None,
 
 def multinomial_nll(probs, labels):
     """Mean negative log-likelihood of the observed classes."""
-    probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels).astype(np.int64)
-    if probs.ndim != 2 or probs.shape[0] != labels.shape[0]:
-        raise ShapeError("need one probability row per label")
-    _check_labels(labels, probs.shape[1])
+    probs, labels = _scored_rows(probs, labels)
     picked = probs[np.arange(labels.size), labels]
     return float(-np.mean(np.log(np.maximum(picked, 1e-300))))
 
@@ -307,8 +317,8 @@ def fit_temperature(clf, X_hold, y_hold, num_samples=DEFAULT_NUM_SAMPLES, seed=0
     predictions are unaffected by any positive T for each individual
     latent sample.
     """
-    _check_count("num_samples", num_samples)
-    y_hold = np.asarray(y_hold).astype(np.int64)
+    check_count(DomainError, num_samples=num_samples)
+    y_hold = _class_indices(y_hold, clf.num_classes)
     if y_hold.size < 1:
         raise DomainError("holdout is empty")
     if np.unique(y_hold).size < 2:
@@ -355,18 +365,8 @@ def compute_ece(probs, labels, num_bins=DEFAULT_ECE_BINS):
     confidences in (b/B, (b+1)/B].  ECE is the count-weighted mean of
     |accuracy - mean confidence| over the bins.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels).astype(np.int64)
-    if probs.ndim != 2 or probs.shape[0] != labels.shape[0]:
-        raise ShapeError("need one probability row per label")
-    if probs.shape[0] == 0:
-        raise DomainError("cannot compute calibration of an empty set")
-    finite = np.isfinite(probs).all(axis=1)
-    if not finite.all():
-        row = int(np.argmin(finite))
-        raise DomainError(f"probabilities must be finite, row {row} is {probs[row]}")
-    _check_count("num_bins", num_bins)
-    _check_labels(labels, probs.shape[1])
+    probs, labels = _scored_rows(probs, labels)
+    check_count(DomainError, num_bins=num_bins)
     confidence = probs.max(axis=1)
     predicted = probs.argmax(axis=1)
     correct = (predicted == labels).astype(np.float64)

@@ -25,9 +25,9 @@ import sys
 import time
 import warnings
 
-# errors imports nothing, so loading it here leaves numpy to the thread cap
+# errors loads no numpy, so loading it here leaves numpy to the thread cap
 from .errors import (ConfigError, DataError, DomainError, FmgpError, NumericError,
-                     ShapeError)
+                     ShapeError, check_count)
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -150,9 +150,10 @@ class RunConfig:
                                                   "composition", default="single")
         _require_keys(composition, {"output_dims"}, "composition")
         dims = self.output_dims = composition.get("output_dims")
-        if dims is not None and (len(_typed(dims, (), "composition.output_dims")) != 2
-                                 or min(dims) < 1):
+        if dims is not None and len(_typed(dims, (), "composition.output_dims")) != 2:
             raise ConfigError("output_dims must be two positive integers")
+        check_count(ConfigError, **{f"composition.output_dims[{i}]": dim
+                                    for i, dim in enumerate(dims or ())})
 
         fit_params = inspect.signature(reg.FitConfig).parameters
         fields = {**_read_block(doc.get("architecture", {}), reg.FitConfig,
@@ -166,9 +167,8 @@ class RunConfig:
             for key, default in (("num_samples", cls.DEFAULT_NUM_SAMPLES),
                                  ("ece_bins", cls.DEFAULT_ECE_BINS),
                                  ("fit_temperature", True))}
-        for key in ("num_samples", "ece_bins"):
-            if self.classification[key] < 1:
-                raise ConfigError(f"classification.{key} must be at least 1")
+        check_count(ConfigError, **{f"classification.{key}": self.classification[key]
+                                    for key in ("num_samples", "ece_bins")})
         cls_fields = _read_block(classification, cls.ClassifierConfig,
                                  "classification", skip=fit_params)
 

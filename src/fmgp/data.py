@@ -18,7 +18,7 @@ import warnings
 
 import numpy as np
 
-from .errors import DataError, DomainError, NumericError
+from .errors import DataError, DomainError, NumericError, check_count
 
 TEST_N_DEFAULT = 1000
 RECAL_N_DEFAULT = 1000
@@ -242,9 +242,7 @@ def prepare(raw, seed=0, test_n=TEST_N_DEFAULT, recal_n=RECAL_N_DEFAULT):
         raise DomainError(f"need at least 3 rows to split, got {n}")
     if targets.shape[0] != n:
         raise DataError("feature rows and targets differ in length")
-    if test_n < 0 or recal_n < 0:
-        raise DomainError(f"held-out sizes must be nonnegative, got test_n={test_n}, "
-                          f"recal_n={recal_n}")
+    check_count(DomainError, low=0, seed=seed, test_n=test_n, recal_n=recal_n)
     test_n, recal_n = _split_sizes(n, test_n, recal_n)
     perm = np.random.default_rng(seed).permutation(n)
     split = {
@@ -299,8 +297,8 @@ def synth_gp_sample(kernel=None, n=2000, d=1, noise_sd=0.1, seed=0):
     kernel with lengthscale 1) on those inputs.
     """
     from . import spectral
-    if n < 1:
-        raise DomainError(f"need at least one sample, got {n}")
+    check_count(DomainError, n=n, d=d)
+    check_count(DomainError, low=0, seed=seed)
     rng = np.random.default_rng(seed)
     X = rng.uniform(size=(n, d))
     gram = spectral.build_gram(spectral.ExpKernel(1.0) if kernel is None else kernel, X)
@@ -338,6 +336,8 @@ def synth_manifold(n=2000, latent_kind="circle", d_ambient=16, eps=0.1, noise_sd
     a smooth periodic function of the latent angles plus observation
     noise; the jittered latents are kept as the table's latents.
     """
+    check_count(DomainError, n=n)
+    check_count(DomainError, low=0, seed=seed)
     rng = np.random.default_rng(seed)
     if latent_kind == "circle":
         z, angles = _circle_latents(n, rng)
@@ -346,9 +346,7 @@ def synth_manifold(n=2000, latent_kind="circle", d_ambient=16, eps=0.1, noise_sd
     else:
         raise DomainError(f"unknown latent kind {latent_kind!r}")
     q = z.shape[1]
-    if d_ambient < q:
-        raise DomainError(f"ambient dimension {d_ambient} below latent "
-                          f"dimension {q}")
+    check_count(DomainError, low=q, d_ambient=d_ambient)
     z_noisy = z + MANIFOLD_LATENT_JITTER_SD * rng.standard_normal(z.shape)
     p_lin = rng.standard_normal((q, d_ambient))
     p_sin = rng.standard_normal((q, d_ambient))
@@ -370,8 +368,9 @@ def synth_blobs(n=4000, num_classes=2, d=2, separation=4.0, seed=0):
     points, so every pair of centers is at least `separation` apart in
     units of the within-blob standard deviation (which is 1).
     """
-    if num_classes < 2:
-        raise DomainError("need at least two classes")
+    check_count(DomainError, n=n, d=d)
+    check_count(DomainError, low=2, num_classes=num_classes)
+    check_count(DomainError, low=0, seed=seed)
     if num_classes > 2 * d + 1:
         raise DomainError(f"cannot place {num_classes} centers {separation} "
                           f"apart on {d} axes")

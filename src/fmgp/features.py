@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from . import lowrank as lr
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, DomainError, NumericError, ShapeError, check_count
 
 LAYER_NORM_EPS = 1e-5
 
@@ -36,9 +36,7 @@ def _layer_shapes(widths, normalization):
     """Per layer, the shapes of its parameters in LAYER_KEYS order; checks the widths."""
     if len(widths) < 2:
         raise ConfigError("need at least an input and an output width")
-    for w in widths:
-        if w < 1:
-            raise ConfigError(f"layer widths must be >= 1, got {widths}")
+    check_count(ConfigError, **{f"widths[{i}]": width for i, width in enumerate(widths)})
     shapes = []
     for l in range(len(widths) - 1):
         fan_in, fan_out = widths[l], widths[l + 1]
@@ -78,7 +76,7 @@ class FeatureMap:
         self.rescale_to_unit = bool(rescale_to_unit)
         # per layer, the (start, stop, shape) of each parameter in params
         self._layout, stop = [], 0
-        for shapes in _layer_shapes(self.widths, normalization):
+        for shapes in _layer_shapes(widths, normalization):
             self._layout.append([])
             for shape in shapes:
                 start, stop = stop, stop + math.prod(shape)
@@ -188,7 +186,7 @@ def init_params(widths, seed, normalization="none", rescale_to_unit=False):
     start at zero, layer-norm gains at one and offsets at zero.  The same
     seed always produces the same parameters.
     """
-    widths = [int(w) for w in widths]
+    check_count(DomainError, low=0, seed=seed)
     rng = np.random.default_rng(seed)
     fills = (np.zeros, np.ones, np.zeros)  # bias, ln_gain, ln_offset
     arrays = []

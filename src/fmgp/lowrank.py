@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import DomainError, NumericError, ShapeError, check_count, check_positive
 
 # eigh on a PSD matrix can return negatives around -eps * lambda_max; clamp
 # those to zero, treat anything below -REJECT_TOL * lambda_max as a bad input
@@ -60,15 +60,14 @@ class GramAccumulator:
     """Streaming accumulator for C whitened Grams and Phi^T (W o Y).
 
     Row i weighs w_ic = 1 / noise[i, c] in column c (None: unit noise,
-    weights 1.0): gram[c] sums the training MLL's run Grams with those
-    weights.  Batches are added in a fixed order; the sums are exact in
-    that order, which is what makes partitioning-invariance hold to
-    rounding error.
+    weights 1.0; each noise finite and positive): gram[c] sums the
+    training MLL's run Grams with those weights.  Batches are added in a
+    fixed order; the sums are exact in that order, which is what makes
+    partitioning-invariance hold to rounding error.
     """
 
     def __init__(self, p, num_outputs):
-        if p < 1:
-            raise ShapeError("feature dimension must be >= 1")
+        check_count(ShapeError, p=p, num_outputs=num_outputs)
         self.p = int(p)
         self.gram = np.zeros((num_outputs, p, p))
         self.phi_t_y = np.zeros((p, num_outputs))
@@ -76,6 +75,7 @@ class GramAccumulator:
     def add(self, phi_batch, y_batch, noise=None):
         y_batch = np.asarray(y_batch, dtype=np.float64)
         noise = np.broadcast_to(1.0, y_batch.shape) if noise is None else noise
+        check_positive(DomainError, noise=noise)
         phi_batch = np.asarray(phi_batch, dtype=np.float64)
         if phi_batch.ndim != 2 or phi_batch.shape[1] != self.p:
             raise ShapeError(f"batch has shape {phi_batch.shape}, expected (*, {self.p})")
@@ -96,6 +96,7 @@ def decompose(gram, phi_t_y, n):
     A non-finite entry, asymmetry beyond tolerance, or negatives too
     large to be rounding noise raise a numeric error.
     """
+    check_count(DomainError, n=n)
     gram = np.asarray(gram, dtype=np.float64)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
         raise ShapeError(f"gram must be square, got shape {gram.shape}")

@@ -19,7 +19,6 @@ in oracle_check.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ from . import features as ft
 from . import lowrank as lr
 from . import model_file as mf
 from .errors import (ConfigError, DataError, DomainError, NumericError, ShapeError,
-                     TrainingError)
+                     TrainingError, check_count, check_positive)
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 DECOMP_BATCH_ROWS = 2048
@@ -45,13 +44,6 @@ class PredictiveDistribution:
         self.mean = mean
         self.variance = variance
         self.observation_variance = observation_variance
-
-
-def _check_positive(**values):
-    # each value, a scalar or an array, finite and > 0 throughout
-    for name, value in values.items():
-        if not np.all(np.isfinite(value) & (value > 0)):
-            raise DomainError(f"{name} must be finite and positive, got {value}")
 
 
 def _clamp_variance(core, scale):
@@ -74,12 +66,12 @@ class GpModel:
 
     def __init__(self, feature_map, sigma_f_sq, sigma_xi_sq, decomp,
                  train_inputs_stats=None, gamma=None, training_trace=None):
-        _check_positive(sigma_f_sq=sigma_f_sq, sigma_xi_sq=sigma_xi_sq)
+        check_positive(DomainError, sigma_f_sq=sigma_f_sq, sigma_xi_sq=sigma_xi_sq)
         self.feature_map = feature_map
         self.sigma_f_sq = float(sigma_f_sq)
         self.sigma_xi_sq = float(sigma_xi_sq)
         self.gamma = float(gamma) if gamma is not None else self.sigma_xi_sq / self.sigma_f_sq
-        _check_positive(gamma=self.gamma)
+        check_positive(DomainError, gamma=self.gamma)
         self.decomp = decomp
         self.train_inputs_stats = train_inputs_stats
         self.training_trace = training_trace
@@ -89,8 +81,9 @@ class GpModel:
 class FitConfig:
     """Training settings; defaults follow the reference protocol
     (two 512-wide hidden layers, 64 features, 200 Adam iterations over
-    4 subsets of at most 20000 points).  A non-integer count, width or
-    seed, or a value out of range, is a ConfigError at construction."""
+    4 subsets of at most 20000 points).  A count, width or seed that is
+    not an integer in range, or a rate or initial variance that is not
+    finite and positive, is a ConfigError at construction."""
     hidden_widths: tuple = (512, 512)
     output_dim: int = 64
     normalization: str = "layer_norm"
@@ -105,16 +98,14 @@ class FitConfig:
     init_sigma_xi_sq: float = 0.1
 
     def __post_init__(self):
-        ints = [(name, getattr(self, name), 1)
-                for name in ("output_dim", "num_subsets", "subset_size")]
-        ints += [("iterations", self.iterations, 0), ("seed", self.seed, 0)]
-        # numbers.Integral holds Python's and numpy's integers, not 3.0
-        for name, value, low in ints + [("hidden_widths", w, 1) for w in self.hidden_widths]:
-            if not (isinstance(value, numbers.Integral) and value >= low):
-                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
-        for name in ("learning_rate", "init_sigma_f_sq", "init_sigma_xi_sq"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        check_count(ConfigError, output_dim=self.output_dim, num_subsets=self.num_subsets,
+                    subset_size=self.subset_size)
+        check_count(ConfigError, low=0, iterations=self.iterations, seed=self.seed)
+        check_count(ConfigError, **{f"hidden_widths[{i}]": width
+                                    for i, width in enumerate(self.hidden_widths)})
+        check_positive(ConfigError, learning_rate=self.learning_rate,
+                       init_sigma_f_sq=self.init_sigma_f_sq,
+                       init_sigma_xi_sq=self.init_sigma_xi_sq)
 
 
 def _column_error(what, j, log_sf2, log_sxi2):

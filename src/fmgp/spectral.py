@@ -22,16 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import features as ft
-from .errors import DomainError, NumericError, ShapeError
+from .errors import (ConfigError, DomainError, NumericError, ShapeError, check_count,
+                     check_positive)
 
 NUMERIC_RANK_RTOL = 1e-10
 DEFAULT_SPECTRUM_N = 512
 DEFAULT_SPECTRUM_D = 2
-
-
-def _check_lengthscale(value):
-    if not value > 0:
-        raise DomainError(f"lengthscale must be positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -118,25 +114,21 @@ def _pairwise_dist(X, Z, metric="euclidean"):
 
 
 def _base_gram(spec, X, Z):
-    """Cross-Gram k(X, Z) for the closed-form kernels."""
+    """Cross-Gram k(X, Z) for the closed-form kernels, each of whose
+    fields is a lengthscale or a period."""
+    if not isinstance(spec, (RbfKernel, ExpKernel, Matern32Kernel, PeriodicKernel)):
+        raise DomainError(f"unknown kernel spec {type(spec).__name__}")
+    check_positive(DomainError, **vars(spec))
     if isinstance(spec, RbfKernel):
-        _check_lengthscale(spec.lengthscale)
         r2 = _pairwise_dist(X, Z, "sqeuclidean")
         return np.exp(-r2 / (2.0 * spec.lengthscale ** 2))
     if isinstance(spec, ExpKernel):
-        _check_lengthscale(spec.lengthscale)
         return np.exp(-_pairwise_dist(X, Z) / spec.lengthscale)
     if isinstance(spec, Matern32Kernel):
-        _check_lengthscale(spec.lengthscale)
         a = np.sqrt(3.0) * _pairwise_dist(X, Z) / spec.lengthscale
         return (1.0 + a) * np.exp(-a)
-    if isinstance(spec, PeriodicKernel):
-        _check_lengthscale(spec.lengthscale)
-        if not spec.period > 0:
-            raise DomainError(f"period must be positive, got {spec.period}")
-        s = np.sin(np.pi * _pairwise_dist(X, Z) / spec.period)
-        return np.exp(-2.0 * s * s / spec.lengthscale ** 2)
-    raise DomainError(f"unknown kernel spec {type(spec).__name__}")
+    s = np.sin(np.pi * _pairwise_dist(X, Z) / spec.period)
+    return np.exp(-2.0 * s * s / spec.lengthscale ** 2)
 
 
 def build_gram(spec, X):
@@ -153,8 +145,7 @@ def build_gram(spec, X):
         gram = phi @ phi.T
     elif isinstance(spec, NystromKernel):
         import scipy.linalg
-        if spec.num_landmarks < 1:
-            raise DomainError("need at least one landmark")
+        check_count(DomainError, num_landmarks=spec.num_landmarks)
         m = min(spec.num_landmarks, X.shape[0])
         idx = np.random.default_rng(spec.seed).choice(X.shape[0], size=m,
                                                       replace=False)
@@ -208,9 +199,10 @@ def spectrum(gram, kernel_label="", d=0, seed=None):
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
         raise ShapeError(f"gram must be square, got {gram.shape}")
     import scipy.linalg
+    # scipy refuses a NaN or an infinity with a ValueError
     try:
         lam = scipy.linalg.eigvalsh((gram + gram.T) / 2.0)
-    except scipy.linalg.LinAlgError as exc:
+    except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
     lam = np.maximum(lam[::-1], 0.0)
     return SpectrumReport(lam, kernel_label, gram.shape[0], d, seed)
@@ -222,6 +214,11 @@ class DecayConfig:
     n: int = DEFAULT_SPECTRUM_N
     d: int = DEFAULT_SPECTRUM_D
     seeds: tuple = (0,)
+
+    def __post_init__(self):
+        check_count(ConfigError, n=self.n, d=self.d)
+        check_count(ConfigError, low=0,
+                    **{f"seeds[{i}]": seed for i, seed in enumerate(self.seeds)})
 
 
 def decay_experiment(config):
@@ -267,8 +264,8 @@ def hadamard_slacks(gram1, gram2):
     """
     gram1 = np.asarray(gram1, dtype=np.float64)
     gram2 = np.asarray(gram2, dtype=np.float64)
-    if gram1.shape != gram2.shape:
-        raise ShapeError("factor Grams must have equal shapes")
+    if gram1.ndim != 2 or gram1.shape[0] != gram1.shape[1] or gram1.shape != gram2.shape:
+        raise ShapeError("factor Grams must be square and of equal shapes")
     n = gram1.shape[0]
     lam_prod, lam1 = (np.linalg.eigvalsh((g + g.T) / 2.0)[::-1]
                       for g in (gram1 * gram2, gram1))

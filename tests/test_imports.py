@@ -13,14 +13,14 @@ PRODUCT_MODULES = ("data", "features", "lowrank", "model_file", "regression",
                    "classification")
 
 
-def scipy_modules_after(statements):
-    """The scipy modules loaded once a fresh interpreter has run the
-    statements: fresh, since the test session itself has loaded scipy."""
+def modules_after(statements, package="scipy"):
+    """The modules of package loaded once a fresh interpreter has run the
+    statements: fresh, since the test session itself has loaded them."""
     env = dict(os.environ)
     src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     code = "; ".join([*statements, "import sys",
-                      "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"])
+                      f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"])
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -28,7 +28,7 @@ def scipy_modules_after(statements):
 
 
 def test_product_modules_do_not_import_scipy():
-    assert scipy_modules_after(f"import fmgp.{name}" for name in PRODUCT_MODULES) == "[]"
+    assert modules_after(f"import fmgp.{name}" for name in PRODUCT_MODULES) == "[]"
 
 
 def test_perfbench_trace_targets_resolve():
@@ -59,4 +59,10 @@ def test_reading_a_run_config_does_not_import_scipy():
            "data": {"kind": "csv", "path": "blobs.csv", "test_n": 50},
            "classification": {"num_samples": 64},
            "spectral": {"kernels": [{"kind": "rbf"}]}}
-    assert scipy_modules_after(["from fmgp import cli", f"cli.RunConfig({doc!r})"]) == "[]"
+    assert modules_after(["from fmgp import cli", f"cli.RunConfig({doc!r})"]) == "[]"
+
+
+def test_cli_and_errors_do_not_import_numpy():
+    # the CLI loads both before it applies FMGP_THREADS, which takes
+    # effect only if numpy has not loaded yet
+    assert modules_after(["import fmgp.cli", "import fmgp.errors"], "numpy") == "[]"
