@@ -30,7 +30,8 @@ import numpy as np
 from . import features as ft
 from . import model_file as mf
 from . import regression as reg
-from .errors import ConfigError, DomainError, ShapeError, check_count, check_positive
+from .errors import (ConfigError, DomainError, ShapeError, check_array, check_count,
+                     check_positive)
 
 DEFAULT_ALPHA_EPS = 0.01
 DEFAULT_NUM_SAMPLES = 1024
@@ -60,15 +61,11 @@ def _class_indices(labels, num_classes):
 def _scored_rows(probs, labels):
     """(probs, labels) as float64 probability rows and their class indices:
     at least one row, one per label, every probability finite."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 2 or np.shape(labels) != probs.shape[:1]:
+    if np.ndim(probs) != 2 or np.shape(labels) != np.shape(probs)[:1]:
         raise ShapeError("need one probability row per label")
-    if probs.shape[0] == 0:
+    if len(labels) == 0:
         raise DomainError("cannot score an empty set")
-    finite = np.isfinite(probs).all(axis=1)
-    if not finite.all():
-        row = int(np.argmin(finite))
-        raise DomainError(f"probabilities must be finite, row {row} is {probs[row]}")
+    probs = check_array("probabilities", probs, (None, None), DomainError)
     return probs, _class_indices(labels, probs.shape[1])
 
 
@@ -103,17 +100,14 @@ class DirichletClassifier:
                  temperature=1.0, train_inputs_stats=None, training_trace=None,
                  label_map=None):
         self.feature_map = feature_map
-        self.sigma_f_sq = np.asarray(sigma_f_sq, dtype=np.float64)
-        self.sigma_xi_sq = np.asarray(sigma_xi_sq, dtype=np.float64)
-        check_positive(DomainError, sigma_f_sq=self.sigma_f_sq, sigma_xi_sq=self.sigma_xi_sq,
-                       temperature=temperature, alpha_eps=alpha_eps)
         self.caches = list(caches)
         self.num_classes = len(self.caches)
         if self.num_classes < 2:
             raise DomainError("need at least two classes")
-        if not self.sigma_f_sq.size == self.sigma_xi_sq.size == self.num_classes:
-            raise ShapeError(f"need one variance pair per class "
-                             f"for {self.num_classes} classes")
+        self.sigma_f_sq = check_array("sigma_f_sq", sigma_f_sq, (self.num_classes,))
+        self.sigma_xi_sq = check_array("sigma_xi_sq", sigma_xi_sq, (self.num_classes,))
+        check_positive(DomainError, sigma_f_sq=self.sigma_f_sq, sigma_xi_sq=self.sigma_xi_sq,
+                       temperature=temperature, alpha_eps=alpha_eps)
         self.alpha_eps = float(alpha_eps)
         self.temperature = float(temperature)
         self.train_inputs_stats = train_inputs_stats
@@ -237,6 +231,8 @@ def predict_proba(clf, X_star, num_samples=DEFAULT_NUM_SAMPLES, seed=None,
     num_samples, the probabilities at T are the ones its search scored.
     """
     check_count(DomainError, num_samples=num_samples)
+    if seed is not None:
+        check_count(DomainError, low=0, seed=seed)
     t = clf.temperature if temperature is None else float(temperature)
     check_positive(DomainError, temperature=t)
     means, variances = class_posteriors(clf, X_star)
@@ -318,7 +314,10 @@ def fit_temperature(clf, X_hold, y_hold, num_samples=DEFAULT_NUM_SAMPLES, seed=0
     latent sample.
     """
     check_count(DomainError, num_samples=num_samples)
+    check_count(DomainError, low=0, seed=seed)
     y_hold = _class_indices(y_hold, clf.num_classes)
+    # before any draw: S x C x n logits can be large
+    X_hold = check_array("X_hold", X_hold, (y_hold.size, None))
     if y_hold.size < 1:
         raise DomainError("holdout is empty")
     if np.unique(y_hold).size < 2:

@@ -18,7 +18,7 @@ import warnings
 
 import numpy as np
 
-from .errors import DataError, DomainError, NumericError, check_count
+from .errors import DataError, DomainError, NumericError, check_array, check_count
 
 TEST_N_DEFAULT = 1000
 RECAL_N_DEFAULT = 1000
@@ -235,12 +235,14 @@ def prepare(raw, seed=0, test_n=TEST_N_DEFAULT, recal_n=RECAL_N_DEFAULT):
     constant columns get std 1 and a warning.  Regression targets are
     normalized by train mean and std.
     """
-    X = np.asarray(raw.X, dtype=np.float64)
-    targets = np.asarray(raw.targets)
+    X = check_array("X", raw.X, (None, None), DataError)
     n = X.shape[0]
     if n < 3:
         raise DomainError(f"need at least 3 rows to split, got {n}")
-    if targets.shape[0] != n:
+    # class indices stay integers, so the check's float copy is not kept
+    check_array("targets", raw.targets, (None,), DataError)
+    targets = np.asarray(raw.targets)
+    if len(targets) != n:
         raise DataError("feature rows and targets differ in length")
     check_count(DomainError, low=0, seed=seed, test_n=test_n, recal_n=recal_n)
     test_n, recal_n = _split_sizes(n, test_n, recal_n)

@@ -1,11 +1,11 @@
-"""Exception types shared across the package, and the two argument rules.
+"""Exception types shared across the package, and the three argument rules.
 
 The CLI maps these onto process exit codes; library code raises them
 directly so callers can distinguish bad configuration from bad data and
-from numerical failure.  Every count and every positive real a public
-call takes is checked by check_count or check_positive, which raise the
-error class the caller names.  The CLI loads this module before it caps
-the BLAS threads, so it imports no numpy at load time.
+from numerical failure.  Every count, positive real and array a public
+call takes is checked by check_count, check_positive or check_array,
+which raise the error class the caller names.  The CLI loads this module
+before it caps the BLAS threads, so it imports no numpy at load time.
 """
 
 import numbers
@@ -61,3 +61,27 @@ def check_positive(error, **values):
     for name, value in values.items():
         if not np.all(np.isfinite(value) & (np.asarray(value) > 0)):
             raise error(f"{name} must be finite and positive, got {value}")
+
+
+def check_array(name, value, shape, nonfinite=None):
+    """value as a float64 array, not copied when it is one already.
+
+    Each entry of shape is an axis length: an int, None for any length,
+    or a name such as "n" for any length that the axes of that name share.
+    A wrong rank or length is a ShapeError.  With nonfinite an error
+    class, a NaN or an infinity raises it, naming the first row with one.
+    """
+    import numpy as np
+    array = np.asarray(value, dtype=np.float64)
+    lengths = {}
+    if array.ndim != len(shape) or any(
+            want is not None and got != (lengths.setdefault(want, got)
+                                         if isinstance(want, str) else want)
+            for want, got in zip(shape, array.shape)):
+        expected = ", ".join("*" if want is None else str(want) for want in shape)
+        raise ShapeError(f"{name} must have shape ({expected}), got {array.shape}")
+    if nonfinite is not None and not np.isfinite(array).all():
+        rows = np.atleast_1d(array)
+        row = int(np.argmin(np.isfinite(rows.reshape(len(rows), -1)).all(axis=1)))
+        raise nonfinite(f"{name} must be finite, row {row} is {rows[row]}")
+    return array

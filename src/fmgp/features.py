@@ -18,9 +18,11 @@ import math
 import numpy as np
 
 from . import lowrank as lr
-from .errors import ConfigError, DomainError, NumericError, ShapeError, check_count
+from .errors import (ConfigError, DomainError, NumericError, ShapeError, check_array,
+                     check_count)
 
 LAYER_NORM_EPS = 1e-5
+NORMALIZATIONS = ("none", "layer_norm")
 
 # Parameter order within a layer; hidden layers carry the last two only
 # when layer normalization is on.
@@ -30,6 +32,12 @@ LAYER_KEYS = ("weight", "bias", "ln_gain", "ln_offset")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+
+
+def _check_normalization(normalization):
+    if normalization not in NORMALIZATIONS:
+        raise ConfigError(f"unknown normalization {normalization!r}")
+    return normalization
 
 
 def _layer_shapes(widths, normalization):
@@ -70,9 +78,7 @@ class FeatureMap:
 
     def __init__(self, widths, params, normalization="none", rescale_to_unit=False):
         self.widths = [int(w) for w in widths]
-        if normalization not in ("none", "layer_norm"):
-            raise ConfigError(f"unknown normalization {normalization!r}")
-        self.normalization = normalization
+        self.normalization = _check_normalization(normalization)
         self.rescale_to_unit = bool(rescale_to_unit)
         # per layer, the (start, stop, shape) of each parameter in params
         self._layout, stop = [], 0
@@ -95,8 +101,7 @@ class FeatureMap:
 
     def _views(self, vector):
         """Per-layer views of a vector in the layout of params."""
-        if vector.shape != (self._size,):
-            raise ShapeError(f"expected {self._size} parameters, got shape {vector.shape}")
+        check_array("parameter vector", vector, (self._size,))
         return [[vector[start:stop].reshape(shape) for start, stop, shape in layer]
                 for layer in self._layout]
 
@@ -205,18 +210,6 @@ def _check_finite_params(fmap):
                     raise NumericError(f"non-finite {key} in layer {l}")
 
 
-def _check_inputs(fmap, inputs):
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2:
-        raise ShapeError(f"inputs must be 2-d, got shape {inputs.shape}")
-    if inputs.shape[1] != fmap.input_dim:
-        raise ShapeError(f"inputs have {inputs.shape[1]} columns, "
-                         f"feature map expects {fmap.input_dim}")
-    if not np.all(np.isfinite(inputs)):
-        raise NumericError("non-finite value in inputs")
-    return inputs
-
-
 class Workspace:
     """Arrays kept from one call to the next, so that the steps of a fit,
     whose shapes never change, allocate their arrays only once.
@@ -269,7 +262,7 @@ def _forward_with_cache(fmap, inputs, keep=True, work=None):
     overwrites the layer's input, and the other slot is its temporary.
     """
     _check_finite_params(fmap)
-    h = inputs = _check_inputs(fmap, inputs)
+    h = inputs = check_array("inputs", inputs, (None, fmap.input_dim), NumericError)
     work = Workspace() if work is None else work
     n = inputs.shape[0]
     cache = {"ln": [], "act": [inputs], "rescale": None}
@@ -350,10 +343,7 @@ def pullback(fmap, inputs, work=None):
         cut = fmap.left.params.size
 
         def vjp(upstream, out):
-            upstream = np.asarray(upstream, dtype=np.float64)
-            if upstream.shape != phi.shape:
-                raise ShapeError(f"upstream has shape {upstream.shape}, features {phi.shape}")
-            d1, d2 = fmap.split(upstream, phi1, phi2)
+            d1, d2 = fmap.split(check_array("upstream", upstream, phi.shape), phi1, phi2)
             vjp1(d1, out[:cut])
             vjp2(d2, out[cut:])
             return out
@@ -362,9 +352,7 @@ def pullback(fmap, inputs, work=None):
     phi, cache = _forward_with_cache(fmap, inputs, work=work)
 
     def vjp(upstream, out):
-        g = np.asarray(upstream, dtype=np.float64)
-        if g.shape != phi.shape:
-            raise ShapeError(f"upstream has shape {g.shape}, features {phi.shape}")
+        g = check_array("upstream", upstream, phi.shape)
         grads = fmap._views(out)
         n = g.shape[0]
         m1, m2 = work.buffer(("col", 0), (n, 1)), work.buffer(("col", 1), (n, 1))

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ShapeError, check_count, check_positive
+from .errors import (DomainError, NumericError, ShapeError, check_array, check_count,
+                     check_positive)
 
 # eigh on a PSD matrix can return negatives around -eps * lambda_max; clamp
 # those to zero, treat anything below -REJECT_TOL * lambda_max as a bad input
@@ -49,7 +50,8 @@ def run_grams(phi, noise):
     """Runs of consecutive rows with equal noise rows (n, C), and one Gram
     each: run k is rows bounds[k]:bounds[k + 1], grams[k] its flattened
     Phi_k^T Phi_k; constant noise is one run.  Returns (bounds, grams)."""
-    n, p = phi.shape
+    n, p = check_array("features", phi, (None, None)).shape
+    noise = check_array("noise", noise, (n, None))
     change = np.any(noise[1:] != noise[:-1], axis=1)
     bounds = np.concatenate(([0], np.flatnonzero(change) + 1, [n]))
     grams = np.stack([phi[lo:hi].T @ phi[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])])
@@ -73,15 +75,12 @@ class GramAccumulator:
         self.phi_t_y = np.zeros((p, num_outputs))
 
     def add(self, phi_batch, y_batch, noise=None):
-        y_batch = np.asarray(y_batch, dtype=np.float64)
-        noise = np.broadcast_to(1.0, y_batch.shape) if noise is None else noise
+        phi_batch = check_array("batch", phi_batch, (None, self.p))
+        shape = (len(phi_batch), self.phi_t_y.shape[1])
+        y_batch = check_array("targets", y_batch, shape)
+        noise = check_array("noise", np.broadcast_to(1.0, shape) if noise is None else noise,
+                            shape)
         check_positive(DomainError, noise=noise)
-        phi_batch = np.asarray(phi_batch, dtype=np.float64)
-        if phi_batch.ndim != 2 or phi_batch.shape[1] != self.p:
-            raise ShapeError(f"batch has shape {phi_batch.shape}, expected (*, {self.p})")
-        shape = (phi_batch.shape[0], self.phi_t_y.shape[1])
-        if y_batch.shape != shape or noise.shape != shape:
-            raise ShapeError(f"targets and noise must have shape {shape}")
         bounds, grams = run_grams(phi_batch, noise)
         wts = 1.0 / noise[bounds[:-1]]
         self.gram += (wts.T @ grams).reshape(self.gram.shape)
@@ -97,14 +96,8 @@ def decompose(gram, phi_t_y, n):
     large to be rounding noise raise a numeric error.
     """
     check_count(DomainError, n=n)
-    gram = np.asarray(gram, dtype=np.float64)
-    if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
-        raise ShapeError(f"gram must be square, got shape {gram.shape}")
-    phi_t_y = np.asarray(phi_t_y, dtype=np.float64)
-    if phi_t_y.shape != (gram.shape[0],):
-        raise ShapeError("Phi^T y length does not match gram size")
-    if not (np.isfinite(gram).all() and np.isfinite(phi_t_y).all()):
-        raise NumericError("gram or Phi^T y is not finite")
+    gram = check_array("gram", gram, ("p", "p"), NumericError)
+    phi_t_y = check_array("Phi^T y", phi_t_y, (len(gram),), NumericError)
     scale = max(1.0, float(np.abs(gram).max()) if gram.size else 1.0)
     asym = float(np.abs(gram - gram.T).max()) if gram.size else 0.0
     if asym > 1e-10 * scale:
@@ -130,12 +123,8 @@ def product_features(phi1, phi2):
     phi2, flattened so that (Xi Xi^T) = (Phi1 Phi1^T) o (Phi2 Phi2^T)
     holds exactly, entry by entry.
     """
-    phi1 = np.asarray(phi1, dtype=np.float64)
-    phi2 = np.asarray(phi2, dtype=np.float64)
-    if phi1.ndim != 2 or phi2.ndim != 2:
-        raise ShapeError("feature matrices must be 2-d")
-    if phi1.shape[0] != phi2.shape[0]:
-        raise ShapeError(f"row counts differ: {phi1.shape[0]} vs {phi2.shape[0]}")
+    phi1 = check_array("phi1", phi1, (None, None))
+    phi2 = check_array("phi2", phi2, (len(phi1), None))
     n, p1 = phi1.shape
     p2 = phi2.shape[1]
     # axes (n, j, i) flatten to column index j*p1 + i, i.e. i + (j-1)*p1 1-based

@@ -27,7 +27,7 @@ from . import features as ft
 from . import lowrank as lr
 from . import model_file as mf
 from .errors import (ConfigError, DataError, DomainError, NumericError, ShapeError,
-                     TrainingError, check_count, check_positive)
+                     TrainingError, check_array, check_count, check_positive)
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 DECOMP_BATCH_ROWS = 2048
@@ -82,8 +82,9 @@ class FitConfig:
     """Training settings; defaults follow the reference protocol
     (two 512-wide hidden layers, 64 features, 200 Adam iterations over
     4 subsets of at most 20000 points).  A count, width or seed that is
-    not an integer in range, or a rate or initial variance that is not
-    finite and positive, is a ConfigError at construction."""
+    not an integer in range, a rate or initial variance that is not
+    finite and positive, or an unknown normalization is a ConfigError at
+    construction."""
     hidden_widths: tuple = (512, 512)
     output_dim: int = 64
     normalization: str = "layer_norm"
@@ -106,6 +107,7 @@ class FitConfig:
         check_positive(ConfigError, learning_rate=self.learning_rate,
                        init_sigma_f_sq=self.init_sigma_f_sq,
                        init_sigma_xi_sq=self.init_sigma_xi_sq)
+        ft._check_normalization(self.normalization)
 
 
 def _column_error(what, j, log_sf2, log_sxi2):
@@ -147,25 +149,18 @@ def gaussian_mll_parts(phi_hat, Y, log_sigma_f_sq, log_sigma_xi_sq, extra_noise=
     A column whose value is not finite, or whose I + c_c G_c has no
     Cholesky factor, is a NumericError that names it.
     """
-    phi = np.asarray(phi_hat, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
+    phi = check_array("features", phi_hat, (None, None))
     n, p = phi.shape
-    if Y.ndim != 2 or Y.shape[0] != n:
-        raise ShapeError(f"targets have shape {Y.shape}, expected ({n}, C)")
+    Y = check_array("targets", Y, (n, "C"))
     num_outputs = Y.shape[1]
-    log_sf2 = np.asarray(log_sigma_f_sq, dtype=np.float64)
-    log_sxi2 = np.asarray(log_sigma_xi_sq, dtype=np.float64)
-    if log_sf2.shape != (num_outputs,) or log_sxi2.shape != (num_outputs,):
-        raise ShapeError(f"need one pair of log-variances per target column, "
-                         f"got shapes {log_sf2.shape} and {log_sxi2.shape}")
+    log_sf2 = check_array("log_sigma_f_sq", log_sigma_f_sq, (num_outputs,))
+    log_sxi2 = check_array("log_sigma_xi_sq", log_sigma_xi_sq, (num_outputs,))
     if n < 1:
         raise DomainError("need at least one data point")
     c = np.exp(log_sf2)
     sxi2 = np.exp(log_sxi2)
-    extra_noise = np.asarray(np.broadcast_to(0.0, Y.shape) if extra_noise is None
-                             else extra_noise, dtype=np.float64)
-    if extra_noise.shape != (n, num_outputs):
-        raise ShapeError("extra noise must be one value per data point and column")
+    extra_noise = check_array("extra noise", np.broadcast_to(0.0, Y.shape)
+                              if extra_noise is None else extra_noise, Y.shape)
     if np.any(extra_noise < 0):
         raise DomainError("extra noise variances must be nonnegative")
     bounds, grams = lr.run_grams(phi, extra_noise)
@@ -176,7 +171,10 @@ def gaussian_mll_parts(phi_hat, Y, log_sigma_f_sq, log_sigma_xi_sq, extra_noise=
     work = ft.Workspace() if work is None else work
     class_grams = (wts.T @ grams).reshape(num_outputs, p, p)
     wy = np.multiply(Y, row_wts, out=work.buffer(("mll", "wy"), (n, num_outputs)))
-    phi_t_wy = phi.T @ wy
+    # an infinity in phi or Y can make inf - inf here, which the finiteness
+    # test of a_all and phi_t_wy below reports as the column's NumericError
+    with np.errstate(invalid="ignore"):
+        phi_t_wy = phi.T @ wy
     y_quad = np.einsum("ic,ic->c", wy, Y)
     noise_logdet = sizes @ np.log(s2)
 
@@ -245,6 +243,7 @@ def mll(feature_map, log_sigma_f_sq, log_sigma_xi_sq, X, y, extra_noise=None):
     (value, map_grads, d_log_sigma_f_sq, d_log_sigma_xi_sq); map_grads
     is one vector in the layout of the feature map's params.
     """
+    X = check_array("inputs", X, (None, None))
     if np.shape(y) != (len(X),):
         raise ShapeError(f"targets must be one value per data point, got shape {np.shape(y)}")
     if extra_noise is not None and np.shape(extra_noise) != (len(X),):
@@ -253,7 +252,7 @@ def mll(feature_map, log_sigma_f_sq, log_sigma_xi_sq, X, y, extra_noise=None):
     grads = np.empty(feature_map.params.size + 2)
     value = _summed_mll(
         feature_map, np.atleast_1d(log_sigma_f_sq), np.atleast_1d(log_sigma_xi_sq),
-        np.asarray(X), np.asarray(y)[:, None],
+        X, np.asarray(y)[:, None],
         None if extra_noise is None else np.asarray(extra_noise)[:, None], grads)
     return value, grads[:-2], float(grads[-2]), float(grads[-1])
 
@@ -307,6 +306,8 @@ def train(feature_map, X, Y, extra_noise, config):
     architecture.  Returns (feature_map, sigma_f_sq, sigma_xi_sq, trace)
     with (C,) variances; deterministic for a fixed seed.
     """
+    X = check_array("inputs", X, (None, None))
+    Y = check_array("targets", Y, (len(X), None))
     n, d = X.shape
     num_outputs = Y.shape[1]
     if feature_map is None:
@@ -363,6 +364,8 @@ def build_caches(feature_map, X, Y, noise_var=None):
     noise row, as train sorts its subsets, so it has one run per distinct
     noise row.  None is unit noise: a regression's cache, gamma its ratio.
     """
+    X = check_array("inputs", X, (None, None))
+    Y = check_array("targets", Y, (len(X), None), NumericError)
     n = X.shape[0]
     noise_var = np.broadcast_to(1.0, Y.shape) if noise_var is None else noise_var
     acc = lr.GramAccumulator(feature_map.output_dim, Y.shape[1])
@@ -376,7 +379,7 @@ def build_caches(feature_map, X, Y, noise_var=None):
 
 def build_decomposition(feature_map, X, y):
     """Accumulate the full-data feature Gram in batches and decompose it."""
-    return build_caches(feature_map, X, np.asarray(y)[:, None])[0]
+    return build_caches(feature_map, X, check_array("targets", y, (None,))[:, None])[0]
 
 
 def fit(dataset, config=None, feature_map=None):
@@ -401,6 +404,7 @@ def posterior(psi, caches, gammas, sigma_f_sq):
         mean = psi U (w / (lam + gamma))
         var  = v * (|psi|^2 - sum_k (psi U)_k^2 lam_k / (lam_k + gamma))
     """
+    psi = check_array("features", psi, (None, caches[0].u.shape[0]), NumericError)
     prior = np.sum(psi * psi, axis=1)
     means = np.empty((psi.shape[0], len(caches)))
     variances = np.empty_like(means)
@@ -437,12 +441,10 @@ def recalibrate(model, X_cal, y_cal):
     predictive means are bit-identical before and after; applying the
     procedure twice is a fixed point (second alpha = 1).
     """
-    X_cal = np.asarray(X_cal, dtype=np.float64)
-    y_cal = np.asarray(y_cal, dtype=np.float64)
-    if X_cal.ndim != 2 or X_cal.shape[0] < 1:
+    X_cal = check_array("X_cal", X_cal, (None, None))
+    if len(X_cal) < 1:
         raise DomainError("calibration set must contain at least one pair")
-    if y_cal.shape != (X_cal.shape[0],):
-        raise ShapeError("calibration targets do not match inputs")
+    y_cal = check_array("y_cal", y_cal, (len(X_cal),), NumericError)
     pred = predict(model, X_cal)
     s2 = pred.observation_variance
     if np.any(s2 <= 0):
@@ -458,6 +460,7 @@ def recalibrate(model, X_cal, y_cal):
 
 def mean_nll(pred, y):
     """Mean Gaussian negative log-likelihood under the observation variance."""
+    y = check_array("targets", y, pred.mean.shape, NumericError)
     s2 = pred.observation_variance
     return float(np.mean(0.5 * ((y - pred.mean) ** 2 / s2 + np.log(2.0 * np.pi * s2))))
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import features as ft
-from .errors import (ConfigError, DomainError, NumericError, ShapeError, check_count,
+from .errors import (ConfigError, DomainError, NumericError, check_array, check_count,
                      check_positive)
 
 NUMERIC_RANK_RTOL = 1e-10
@@ -133,9 +133,7 @@ def _base_gram(spec, X, Z):
 
 def build_gram(spec, X):
     """Dense n x n Gram matrix of the kernel spec on the input rows."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ShapeError(f"inputs must be 2-d, got shape {X.shape}")
+    X = check_array("inputs", X, (None, None), NumericError)
     if isinstance(spec, MlpKernel):
         widths = [X.shape[1], *spec.hidden_widths, spec.output_dim]
         fmap = ft.init_params(widths, spec.seed,
@@ -146,6 +144,7 @@ def build_gram(spec, X):
     elif isinstance(spec, NystromKernel):
         import scipy.linalg
         check_count(DomainError, num_landmarks=spec.num_landmarks)
+        check_count(DomainError, low=0, seed=spec.seed)
         m = min(spec.num_landmarks, X.shape[0])
         idx = np.random.default_rng(spec.seed).choice(X.shape[0], size=m,
                                                       replace=False)
@@ -195,14 +194,11 @@ class SpectrumReport:
 
 def spectrum(gram, kernel_label="", d=0, seed=None):
     """Eigen-decompose a symmetric PSD Gram into a SpectrumReport."""
-    gram = np.asarray(gram, dtype=np.float64)
-    if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
-        raise ShapeError(f"gram must be square, got {gram.shape}")
+    gram = check_array("gram", gram, ("n", "n"), NumericError)
     import scipy.linalg
-    # scipy refuses a NaN or an infinity with a ValueError
     try:
         lam = scipy.linalg.eigvalsh((gram + gram.T) / 2.0)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
+    except scipy.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
     lam = np.maximum(lam[::-1], 0.0)
     return SpectrumReport(lam, kernel_label, gram.shape[0], d, seed)
@@ -262,10 +258,8 @@ def hadamard_slacks(gram1, gram2):
     smallest diagonal of gram2 summed over the last k positions: tail is
     sum minus bound.
     """
-    gram1 = np.asarray(gram1, dtype=np.float64)
-    gram2 = np.asarray(gram2, dtype=np.float64)
-    if gram1.ndim != 2 or gram1.shape[0] != gram1.shape[1] or gram1.shape != gram2.shape:
-        raise ShapeError("factor Grams must be square and of equal shapes")
+    gram1 = check_array("gram1", gram1, ("n", "n"), NumericError)
+    gram2 = check_array("gram2", gram2, gram1.shape, NumericError)
     n = gram1.shape[0]
     lam_prod, lam1 = (np.linalg.eigvalsh((g + g.T) / 2.0)[::-1]
                       for g in (gram1 * gram2, gram1))

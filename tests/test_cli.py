@@ -433,6 +433,14 @@ class TestDataErrors:
         config = write_config(tmp_path, doc)
         assert cli.main(["train", "--config", config]) == cli.EXIT_DATA
 
+    def test_unknown_normalization_exits_before_reading_data(self, tmp_path):
+        # the data file does not exist, so a data error would mean it was read
+        doc = regression_doc(tmp_path)
+        doc["data"] = {"kind": "csv", "path": str(tmp_path / "none.csv")}
+        doc["architecture"]["normalization"] = "bogus"
+        config = write_config(tmp_path, doc)
+        assert cli.main(["train", "--config", config]) == cli.EXIT_CONFIG
+
     def test_non_finite_csv_cell(self, tmp_path, capsys):
         csv_path = tmp_path / "data.csv"
         rows = [f"{i * 0.1},{i * 0.2},{i * 0.3}" for i in range(40)]
