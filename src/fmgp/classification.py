@@ -142,7 +142,6 @@ def fit_classifier(dataset, config=None, feature_map=None):
     """
     config = config or ClassifierConfig()
     X, labels = reg.training_rows(dataset)
-    labels = labels.astype(np.int64)
     if np.unique(labels).size < 2:
         raise DomainError("training data contains a single class")
     num_classes = int(np.max(dataset.targets)) + 1
@@ -247,18 +246,18 @@ def multinomial_nll(probs, labels):
     return float(-np.mean(np.log(np.maximum(picked, 1e-300))))
 
 
-def _bounded_brent(func, a, x, b, fx, xtol=1e-6, maxiter=500):
+def _bounded_brent(func, a, x, b, fx):
     """(x, func(x)) at a minimum of func on (a, b), started from a known
     point a < x < b with fx = func(x): the steps of Brent's bounded
-    minimization as in scipy's fminbound (Brent 1973, ch. 5)."""
+    minimization as in scipy's fminbound (Brent 1973, ch. 5), xtol 1e-6."""
     golden = 0.5 * (3.0 - np.sqrt(5.0))
     sqrt_eps = np.sqrt(2.2e-16)
     v = w = x
     fv = fw = fx
     d = e = 0.0
-    for _ in range(maxiter):
+    for _ in range(500):
         xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(x) + xtol / 3.0
+        tol1 = sqrt_eps * abs(x) + 1e-6 / 3.0
         tol2 = 2.0 * tol1
         if abs(x - xm) <= tol2 - 0.5 * (b - a):
             break

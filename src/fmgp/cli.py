@@ -139,6 +139,7 @@ class RunConfig:
     def __init__(self, doc, seed_override=None):
         from . import classification as cls
         from . import data as dt
+        from . import features as ft
         from . import regression as reg
         from . import spectral as sp
         _require_keys(doc, _TOP_KEYS, "config")
@@ -146,7 +147,7 @@ class RunConfig:
         if self.task not in ("regression", "classification"):
             raise ConfigError(f"unknown task {self.task!r}")
         self.composition, composition = _pop_kind(doc.get("composition", {}),
-                                                  ("single", "product", "additive"),
+                                                  ("single", *ft.COMPOSITIONS),
                                                   "composition", default="single")
         _require_keys(composition, {"output_dims"}, "composition")
         dims = self.output_dims = composition.get("output_dims")
@@ -229,7 +230,7 @@ def build_dataset(config):
 
 def build_feature_map(config, input_dim):
     """None for the single composition (fit builds its own); otherwise a
-    prebuilt product or additive pair of freshly initialized maps."""
+    prebuilt pair of freshly initialized maps, of the composition's kind."""
     from . import features as ft
     if config.composition == "single":
         return None
@@ -238,9 +239,7 @@ def build_feature_map(config, input_dim):
     maps = [ft.init_params([input_dim, *arch.hidden_widths, int(dims[i])], arch.seed + i,
                            normalization=arch.normalization,
                            rescale_to_unit=arch.rescale_to_unit) for i in range(2)]
-    if config.composition == "product":
-        return ft.ProductFeatureMap(*maps)
-    return ft.AdditiveFeatureMap(*maps)
+    return ft.COMPOSITIONS[config.composition](*maps)
 
 
 def _write_json(path, payload):
@@ -259,8 +258,6 @@ def _write_trace_csv(path, trace):
 
 def cmd_train(config, out_dir):
     """Fit per the config; write model JSON, loss trace, train metrics."""
-    import numpy as np
-
     from . import classification as cls
     from . import model_file as mf
     from . import regression as reg
@@ -273,7 +270,7 @@ def cmd_train(config, out_dir):
         model = reg.fit(dataset, config.fit, feature_map=fmap)
         if config.recalibration and has_recal:
             X_cal, y_cal = dataset.subset_arrays("recalibration")
-            model = reg.recalibrate(model, X_cal, y_cal.astype(np.float64))
+            model = reg.recalibrate(model, X_cal, y_cal)
     else:
         model = cls.fit_classifier(dataset, config.fit, feature_map=fmap)
         if config.classification["fit_temperature"] and has_recal:
@@ -329,7 +326,6 @@ def cmd_eval(model_path, config, out_dir):
         started = time.perf_counter()
         pred = reg.predict(model, X_test)
         elapsed = time.perf_counter() - started
-        y_test = y_test.astype(np.float64)
         metrics["mse"] = float(np.mean((pred.mean - y_test) ** 2))
         metrics["mean_nll"] = reg.mean_nll(pred, y_test)
     else:
@@ -338,9 +334,8 @@ def cmd_eval(model_path, config, out_dir):
                                   num_samples=config.classification["num_samples"],
                                   seed=config.fit.seed)
         elapsed = time.perf_counter() - started
-        labels = y_test.astype(np.int64)
-        metrics["error_rate"] = float(np.mean(probs.argmax(axis=1) != labels))
-        metrics["ece"] = cls.compute_ece(probs, labels,
+        metrics["error_rate"] = float(np.mean(probs.argmax(axis=1) != y_test))
+        metrics["ece"] = cls.compute_ece(probs, y_test,
                                          config.classification["ece_bins"]).ece
         metrics["temperature"] = model.temperature
     metrics["timings"] = {"predict_s": elapsed,

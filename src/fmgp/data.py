@@ -275,20 +275,21 @@ def prepare(raw, seed=0, test_n=TEST_N_DEFAULT, recal_n=RECAL_N_DEFAULT):
                    task=raw.task, label_map=raw.label_map)
 
 
-def sample_gp_path(gram, rng, jitter=1e-8, max_jitter=1e-4):
-    """Draw f ~ N(0, gram) via Cholesky with an escalating jitter ladder."""
+def sample_gp_path(gram, rng):
+    """Draw f ~ N(0, gram) via Cholesky, jitter 1e-8 raised tenfold up to 1e-4."""
     # only the synthetic generators need scipy, so fitting never loads it
     import scipy.linalg
     gram = np.asarray(gram, dtype=np.float64)
     n = gram.shape[0]
     z = rng.standard_normal(n)
-    while jitter <= max_jitter:
+    jitter = 1e-8
+    while jitter <= 1e-4:
         try:
             chol = scipy.linalg.cholesky(gram + jitter * np.eye(n), lower=True)
             return chol @ z
         except scipy.linalg.LinAlgError:
             jitter *= 10.0
-    raise NumericError(f"Cholesky failed up to jitter {max_jitter}")
+    raise NumericError("Cholesky failed up to jitter 0.0001")
 
 
 def synth_gp_sample(kernel=None, n=2000, d=1, noise_sd=0.1, seed=0):
@@ -301,6 +302,7 @@ def synth_gp_sample(kernel=None, n=2000, d=1, noise_sd=0.1, seed=0):
     from . import spectral
     check_count(DomainError, n=n, d=d)
     check_count(DomainError, low=0, seed=seed)
+    check_array("noise_sd", noise_sd, (), DomainError)
     rng = np.random.default_rng(seed)
     X = rng.uniform(size=(n, d))
     gram = spectral.build_gram(spectral.ExpKernel(1.0) if kernel is None else kernel, X)
@@ -340,6 +342,8 @@ def synth_manifold(n=2000, latent_kind="circle", d_ambient=16, eps=0.1, noise_sd
     """
     check_count(DomainError, n=n)
     check_count(DomainError, low=0, seed=seed)
+    check_array("eps", eps, (), DomainError)
+    check_array("noise_sd", noise_sd, (), DomainError)
     rng = np.random.default_rng(seed)
     if latent_kind == "circle":
         z, angles = _circle_latents(n, rng)
@@ -373,6 +377,7 @@ def synth_blobs(n=4000, num_classes=2, d=2, separation=4.0, seed=0):
     check_count(DomainError, n=n, d=d)
     check_count(DomainError, low=2, num_classes=num_classes)
     check_count(DomainError, low=0, seed=seed)
+    check_array("separation", separation, (), DomainError)
     if num_classes > 2 * d + 1:
         raise DomainError(f"cannot place {num_classes} centers {separation} "
                           f"apart on {d} axes")

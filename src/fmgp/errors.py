@@ -69,7 +69,7 @@ def check_array(name, value, shape, nonfinite=None):
     Each entry of shape is an axis length: an int, None for any length,
     or a name such as "n" for any length that the axes of that name share.
     A wrong rank or length is a ShapeError.  With nonfinite an error
-    class, a NaN or an infinity raises it, naming the first row with one.
+    class, a NaN or an infinity raises it, naming the first bad row or 0-d value.
     """
     import numpy as np
     array = np.asarray(value, dtype=np.float64)
@@ -81,7 +81,8 @@ def check_array(name, value, shape, nonfinite=None):
         expected = ", ".join("*" if want is None else str(want) for want in shape)
         raise ShapeError(f"{name} must have shape ({expected}), got {array.shape}")
     if nonfinite is not None and not np.isfinite(array).all():
-        rows = np.atleast_1d(array)
-        row = int(np.argmin(np.isfinite(rows.reshape(len(rows), -1)).all(axis=1)))
-        raise nonfinite(f"{name} must be finite, row {row} is {rows[row]}")
+        if array.ndim == 0:
+            raise nonfinite(f"{name} must be finite, got {array}")
+        row = int(np.argmin(np.isfinite(array.reshape(len(array), -1)).all(axis=1)))
+        raise nonfinite(f"{name} must be finite, row {row} is {array[row]}")
     return array

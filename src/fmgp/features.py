@@ -76,6 +76,8 @@ class FeatureMap:
         Rescale each output row to unit norm.  Zero rows are left as is.
     """
 
+    kind = "mlp"
+
     def __init__(self, widths, params, normalization="none", rescale_to_unit=False):
         self.widths = [int(w) for w in widths]
         self.normalization = _check_normalization(normalization)
@@ -182,6 +184,10 @@ class AdditiveFeatureMap(_FeatureMapPair):
     def split(upstream, phi1, phi2):
         p1 = phi1.shape[1]
         return upstream[:, :p1], upstream[:, p1:]
+
+
+# every pair map by its kind: the compositions that configs and model files name
+COMPOSITIONS = {pair.kind: pair for pair in (ProductFeatureMap, AdditiveFeatureMap)}
 
 
 def init_params(widths, seed, normalization="none", rescale_to_unit=False):

@@ -1,11 +1,11 @@
 """The fmgp/model@1 model file: its one writer and its one reader.
 
 A model file is one JSON document: schema and task, the feature map
-(fmgp/feature-map@1, nested for product and additive pairs), the task's
-variances and decomposition caches (one per class for a classifier,
-with its temperature and label map), and the training inputs'
-normalization.  json writes each float64 by repr, so it reads back
-exactly and re-saving a loaded model gives the same bytes.
+(fmgp/feature-map@1, nested for the pairs of features.COMPOSITIONS),
+the task's variances and decomposition caches (one per class for a
+classifier, with its temperature and label map), and the training
+inputs' normalization.  json writes each float64 by repr, so it reads
+back exactly and re-saving a loaded model gives the same bytes.
 
 Every stored number and array is read by _read, which converts it to
 float64, checks its shape and rejects a non-finite value: the writer
@@ -27,9 +27,6 @@ from .errors import DataError, FmgpError, NumericError
 SCHEMA = "fmgp/model@1"
 FEATURE_MAP_FORMAT = "fmgp/feature-map@1"
 
-_PAIRS = {"product": ft.ProductFeatureMap, "additive": ft.AdditiveFeatureMap}
-
-
 def _read(doc, key, shape=(), order="C"):
     """doc[key] as a float64 array of the given shape (a float when the
     shape is ()) in the given memory order, every entry finite."""
@@ -46,30 +43,31 @@ def _read(doc, key, shape=(), order="C"):
 
 def feature_map_document(fmap):
     """The fmgp/feature-map@1 document of a plain or composite map."""
-    if isinstance(fmap, ft.FeatureMap):
-        return {
-            "format": FEATURE_MAP_FORMAT,
-            "kind": "mlp",
-            "widths": fmap.widths,
-            "activation": "relu",
-            "normalization": fmap.normalization,
-            "rescale_to_unit": fmap.rescale_to_unit,
-            "layers": [{key: array.tolist() for key, array in zip(ft.LAYER_KEYS, layer)}
-                       for layer in fmap.layers],
-        }
-    return {"format": FEATURE_MAP_FORMAT, "kind": fmap.kind,
-            "left": feature_map_document(fmap.left),
-            "right": feature_map_document(fmap.right)}
+    if fmap.kind in ft.COMPOSITIONS:
+        return {"format": FEATURE_MAP_FORMAT, "kind": fmap.kind,
+                "left": feature_map_document(fmap.left),
+                "right": feature_map_document(fmap.right)}
+    return {
+        "format": FEATURE_MAP_FORMAT,
+        "kind": fmap.kind,
+        "widths": fmap.widths,
+        "activation": "relu",
+        "normalization": fmap.normalization,
+        "rescale_to_unit": fmap.rescale_to_unit,
+        "layers": [{key: array.tolist() for key, array in zip(ft.LAYER_KEYS, layer)}
+                   for layer in fmap.layers],
+    }
 
 
 def read_feature_map(doc):
     """The plain or composite feature map of a feature-map document."""
     if doc.get("format") != FEATURE_MAP_FORMAT:
         raise DataError(f"unrecognized feature map format {doc.get('format')!r}")
-    kind = doc.get("kind", "mlp")
-    if kind in _PAIRS:
-        return _PAIRS[kind](read_feature_map(doc["left"]), read_feature_map(doc["right"]))
-    if kind != "mlp":
+    kind = doc.get("kind", ft.FeatureMap.kind)
+    if kind in ft.COMPOSITIONS:
+        return ft.COMPOSITIONS[kind](read_feature_map(doc["left"]),
+                                     read_feature_map(doc["right"]))
+    if kind != ft.FeatureMap.kind:
         raise DataError(f"unrecognized feature map kind {kind!r}")
     if doc.get("activation") != "relu":
         raise DataError(f"unsupported activation {doc.get('activation')!r}")

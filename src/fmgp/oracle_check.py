@@ -39,15 +39,15 @@ def _rel(a, b):
     return float(np.max(np.abs(a - b)) / max(scale, 1e-300))
 
 
-def _refined_cho_solve(cho, k_xi, b, steps=2):
-    """Cholesky solve plus iterative refinement with extended-precision
-    residuals, so the oracle stays sharp at small noise variances where
-    the dense system is badly conditioned."""
+def _refined_cho_solve(cho, k_xi, b):
+    """Cholesky solve plus two steps of iterative refinement with
+    extended-precision residuals, so the oracle stays sharp at small noise
+    variances where the dense system is badly conditioned."""
     x = scipy.linalg.cho_solve(cho, b)
     k_ld = k_xi.astype(np.longdouble)
     b_ld = b.astype(np.longdouble)
     x_ld = x.astype(np.longdouble)
-    for _ in range(steps):
+    for _ in range(2):
         residual = b_ld - k_ld @ x_ld
         x_ld = x_ld + scipy.linalg.cho_solve(cho, residual.astype(np.float64))
     return x_ld.astype(np.float64)
@@ -171,8 +171,7 @@ def check_prediction(num_instances=100, seed=0, perturb=0.0):
         sigma_f_sq = float(np.exp(rng.uniform(np.log(0.25), np.log(4.0))))
         sigma_xi_sq = float(np.exp(rng.uniform(np.log(1e-4), np.log(10.0))))
 
-        phi = ft.forward(fmap, X)
-        decomp = _perturbed(lr.decompose(phi.T @ phi, phi.T @ y, n), perturb)
+        decomp = _perturbed(reg.build_decomposition(fmap, X, y), perturb)
         model = reg.GpModel(fmap, sigma_f_sq, sigma_xi_sq, decomp)
         pred = reg.predict(model, X_star)
 

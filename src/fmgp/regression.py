@@ -273,12 +273,10 @@ def make_subsets(n, num_subsets, subset_size, rng):
 
 
 def training_rows(dataset):
-    """Inputs (float64) and raw targets of the dataset's training split."""
-    train_idx = np.asarray(dataset.split["train"])
-    if train_idx.size < 1:
+    """Inputs and targets of the dataset's training split."""
+    if dataset.split["train"].size < 1:
         raise DataError("training split is empty")
-    return (np.asarray(dataset.X, dtype=np.float64)[train_idx],
-            np.asarray(dataset.targets)[train_idx])
+    return dataset.subset_arrays("train")
 
 
 def _summed_mll(feature_map, log_sf2, log_sxi2, X, Y, extra_noise, grads, work=None):
@@ -387,7 +385,6 @@ def fit(dataset, config=None, feature_map=None):
     call of train, then one full-data decomposition."""
     config = config or FitConfig()
     X, y = training_rows(dataset)
-    y = y.astype(np.float64)
     feature_map, sigma_f_sq, sigma_xi_sq, trace = train(feature_map, X, y[:, None],
                                                         None, config)
     decomp = build_decomposition(feature_map, X, y)
@@ -446,10 +443,7 @@ def recalibrate(model, X_cal, y_cal):
         raise DomainError("calibration set must contain at least one pair")
     y_cal = check_array("y_cal", y_cal, (len(X_cal),), NumericError)
     pred = predict(model, X_cal)
-    s2 = pred.observation_variance
-    if np.any(s2 <= 0):
-        raise NumericError("zero predictive variance in recalibration")
-    alpha = float(np.mean((y_cal - pred.mean) ** 2 / s2))
+    alpha = float(np.mean((y_cal - pred.mean) ** 2 / pred.observation_variance))
     if not alpha > 0:
         raise NumericError(f"recalibration factor must be positive, got {alpha}")
     return GpModel(model.feature_map, alpha * model.sigma_f_sq,

@@ -186,6 +186,7 @@ class SpectrumReport:
 
     def tail_mass(self, after_index):
         """Fraction of the trace beyond the given 1-based eigen index."""
+        check_count(DomainError, low=0, after_index=after_index)
         total = self.eigenvalues.sum()
         if total <= 0:
             return 0.0

@@ -7,12 +7,15 @@ change leaves them bit for bit as they were:
 
 The two lines are equal exactly when every digest is.  It covers a small
 regression fit on a product map built by the CLI (training trace,
-predictions, model.json before and after recalibration), a small 4-class
-classifier fit (trace, fitted temperature, probabilities, ECE and its bin
-counts, model.json), the six oracle_check.run_all(seed=2) errors and the
-two Hadamard-product slacks.  Floats are printed as float hex; arrays and
-files as the first 16 hex digits of their SHA-256.  BLAS runs on one
-thread, so that its rounding does not depend on the machine's core count.
+predictions, model.json before and after recalibration, predictions after
+reloading model.json), a small additive-map fit built by the CLI
+(model.json, predictions after reloading it), a small 4-class classifier
+fit (trace, fitted temperature, probabilities, ECE and its bin counts,
+model.json, probabilities after reloading it), the six
+oracle_check.run_all(seed=2) errors and the two Hadamard-product slacks.
+Floats are printed as float hex; arrays and files as the first 16 hex
+digits of their SHA-256.  BLAS runs on one thread, so that its rounding
+does not depend on the machine's core count.
 
 When a change moves outputs by rounding, --values prints the same keys,
 each with the list of its underlying floats as float hex (a model file's
@@ -34,8 +37,10 @@ import warnings
 
 KEYS = ("regression_trace", "regression_mean", "regression_variance",
         "regression_model_json", "recalibrated_model_json", "recalibrated_variance",
+        "reloaded_prediction", "additive_model_json", "additive_reloaded_prediction",
         "classifier_trace", "classifier_model_json", "temperature", "probabilities",
-        "ece", "ece_bin_counts", "oracle_max_err", "hadamard_partial", "hadamard_tail")
+        "reloaded_probabilities", "ece", "ece_bin_counts", "oracle_max_err",
+        "hadamard_partial", "hadamard_tail")
 
 
 # Each key of out holds (digest, values): its digest as printed by default,
@@ -72,12 +77,20 @@ def _numbers(doc):
     return [doc] if isinstance(doc, (int, float)) and not isinstance(doc, bool) else []
 
 
-def _model_json(save, model, tmp):
+def _saved(save, load, model, tmp):
+    """The model file that save writes for model, as (digest, values), and
+    the model that load reads back from it."""
     path = os.path.join(tmp, "model.json")
     save(model, path)
     with open(path, "rb") as fh:
         data = fh.read()
-    return _digest(data), _hexes(_numbers(json.loads(data)))
+    return (_digest(data), _hexes(_numbers(json.loads(data)))), load(path)
+
+
+def _prediction(pred):
+    # the mean, then the latent and the observation variance
+    import numpy as np
+    return _array(np.stack([pred.mean, pred.variance, pred.observation_variance]))
 
 
 def _regression(out, tmp):
@@ -92,12 +105,29 @@ def _regression(out, tmp):
     X_test, _ = ds.subset_arrays("test")
     pred = reg.predict(model, X_test)
     recal = reg.recalibrate(model, *ds.subset_arrays("recalibration"))
+    model_json, reloaded = _saved(reg.save_model, reg.load_model, model, tmp)
     out.update(regression_trace=_trace(model.training_trace),
                regression_mean=_array(pred.mean),
                regression_variance=_array(pred.variance),
-               regression_model_json=_model_json(reg.save_model, model, tmp),
-               recalibrated_model_json=_model_json(reg.save_model, recal, tmp),
-               recalibrated_variance=_array(reg.predict(recal, X_test).observation_variance))
+               regression_model_json=model_json,
+               recalibrated_model_json=_saved(reg.save_model, reg.load_model, recal, tmp)[0],
+               recalibrated_variance=_array(reg.predict(recal, X_test).observation_variance),
+               reloaded_prediction=_prediction(reg.predict(reloaded, X_test)))
+
+
+def _additive(out, tmp):
+    from fmgp import cli, regression as reg
+    config = cli.RunConfig({
+        "composition": {"kind": "additive", "output_dims": [3, 2]},
+        "architecture": {"hidden_widths": [8]},
+        "training": {"iterations": 10, "subset_size": 100, "seed": 4},
+        "data": {"kind": "synth_manifold", "n": 200, "d_ambient": 3, "test_n": 40,
+                 "recal_n": 0}})
+    ds = cli.build_dataset(config)
+    model = reg.fit(ds, config.fit, feature_map=cli.build_feature_map(config, 3))
+    model_json, reloaded = _saved(reg.save_model, reg.load_model, model, tmp)
+    out.update(additive_model_json=model_json, additive_reloaded_prediction=_prediction(
+        reg.predict(reloaded, ds.subset_arrays("test")[0])))
 
 
 def _classifier(out, tmp):
@@ -112,9 +142,12 @@ def _classifier(out, tmp):
     probs = cls.predict_proba(clf.with_temperature(temperature), X_test, num_samples=64,
                               seed=8)
     report = cls.compute_ece(probs, y_test)
-    out.update(classifier_trace=_trace(clf.training_trace),
-               classifier_model_json=_model_json(cls.save_classifier, clf, tmp),
+    model_json, reloaded = _saved(cls.save_classifier, cls.load_classifier, clf, tmp)
+    reloaded_probs = cls.predict_proba(reloaded.with_temperature(temperature), X_test,
+                                       num_samples=64, seed=8)
+    out.update(classifier_trace=_trace(clf.training_trace), classifier_model_json=model_json,
                temperature=_scalar(temperature), probabilities=_array(probs),
+               reloaded_probabilities=_array(reloaded_probs),
                ece=_scalar(report.ece),
                ece_bin_counts=([int(c) for c in report.bin_counts], _hexes(report.bin_counts)))
 
@@ -126,11 +159,7 @@ def _spectral(out):
     out["oracle_max_err"] = (errors, errors)
     X = np.random.default_rng(9).uniform(size=(40, 2))
     k1, k2 = sp.build_gram(sp.ExpKernel(0.4), X), sp.build_gram(sp.RbfKernel(0.8), X)
-    if hasattr(sp, "hadamard_slacks"):
-        partial, tail = sp.hadamard_slacks(k1, k2)
-    else:  # the two functions it replaced
-        partial = sp.hadamard_partial_sum_slack(k1, k2)
-        tail = sp.hadamard_tail_sum_slack(k1, k2)
+    partial, tail = sp.hadamard_slacks(k1, k2)
     out.update(hadamard_partial=_array(partial), hadamard_tail=_array(tail))
 
 
@@ -170,6 +199,7 @@ def main(argv=None):
     with warnings.catch_warnings(), tempfile.TemporaryDirectory() as tmp:
         warnings.simplefilter("ignore")
         _regression(out, tmp)
+        _additive(out, tmp)
         _classifier(out, tmp)
         _spectral(out)
     values = {key: out[key][1] for key in KEYS}

@@ -402,6 +402,15 @@ class TestTemperature:
             t = cls.fit_temperature(clf, X[:5], np.zeros(5, dtype=int))
         assert t == clf.temperature
 
+    def test_empty_holdout_raises(self):
+        rng = np.random.default_rng(73)
+        X = rng.standard_normal((30, 2))
+        labels = rng.integers(0, 2, size=30)
+        fmap = ft.init_params([2, 6, 4], seed=12, rescale_to_unit=True)
+        clf = build_classifier(labels, fmap, X, np.ones(2), np.full(2, 0.5))
+        with pytest.raises(DomainError, match="holdout is empty"):
+            cls.fit_temperature(clf, np.empty((0, 2)), np.empty(0, dtype=int))
+
     def test_rejects_no_samples(self):
         rng = np.random.default_rng(77)
         X = rng.standard_normal((20, 2))

@@ -102,6 +102,17 @@ class TestTrainEval:
         model = json.loads((tmp_path / "model.json").read_text())
         assert model["feature_map"]["kind"] == "product"
 
+    def test_regression_honours_additive_composition(self, tmp_path):
+        doc = regression_doc(tmp_path)
+        doc["composition"] = {"kind": "additive"}
+        doc["training"]["iterations"] = 3
+        config = write_config(tmp_path, doc)
+        assert cli.main(["train", "--config", config]) == 0
+        model = json.loads((tmp_path / "model.json").read_text())
+        assert model["feature_map"]["kind"] == "additive"
+        assert cli.main(["eval", "--config", config,
+                         "--model", str(tmp_path / "model.json")]) == 0
+
     def test_model_file_is_deterministic(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         out_a.mkdir(), out_b.mkdir()

@@ -56,6 +56,8 @@ def shape_values(row):
 BAD_VALUES = {
     "count": lambda row: [("1.5", 1.5), ("True", True), ("low-1", row.low - 1)],
     "positive": lambda row: [("0", 0.0), ("-1", -1.0), ("inf", np.inf), ("nan", np.nan)],
+    # a real of either sign: only NaN and infinity are refused
+    "real": lambda row: [("nan", np.nan), ("inf", np.inf)],
     # two class indices of a two-class problem
     "labels": lambda row: [("fraction", np.array([0.9, 1.2])), ("nan", np.array([0.0, np.nan])),
                            ("negative", np.array([0, -1])), ("too_large", np.array([0, 2]))],
@@ -108,6 +110,7 @@ MODEL = reg.GpModel(FMAP, 1.0, 0.5,
                     reg.build_decomposition(FMAP, X_SMALL, np.sin(X_SMALL[:, 0])))
 PRED = reg.predict(MODEL, X5)
 PHI3 = np.random.default_rng(3).standard_normal((3, 2))
+REPORT = sp.spectrum(np.diag([4.0, 3.0, 2.0, 1.0]))
 
 
 def mll_parts(**args):
@@ -204,6 +207,7 @@ COUNTS = [
     *[Row(f"synth_manifold.{f}", "count", DomainError,
           lambda v, f=f: dt.synth_manifold(**{"n": 20, "d_ambient": 4, f: v}), 4, low)
       for f, low in (("n", 1), ("d_ambient", 2), ("seed", 0))],
+    Row("SpectrumReport.tail_mass", "count", DomainError, lambda v: REPORT.tail_mass(v), 1, 0),
 ]
 
 POSITIVE_REALS = [
@@ -231,6 +235,18 @@ POSITIVE_REALS = [
                                               "decomp": None, f: v}), 0.5)
       for f in ("sigma_f_sq", "sigma_xi_sq", "gamma")],
     Row("GramAccumulator.add.noise", "positive", DomainError, accumulate, 1.0),
+]
+
+# a negative noise_sd draws the same noise with its sign flipped, and a
+# negative eps or separation mirrors the data, so only NaN and inf are bad
+REALS = [
+    Row("synth_gp_sample.noise_sd", "real", DomainError,
+        lambda v: dt.synth_gp_sample(n=20, noise_sd=v), 0.1),
+    *[Row(f"synth_manifold.{f}", "real", DomainError,
+          lambda v, f=f: dt.synth_manifold(**{"n": 20, "d_ambient": 4, f: v}), 0.1)
+      for f in ("eps", "noise_sd")],
+    Row("synth_blobs.separation", "real", DomainError,
+        lambda v: dt.synth_blobs(n=20, separation=v), 4.0),
 ]
 
 LABEL_VECTORS = [
@@ -334,7 +350,7 @@ ARRAYS = [
         expect={"empty": DataError}),
 ]
 
-ROWS = COUNTS + POSITIVE_REALS + LABEL_VECTORS + PROBABILITY_ROWS + ARRAYS
+ROWS = COUNTS + POSITIVE_REALS + REALS + LABEL_VECTORS + PROBABILITY_ROWS + ARRAYS
 
 
 def strict(call, *args):
@@ -420,7 +436,6 @@ NOT_IN_TABLE = {
     "load_classifier": "model_file.load for a classifier",
     "CalibrationReport": "a record that compute_ece builds",
     "ProductKernel": "combines two specs, each with its own rows",
-    "SpectrumReport": "a record that spectrum builds",
     "decay_experiment": "takes a DecayConfig, which has rows",
     "write_spectra_csv": "writes reports that spectrum built",
 }
@@ -449,6 +464,11 @@ def test_mean_nll_refuses_a_column_of_targets():
     y = np.linspace(-1.0, 1.0, 5)
     with pytest.raises(ShapeError, match=r"must have shape \(5\), got \(5, 1\)"):
         reg.mean_nll(PRED, y[:, None])
+
+
+def test_a_non_finite_scalar_is_named_by_its_value():
+    with pytest.raises(DomainError, match="noise_sd must be finite, got nan"):
+        dt.synth_gp_sample(n=20, noise_sd=np.nan)
 
 
 def test_unknown_normalization_is_refused_at_construction():

@@ -215,6 +215,14 @@ class TestPrepare:
         assert ds.feature_stds[1] == 1.0
         np.testing.assert_array_equal(ds.X[:, 1], 0.0)
 
+    def test_constant_targets_warn_and_use_unit_std(self):
+        raw = random_raw(300)
+        raw.targets[:] = 3.0
+        with pytest.warns(UserWarning, match="constant training targets"):
+            ds = dt.prepare(raw, seed=0, test_n=50, recal_n=50)
+        assert (ds.target_mean, ds.target_std) == (3.0, 1.0)
+        np.testing.assert_array_equal(ds.targets, 0.0)
+
     def test_normalization_round_trips(self):
         raw = random_raw(3000)
         ds = dt.prepare(raw, seed=3)

@@ -1,6 +1,7 @@
 """tests/fingerprint.py prints one line, the same on every run over one
 source tree, with the keys it documents; --values prints the floats under
-those digests, and --against reads no move between two runs of one tree."""
+those digests, a reloaded model file predicts bit for bit as the fitted
+model, and --against reads no move between two runs of one tree."""
 
 import importlib.util
 import json
@@ -45,8 +46,14 @@ def test_values_are_the_floats_under_the_digests(tmp_path):
     floats = {key: [float.fromhex(v) for v in hexes] for key, hexes in values.items()}
     for key in ("regression_trace", "classifier_trace"):
         assert script._trace(floats[key])[0] == digests[key]
-    for key in ("regression_mean", "probabilities", "hadamard_tail"):
+    for key in ("regression_mean", "probabilities", "hadamard_tail",
+                "reloaded_prediction", "additive_reloaded_prediction"):
         assert script._array(floats[key])[0] == digests[key]
+    # the reloaded regression model's means and latent variances come first
+    n = len(values["regression_mean"])
+    assert (values["reloaded_prediction"][:2 * n]
+            == values["regression_mean"] + values["regression_variance"])
+    assert values["reloaded_probabilities"] == values["probabilities"]
     assert values["temperature"] == [digests["temperature"]]
     assert values["oracle_max_err"] == digests["oracle_max_err"]
     assert floats["ece_bin_counts"] == digests["ece_bin_counts"]

@@ -7,6 +7,7 @@ with the fmgp of commit 61fdecb, beside its predictions on inputs.npy.
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -55,15 +56,36 @@ def test_classifier_keeps_label_map_and_temperature():
     assert clf.temperature != 1.0
 
 
+def edited_copy(name, edit, tmp_path):
+    """The path of a copy of a stored model file, its document passed
+    through edit first."""
+    with open(os.path.join(DATA, f"{name}.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    edit(doc)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
 @pytest.mark.parametrize("label_map", [{"3.0": 0.7, "5.0": 0.2, "9.0": 2},
                                        {"3.0": 0, "5.0": 0, "9.0": 2},
                                        {"3.0": 0, "5.0": 1, "9.0": 3}])
 def test_classifier_label_map_must_hold_distinct_class_indices(label_map, tmp_path):
-    # an edited copy: fractional, repeated or out-of-range class indices
-    with open(os.path.join(DATA, "classifier_3class.json"), encoding="utf-8") as fh:
-        doc = json.load(fh)
-    doc["label_map"] = label_map
-    path = tmp_path / "classifier.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    # fractional, repeated or out-of-range class indices
+    path = edited_copy("classifier_3class", lambda doc: doc.update(label_map=label_map),
+                       tmp_path)
     with pytest.raises(DataError, match="label_map"):
         cls.load_classifier(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda fmap: fmap.update(format="fmgp/feature-map@9"), "unrecognized feature map format"),
+    (lambda fmap: fmap.update(kind="tensor"), "unrecognized feature map kind 'tensor'"),
+    (lambda fmap: fmap["left"].update(activation="tanh"), "unsupported activation 'tanh'"),
+    # the left map's hidden layer holds layer norm's gain and offset
+    (lambda fmap: fmap["left"].update(normalization="none"), "parameter layout does not match"),
+], ids=["format", "kind", "activation", "layout"])
+def test_damaged_feature_map_is_refused_naming_the_file(edit, message, tmp_path):
+    path = edited_copy("regression_additive", lambda doc: edit(doc["feature_map"]), tmp_path)
+    with pytest.raises(DataError, match=f"bad model file {re.escape(str(path))}: {message}"):
+        reg.load_model(path)
