@@ -198,24 +198,20 @@ def _logit_blocks(means, variances, num_samples, seed, out=None):
         yield f
 
 
-def _mean_softmax(blocks, temperature, in_place=False):
+def _mean_softmax(blocks, temperature):
     """(n, C) mean of softmax(f / temperature) over the shifted logit
     blocks f of _logit_blocks, classes before rows, so that the class
-    sums add contiguous rows.  in_place overwrites each block; otherwise
-    the blocks are left as they were and one scratch block is used."""
-    scratch = total = None
+    sums add contiguous rows.  Each block is overwritten."""
+    total = None
     count = 0
-    for f in blocks:
+    for p in blocks:
         if total is None:
-            total = np.zeros(f.shape[1:])
-            if not in_place:
-                scratch = np.empty(f.shape)
-        p = f if in_place else scratch[:f.shape[0]]
-        np.divide(f, temperature, out=p)
+            total = np.zeros(p.shape[1:])
+        np.divide(p, temperature, out=p)
         np.exp(p, out=p)
         p /= p.sum(axis=1, keepdims=True)
         total += p.sum(axis=0)
-        count += f.shape[0]
+        count += p.shape[0]
     return total.T / count
 
 
@@ -235,15 +231,47 @@ def predict_proba(clf, X_star, num_samples=DEFAULT_NUM_SAMPLES, seed=None,
     t = clf.temperature if temperature is None else float(temperature)
     check_positive(DomainError, temperature=t)
     means, variances = class_posteriors(clf, X_star)
-    return _mean_softmax(_logit_blocks(means, variances, num_samples, seed), t,
-                         in_place=True)
+    return _mean_softmax(_logit_blocks(means, variances, num_samples, seed), t)
+
+
+def _observed_probability(blocks, temperature, labels):
+    """(n,) mean of softmax(f / temperature) at the labels over the
+    shifted logit blocks f of _logit_blocks, which are left as they were:
+    bit for bit the labels' entries of _mean_softmax's result.  Each
+    block's softmax is taken over all C classes as there, but only the
+    labels' entries are divided and summed.  They are gathered into one
+    C-contiguous buffer, so that its sample sums add rows in order, as
+    there; a strided gather would be summed pairwise."""
+    n = labels.size
+    # the labels' entries of a (C, n) slice, flattened
+    flat = labels * n + np.arange(n)
+    scratch = picked = total = None
+    count = 0
+    for f in blocks:
+        b = f.shape[0]
+        if total is None:
+            scratch = np.empty(f.shape)
+            picked = np.empty((b, n))
+            total = np.zeros(n)
+        p = scratch[:b]
+        np.divide(f, temperature, out=p)
+        np.exp(p, out=p)
+        observed = np.take(p.reshape(b, -1), flat, axis=1, out=picked[:b])
+        observed /= p.sum(axis=1)
+        total += observed.sum(axis=0)
+        count += b
+    return total / count
+
+
+def _picked_nll(picked):
+    """Mean negative log of the observed classes' probabilities."""
+    return float(-np.mean(np.log(np.maximum(picked, 1e-300))))
 
 
 def multinomial_nll(probs, labels):
     """Mean negative log-likelihood of the observed classes."""
     probs, labels = _scored_rows(probs, labels)
-    picked = probs[np.arange(labels.size), labels]
-    return float(-np.mean(np.log(np.maximum(picked, 1e-300))))
+    return _picked_nll(probs[np.arange(labels.size), labels])
 
 
 def _bounded_brent(func, a, x, b, fx):
@@ -305,7 +333,8 @@ def fit_temperature(clf, X_hold, y_hold, num_samples=DEFAULT_NUM_SAMPLES, seed=0
 
     The latent draws are predict_proba's, taken once from the seed and
     shared by every candidate T, so the objective is a deterministic
-    1-d function of log T.  It is evaluated on a 9-point log grid over
+    1-d function of log T; it scores only the observed classes, and at T
+    it equals multinomial_nll of predict_proba at T.  It is evaluated on a 9-point log grid over
     [0.05, 20] that holds T = 1, then refined by bounded Brent
     minimization inside the grid bracket of the best point.  The returned
     T never has higher NLL than T = 1 on the holdout.  Argmax class
@@ -328,7 +357,7 @@ def fit_temperature(clf, X_hold, y_hold, num_samples=DEFAULT_NUM_SAMPLES, seed=0
     blocks = list(_logit_blocks(means, variances, num_samples, seed, out=logits))
 
     def nll_at(log_t):
-        return multinomial_nll(_mean_softmax(blocks, np.exp(log_t)), y_hold)
+        return _picked_nll(_observed_probability(blocks, np.exp(log_t), y_hold))
 
     # symmetric about 0, so the grid holds T = 1 exactly
     grid = np.linspace(-1.0, 1.0, 9) * np.log(20.0)

@@ -67,6 +67,9 @@ class GpModel:
     def __init__(self, feature_map, sigma_f_sq, sigma_xi_sq, decomp,
                  train_inputs_stats=None, gamma=None, training_trace=None):
         check_positive(DomainError, sigma_f_sq=sigma_f_sq, sigma_xi_sq=sigma_xi_sq)
+        if not isinstance(decomp, lr.FeatureDecomposition):
+            raise DomainError("decomp must be a FeatureDecomposition, "
+                              f"got {type(decomp).__name__}")
         self.feature_map = feature_map
         self.sigma_f_sq = float(sigma_f_sq)
         self.sigma_xi_sq = float(sigma_xi_sq)
@@ -147,7 +150,8 @@ def gaussian_mll_parts(phi_hat, Y, log_sigma_f_sq, log_sigma_xi_sq, extra_noise=
     log-variances.  With a features.Workspace the (n, p) and (n, C)
     arrays are its buffers, and d_phi is valid only until its next use.
     A column whose value is not finite, or whose I + c_c G_c has no
-    Cholesky factor, is a NumericError that names it.
+    Cholesky factor, is a NumericError that names it; so is a sum of
+    finite column values that overflows.
     """
     phi = check_array("features", phi_hat, (None, None))
     n, p = phi.shape
@@ -199,14 +203,20 @@ def gaussian_mll_parts(phi_hat, Y, log_sigma_f_sq, log_sigma_xi_sq, extra_noise=
                           np.broadcast_to(np.eye(p), (num_outputs, p, p))], axis=2)
     solved = np.linalg.solve(chol, rhs)
     z, l_inv = solved[:, :, 0], solved[:, :, 1:]
-    quad = y_quad - c * np.einsum("ci,ci->c", z, z)
-    logdet = noise_logdet + 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-    values = -0.5 * quad - 0.5 * logdet - 0.5 * n * LOG_2PI
+    # huge finite targets can overflow y_quad and make inf - inf here, and
+    # finite columns can overflow their sum: the tests below name either
+    with np.errstate(over="ignore", invalid="ignore"):
+        quad = y_quad - c * np.einsum("ci,ci->c", z, z)
+        logdet = noise_logdet + 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+        values = -0.5 * quad - 0.5 * logdet - 0.5 * n * LOG_2PI
+        total = float(np.sum(values))
     finite = np.isfinite(values)
     if not finite.all():
         raise _column_error("marginal log-likelihood is not finite",
                             int(np.argmin(finite)), log_sf2, log_sxi2)
-    total = float(np.sum(values))
+    if not np.isfinite(total):
+        raise NumericError(f"marginal log-likelihood summed over {num_outputs} target "
+                           "columns is not finite")
     m_all = np.swapaxes(l_inv, 1, 2) @ l_inv
     b_all = np.einsum("cji,cj->ic", l_inv, z)
 
@@ -302,7 +312,9 @@ def train(feature_map, X, Y, extra_noise, config):
     cycle through the configured subsets; the loss is the negative MLL
     per point and column.  A prebuilt feature map overrides the config's
     architecture.  Returns (feature_map, sigma_f_sq, sigma_xi_sq, trace)
-    with (C,) variances; deterministic for a fixed seed.
+    with (C,) variances; deterministic for a fixed seed.  A step whose
+    MLL fails, or whose gradient or Adam update overflows, is a
+    TrainingError that carries its iteration.
     """
     X = check_array("inputs", X, (None, None))
     Y = check_array("targets", Y, (len(X), None))
@@ -337,19 +349,19 @@ def train(feature_map, X, Y, extra_noise, config):
     trace = []
     for t in range(config.iterations):
         idx = subsets[t % config.num_subsets]
+        scale = idx.size * num_outputs
         try:
-            total = _summed_mll(feature_map, log_sf2, log_sxi2, X[idx], Y[idx],
-                                extra_noise[idx], grads, work=work)
-        except NumericError as exc:
+            # an overflow in the gradient or the Adam step is an error, not a
+            # warning and a step that leaves the parameters where they were
+            with np.errstate(over="raise", invalid="raise"):
+                total = _summed_mll(feature_map, log_sf2, log_sxi2, X[idx], Y[idx],
+                                    extra_noise[idx], grads, work=work)
+                grads /= -scale
+                ft.adam_step(state, theta, grads)
+        except (NumericError, FloatingPointError) as exc:
             raise TrainingError(f"training diverged at iteration {t}: {exc}",
                                 iteration=t) from exc
-        scale = idx.size * num_outputs
-        loss = -total / scale
-        if not np.isfinite(loss):
-            raise TrainingError(f"training diverged at iteration {t}", iteration=t)
-        trace.append(loss)
-        grads /= -scale
-        ft.adam_step(state, theta, grads)
+        trace.append(-total / scale)
     return feature_map, np.exp(log_sf2), np.exp(log_sxi2), trace
 
 
@@ -421,8 +433,6 @@ def predict(model, X_star):
     recalibration leaves means bit-identical.  Cost is O(n* p^2),
     independent of the training-set size.
     """
-    if model.decomp is None:
-        raise NumericError("model has no decomposition cache")
     psi = ft.forward(model.feature_map, X_star)
     means, variances = posterior(psi, [model.decomp], [model.gamma],
                                  [model.sigma_f_sq])

@@ -10,8 +10,9 @@ regression fit on a product map built by the CLI (training trace,
 predictions, model.json before and after recalibration, predictions after
 reloading model.json), a small additive-map fit built by the CLI
 (model.json, predictions after reloading it), a small 4-class classifier
-fit (trace, fitted temperature, probabilities, ECE and its bin counts,
-model.json, probabilities after reloading it), the six
+fit (trace, fitted temperature at 64 samples, two full blocks, and at
+100, three full blocks and a partial one, probabilities, ECE and its bin
+counts, model.json, probabilities after reloading it), the six
 oracle_check.run_all(seed=2) errors and the two Hadamard-product slacks.
 Floats are printed as float hex; arrays and files as the first 16 hex
 digits of their SHA-256.  BLAS runs on one thread, so that its rounding
@@ -38,8 +39,8 @@ import warnings
 KEYS = ("regression_trace", "regression_mean", "regression_variance",
         "regression_model_json", "recalibrated_model_json", "recalibrated_variance",
         "reloaded_prediction", "additive_model_json", "additive_reloaded_prediction",
-        "classifier_trace", "classifier_model_json", "temperature", "probabilities",
-        "reloaded_probabilities", "ece", "ece_bin_counts", "oracle_max_err",
+        "classifier_trace", "classifier_model_json", "temperature", "temperature_100_samples",
+        "probabilities", "reloaded_probabilities", "ece", "ece_bin_counts", "oracle_max_err",
         "hadamard_partial", "hadamard_tail")
 
 
@@ -136,8 +137,8 @@ def _classifier(out, tmp):
                     seed=5, test_n=100, recal_n=100)
     clf = cls.fit_classifier(ds, cls.ClassifierConfig(
         hidden_widths=(24, 24), output_dim=8, iterations=30, seed=6))
-    temperature = cls.fit_temperature(clf, *ds.subset_arrays("recalibration"),
-                                      num_samples=64, seed=7)
+    holdout = ds.subset_arrays("recalibration")
+    temperature = cls.fit_temperature(clf, *holdout, num_samples=64, seed=7)
     X_test, y_test = ds.subset_arrays("test")
     probs = cls.predict_proba(clf.with_temperature(temperature), X_test, num_samples=64,
                               seed=8)
@@ -146,7 +147,10 @@ def _classifier(out, tmp):
     reloaded_probs = cls.predict_proba(reloaded.with_temperature(temperature), X_test,
                                        num_samples=64, seed=8)
     out.update(classifier_trace=_trace(clf.training_trace), classifier_model_json=model_json,
-               temperature=_scalar(temperature), probabilities=_array(probs),
+               temperature=_scalar(temperature),
+               temperature_100_samples=_scalar(
+                   cls.fit_temperature(clf, *holdout, num_samples=100, seed=7)),
+               probabilities=_array(probs),
                reloaded_probabilities=_array(reloaded_probs),
                ece=_scalar(report.ece),
                ece_bin_counts=([int(c) for c in report.bin_counts], _hexes(report.bin_counts)))

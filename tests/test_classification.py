@@ -218,6 +218,34 @@ def replayed_nll(means, variances, labels, temperature, num_samples, seed):
     return cls.multinomial_nll(probs, labels)
 
 
+def recorded_search(monkeypatch, clf, X_hold, y_hold, num_samples, seed):
+    """fit_temperature's T and, per NLL it scored, in order, the
+    observed-class probabilities and the NLL."""
+    seen = []
+    nll = cls._picked_nll
+
+    def recording_nll(picked):
+        seen.append((np.array(picked), nll(picked)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(cls, "_picked_nll", recording_nll)
+    t = cls.fit_temperature(clf, X_hold, y_hold, num_samples=num_samples, seed=seed)
+    monkeypatch.undo()
+    return t, seen
+
+
+def search_classifier():
+    """A 3-class classifier and a holdout of more than 256 rows, for a
+    sample count off the block size."""
+    rng = np.random.default_rng(80)
+    X = rng.standard_normal((360, 2))
+    labels = (X[:, 0] + 0.5 * rng.standard_normal(360) > 0).astype(int) + (X[:, 1] > 0.8)
+    fmap = ft.init_params([2, 8, 5], seed=17, normalization="layer_norm",
+                          rescale_to_unit=True)
+    clf = build_classifier(labels[:60], fmap, X[:60], np.ones(3), np.full(3, 0.3))
+    return clf, X[60:], labels[60:]
+
+
 class TestPredictProba:
     def setup_method(self):
         rng = np.random.default_rng(72)
@@ -345,20 +373,11 @@ class TestTemperature:
         fmap = ft.init_params([2, 8, 5], seed=14, normalization="layer_norm",
                               rescale_to_unit=True)
         clf = build_classifier(labels[:60], fmap, X[:60], np.ones(3), np.full(3, 0.3))
-        seen = []
-        nll = cls.multinomial_nll
-
-        def recording_nll(probs, y):
-            seen.append(np.array(probs))
-            return nll(probs, y)
-
-        monkeypatch.setattr(cls, "multinomial_nll", recording_nll)
-        t = cls.fit_temperature(clf, X[60:], labels[60:], num_samples=64, seed=0)
-        monkeypatch.undo()
+        t, seen = recorded_search(monkeypatch, clf, X[60:], labels[60:], 64, 0)
         # the 9-point grid plus the Brent steps, none repeated
         assert len(seen) <= 25
-        for i, probs in enumerate(seen):
-            assert not any(np.array_equal(probs, other) for other in seen[:i])
+        for i, (picked, _) in enumerate(seen):
+            assert not any(np.array_equal(picked, other) for other, _ in seen[:i])
         means, variances = cls.class_posteriors(clf, X[60:])
 
         def nll_at(temperature):
@@ -371,26 +390,20 @@ class TestTemperature:
         assert nll_at(t) <= min(nll_at(g) for g in fine) + 1e-12
 
     def test_predict_reproduces_the_search(self, monkeypatch):
-        # more than 256 holdout rows and a sample count off the block size
-        rng = np.random.default_rng(80)
-        X = rng.standard_normal((360, 2))
-        labels = (X[:, 0] + 0.5 * rng.standard_normal(360) > 0).astype(int) + (X[:, 1] > 0.8)
-        fmap = ft.init_params([2, 8, 5], seed=17, normalization="layer_norm",
-                              rescale_to_unit=True)
-        clf = build_classifier(labels[:60], fmap, X[:60], np.ones(3), np.full(3, 0.3))
-        seen = []
-        nll = cls.multinomial_nll
-
-        def recording_nll(probs, y):
-            seen.append(np.array(probs))
-            return nll(probs, y)
-
-        monkeypatch.setattr(cls, "multinomial_nll", recording_nll)
-        cls.fit_temperature(clf, X[60:], labels[60:], num_samples=100, seed=4)
-        monkeypatch.undo()
+        clf, X, labels = search_classifier()
+        _, seen = recorded_search(monkeypatch, clf, X, labels, 100, 4)
         # the middle of the 9-point grid is T = 1
-        probs = cls.predict_proba(clf, X[60:], num_samples=100, seed=4, temperature=1.0)
-        assert np.array_equal(seen[4], probs)
+        probs = cls.predict_proba(clf, X, num_samples=100, seed=4, temperature=1.0)
+        assert np.array_equal(seen[4][0], probs[np.arange(labels.size), labels])
+
+    def test_search_scores_the_nll_of_predict(self, monkeypatch):
+        clf, X, labels = search_classifier()
+        _, seen = recorded_search(monkeypatch, clf, X, labels, 100, 4)
+        grid = np.exp(np.linspace(-1.0, 1.0, 9) * np.log(20.0))
+        assert len(seen) >= grid.size
+        for (_, value), t in zip(seen, grid):
+            probs = cls.predict_proba(clf, X, num_samples=100, seed=4, temperature=t)
+            assert float.hex(value) == float.hex(cls.multinomial_nll(probs, labels))
 
     def test_single_class_holdout_warns_and_keeps(self):
         rng = np.random.default_rng(73)

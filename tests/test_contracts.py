@@ -232,7 +232,7 @@ POSITIVE_REALS = [
         lambda v: sp.build_gram(sp.PeriodicKernel(period=v), X_SMALL), 1.0),
     *[Row(f"GpModel.{f}", "positive", DomainError,
           lambda v, f=f: reg.GpModel(FMAP, **{"sigma_f_sq": 1.0, "sigma_xi_sq": 0.5,
-                                              "decomp": None, f: v}), 0.5)
+                                              "decomp": MODEL.decomp, f: v}), 0.5)
       for f in ("sigma_f_sq", "sigma_xi_sq", "gamma")],
     Row("GramAccumulator.add.noise", "positive", DomainError, accumulate, 1.0),
 ]

@@ -54,7 +54,8 @@ def test_values_are_the_floats_under_the_digests(tmp_path):
     assert (values["reloaded_prediction"][:2 * n]
             == values["regression_mean"] + values["regression_variance"])
     assert values["reloaded_probabilities"] == values["probabilities"]
-    assert values["temperature"] == [digests["temperature"]]
+    for key in ("temperature", "temperature_100_samples"):
+        assert values[key] == [digests[key]]
     assert values["oracle_max_err"] == digests["oracle_max_err"]
     assert floats["ece_bin_counts"] == digests["ece_bin_counts"]
     # a model file's values are its numbers, and no two runs move them

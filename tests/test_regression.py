@@ -1,6 +1,7 @@
 """Tests for GP regression: likelihood, fitting, prediction, recalibration."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -197,6 +198,26 @@ class TestFitting:
             reg.fit(ds, self.small_config())
         assert err.value.iteration == 0
 
+    # two rows through a 2-4-3 map, with losses near the largest double:
+    # 200 columns overflow their sum, 100 columns sum to a finite loss whose
+    # gradient overflows in Adam's square, and 3 columns of larger targets
+    # overflow each column's quadratic form
+    @pytest.mark.parametrize("columns, value, reason", [
+        (200, 1.5e153, "summed over 200 target columns is not finite"),
+        (100, 1.5e153, "overflow encountered in square"),
+        (3, 9e153, "not finite in target column 0 "),
+    ], ids=["summed_loss", "adam_square", "column_loss"])
+    def test_huge_finite_targets_raise_training_error(self, columns, value, reason):
+        fmap = ft.init_params([2, 4, 3], seed=0, normalization="layer_norm",
+                              rescale_to_unit=True)
+        X = np.array([[0.3, -0.2], [1.1, 0.4]])
+        config = reg.FitConfig(iterations=5, subset_size=2, num_subsets=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingError, match=f"iteration 0: .*{reason}") as err:
+                reg.train(fmap, X, np.full((2, columns), value), None, config)
+        assert err.value.iteration == 0
+
     def test_empty_training_split_raises(self):
         ds = self.make_dataset()
         ds.split["train"] = np.empty(0, dtype=np.int64)
@@ -339,9 +360,19 @@ class TestFitting:
 def test_model_refuses_a_non_finite_variance(field, bad):
     # an infinite variance would predict infinite variances
     values = {"sigma_f_sq": 1.0, "sigma_xi_sq": 0.5, "gamma": 0.5, field: bad}
+    fmap = scalar_positive_map()
+    dec = reg.build_decomposition(fmap, np.ones((2, 1)), np.zeros(2))
     with pytest.raises(DomainError, match=f"{field} must be finite and positive"):
-        reg.GpModel(scalar_positive_map(), values["sigma_f_sq"], values["sigma_xi_sq"],
-                    None, gamma=values["gamma"])
+        reg.GpModel(fmap, values["sigma_f_sq"], values["sigma_xi_sq"], dec,
+                    gamma=values["gamma"])
+
+
+@pytest.mark.parametrize("decomp", [None, {"u": np.eye(1)}], ids=["none", "dict"])
+def test_model_refuses_anything_but_a_decomposition(decomp, tmp_path):
+    # without this refusal save_model raised a bare AttributeError
+    with pytest.raises(DomainError, match="decomp must be a FeatureDecomposition"):
+        reg.save_model(reg.GpModel(scalar_positive_map(), 1.0, 0.5, decomp),
+                       tmp_path / "model.json")
 
 
 class TestPredict:
