@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import features as ft
+from . import lowrank as lr
 from . import model_file as mf
 from . import regression as reg
 from .errors import (ConfigError, DomainError, ShapeError, check_array, check_count,
@@ -104,6 +105,8 @@ class DirichletClassifier:
         self.num_classes = len(self.caches)
         if self.num_classes < 2:
             raise DomainError("need at least two classes")
+        lr.check_decompositions(feature_map.output_dim, **{
+            f"caches[{c}]": cache for c, cache in enumerate(self.caches)})
         self.sigma_f_sq = check_array("sigma_f_sq", sigma_f_sq, (self.num_classes,))
         self.sigma_xi_sq = check_array("sigma_xi_sq", sigma_xi_sq, (self.num_classes,))
         check_positive(DomainError, sigma_f_sq=self.sigma_f_sq, sigma_xi_sq=self.sigma_xi_sq,

@@ -3,9 +3,9 @@
 Configuration is one JSON file.  Each block of it is read through the
 library signature it feeds, which declares the block's keys, defaults
 and types: an unknown key, or a value of another JSON type than the
-default's, is a ConfigError.  The --seed flag overrides every seed in
-the config (data split, training, and evaluation sampling), making
-reruns reproducible from the command line alone.
+default's, is a ConfigError.  The --seed flag of train and eval
+overrides every seed in the config (data split, training, and evaluation
+sampling), making reruns reproducible from the command line alone.
 
 Heavy imports are deferred until after FMGP_THREADS is translated into
 the BLAS/OpenMP environment variables, which only take effect if set
@@ -358,11 +358,11 @@ def cmd_spectral(config, out_dir):
     return reports
 
 
-def cmd_oracle_check(seed=0, perturb_top_eigenvalue=0.0):
+def cmd_oracle_check(seed=0):
     """Dense-oracle equivalence batteries; nonzero exit on any failure."""
     from . import oracle_check as oc
 
-    reports = oc.run_all(seed=seed, perturb_top_eigenvalue=perturb_top_eigenvalue)
+    reports = oc.run_all(seed=seed)
     for report in reports:
         status = "PASS" if report["passed"] else "FAIL"
         variance = (f", var_max_err={report['var_max_err']:.3e} "
@@ -387,30 +387,27 @@ def _build_parser():
         description="Train, evaluate, and analyze feature-map GP models.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required,
-                       help="path to the JSON run config")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override every seed in the config")
+    def common(p):
+        p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default=None,
                        help="output directory (default: config output_dir)")
+        return p
 
-    common(sub.add_parser("train", help="fit a model and save it"))
-    eval_p = sub.add_parser("eval", help="compute test metrics for a model")
+    train_p = common(sub.add_parser("train", help="fit a model and save it"))
+    eval_p = common(sub.add_parser("eval", help="compute test metrics for a model"))
     eval_p.add_argument("--model", required=True, help="path to model JSON")
-    common(eval_p)
+    for p in (train_p, eval_p):
+        p.add_argument("--seed", type=int, default=None,
+                       help="override every seed in the config: the data split, "
+                            "training and evaluation sampling seeds")
     common(sub.add_parser("spectral", help="kernel eigenvalue-decay report"))
-    oracle_p = sub.add_parser("oracle-check",
-                              help="run dense-oracle equivalence batteries")
-    common(oracle_p, config_required=False)
-    oracle_p.add_argument("--perturb-top-eigenvalue", type=float, default=0.0,
-                          help="test hook: scale the top cached eigenvalue "
-                               "by 1+x to verify the prediction battery detects it")
+    sub.add_parser("oracle-check", help="run dense-oracle equivalence batteries").add_argument(
+        "--seed", type=int, default=0, help="seed of the batteries' random instances")
     return parser
 
 
 def _resolve_out_dir(args, config):
-    out = args.out or (config.output_dir if config else ".")
+    out = args.out or config.output_dir
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -431,13 +428,9 @@ def _run(argv):
         _apply_thread_cap()
         args = _build_parser().parse_args(argv)
         if args.command == "oracle-check":
-            config = load_config(args.config, args.seed) if args.config else None
-            seed = _typed(args.seed, 0, "--seed") if args.seed is not None else (
-                config.fit.seed if config else 0)
-            cmd_oracle_check(seed=seed,
-                             perturb_top_eigenvalue=args.perturb_top_eigenvalue)
+            cmd_oracle_check(seed=_typed(args.seed, 0, "--seed"))
             return 0
-        config = load_config(args.config, args.seed)
+        config = load_config(args.config, getattr(args, "seed", None))
         out_dir = _resolve_out_dir(args, config)
         if args.command == "train":
             cmd_train(config, out_dir)

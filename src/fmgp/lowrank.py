@@ -46,6 +46,17 @@ class FeatureDecomposition:
         self.trace_phi_sq = float(trace_phi_sq)
 
 
+def check_decompositions(p, **caches):
+    """Raise unless each cache is a FeatureDecomposition (a DomainError)
+    of p features, the output width of the map it serves: its u is p x p
+    (a ShapeError)."""
+    for name, cache in caches.items():
+        if not isinstance(cache, FeatureDecomposition):
+            raise DomainError(f"{name} must be a FeatureDecomposition, "
+                              f"got {type(cache).__name__}")
+        check_array(f"{name}.u", cache.u, (p, p))
+
+
 def run_grams(phi, noise):
     """Runs of consecutive rows with equal noise rows (n, C), and one Gram
     each: run k is rows bounds[k]:bounds[k + 1], grams[k] its flattened

@@ -8,9 +8,9 @@ inputs' normalization.  json writes each float64 by repr, so it reads
 back exactly and re-saving a loaded model gives the same bytes.
 
 Every stored number and array is read by _read, which converts it to
-float64, checks its shape and rejects a non-finite value: the writer
-refuses NaN and infinity, so a file holding one (1e999 parses as
-infinity) is damaged.
+float64 and checks it through errors.check_array: its shape, and no
+NaN or infinity, which the writer refuses, so a file holding one (1e999
+parses as infinity) is damaged.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import features as ft
 from . import lowrank as lr
-from .errors import DataError, FmgpError, NumericError
+from .errors import DataError, FmgpError, NumericError, check_array
 
 SCHEMA = "fmgp/model@1"
 FEATURE_MAP_FORMAT = "fmgp/feature-map@1"
@@ -33,11 +33,7 @@ def _read(doc, key, shape=(), order="C"):
     array = np.asarray(doc[key])
     if array.dtype.kind not in "iuf":
         raise DataError(f"{key} must hold numbers")
-    array = np.asarray(array, dtype=np.float64, order=order)
-    if array.shape != tuple(shape):
-        raise DataError(f"{key} has shape {array.shape}, expected {tuple(shape)}")
-    if not np.all(np.isfinite(array)):
-        raise DataError(f"{key} holds a value that is not finite")
+    array = check_array(key, np.asarray(array, dtype=np.float64, order=order), shape, DataError)
     return array if shape else float(array)
 
 

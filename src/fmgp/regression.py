@@ -67,9 +67,7 @@ class GpModel:
     def __init__(self, feature_map, sigma_f_sq, sigma_xi_sq, decomp,
                  train_inputs_stats=None, gamma=None, training_trace=None):
         check_positive(DomainError, sigma_f_sq=sigma_f_sq, sigma_xi_sq=sigma_xi_sq)
-        if not isinstance(decomp, lr.FeatureDecomposition):
-            raise DomainError("decomp must be a FeatureDecomposition, "
-                              f"got {type(decomp).__name__}")
+        lr.check_decompositions(feature_map.output_dim, decomp=decomp)
         self.feature_map = feature_map
         self.sigma_f_sq = float(sigma_f_sq)
         self.sigma_xi_sq = float(sigma_xi_sq)
@@ -244,27 +242,6 @@ def gaussian_mll_parts(phi_hat, Y, log_sigma_f_sq, log_sigma_xi_sq, extra_noise=
         np.matmul(phi[lo:hi], weighted_m[k], out=phi_n[lo:hi])
     d_phi -= phi_n
     return total, d_phi, d_sf, d_sx
-
-
-def mll(feature_map, log_sigma_f_sq, log_sigma_xi_sq, X, y, extra_noise=None):
-    """Marginal log-likelihood and its gradient.
-
-    The one-column call of the training objective _summed_mll.  Returns
-    (value, map_grads, d_log_sigma_f_sq, d_log_sigma_xi_sq); map_grads
-    is one vector in the layout of the feature map's params.
-    """
-    X = check_array("inputs", X, (None, None))
-    if np.shape(y) != (len(X),):
-        raise ShapeError(f"targets must be one value per data point, got shape {np.shape(y)}")
-    if extra_noise is not None and np.shape(extra_noise) != (len(X),):
-        raise ShapeError(f"extra noise must be one value per data point, "
-                         f"got shape {np.shape(extra_noise)}")
-    grads = np.empty(feature_map.params.size + 2)
-    value = _summed_mll(
-        feature_map, np.atleast_1d(log_sigma_f_sq), np.atleast_1d(log_sigma_xi_sq),
-        X, np.asarray(y)[:, None],
-        None if extra_noise is None else np.asarray(extra_noise)[:, None], grads)
-    return value, grads[:-2], float(grads[-2]), float(grads[-1])
 
 
 def make_subsets(n, num_subsets, subset_size, rng):

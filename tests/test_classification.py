@@ -156,6 +156,12 @@ class TestFitClassifier:
         with pytest.raises(DomainError):
             cls.fit_classifier(ds, small_config())
 
+    def test_one_cache_is_refused(self):
+        fmap = ft.init_params([2, 3], seed=0)
+        cache = lr.decompose(np.eye(3), np.zeros(3), 1)
+        with pytest.raises(DomainError, match="need at least two classes"):
+            cls.DirichletClassifier(fmap, np.ones(1), np.ones(1), [cache], 0.01)
+
     def test_per_class_parameters_present(self):
         ds = blob_dataset(num_classes=3, n=900, test_n=150, recal_n=150)
         clf = cls.fit_classifier(ds, small_config(iterations=10))

@@ -1,6 +1,7 @@
 """Tests for the fmgp command line entry points, run in process except
 where stderr must be seen as a user sees it."""
 
+import argparse
 import copy
 import json
 import os
@@ -189,6 +190,16 @@ BAD_INPUTS = [
     # JSON allows it, but Python converts no integer of over 4300 digits
     pytest.param(None, b'{"training": {"learning_rate": 1' + b"0" * 5000 + b"}}",
                  cli.EXIT_CONFIG, id="integer_over_4300_digits"),
+    # a refusal of a whole block or of a combination of blocks
+    pytest.param("task", "bayes", cli.EXIT_CONFIG, id="unknown_task"),
+    pytest.param("composition", {"kind": "product", "output_dims": [2, 2, 2]},
+                 cli.EXIT_CONFIG, id="three_output_dims"),
+    pytest.param("task", "classification", cli.EXIT_CONFIG,
+                 id="classification_on_synth_gp"),
+    pytest.param("spectral.kernels", {"kind": "rbf"}, cli.EXIT_CONFIG,
+                 id="spectral_kernels_not_a_list"),
+    pytest.param("data", {"kind": "csv"}, cli.EXIT_CONFIG, id="csv_without_path"),
+    pytest.param("architecture", [16, 16], cli.EXIT_CONFIG, id="architecture_not_an_object"),
     pytest.param("data", {"kind": "csv", "path": "ragged.csv"}, cli.EXIT_DATA,
                  id="ragged_csv"),
     pytest.param("data", {"kind": "csv", "path": "empty.csv"}, cli.EXIT_DATA,
@@ -381,6 +392,18 @@ class TestConfigErrors:
         code = cli.main(["train", "--config", str(tmp_path / "absent.json")])
         assert code == cli.EXIT_CONFIG
 
+    def test_eval_of_an_empty_test_split(self, tmp_path, capsys):
+        config = write_config(tmp_path, regression_doc(tmp_path, test_n=0))
+        assert cli.main(["train", "--config", config]) == 0
+        capsys.readouterr()
+        code = cli.main(["eval", "--config", config, "--model", str(tmp_path / "model.json")])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "DataError", "message": "test split is empty"}
+
     def test_eval_dimension_mismatch(self, tmp_path):
         config = write_config(tmp_path, regression_doc(tmp_path))
         assert cli.main(["train", "--config", config]) == 0
@@ -434,6 +457,22 @@ class TestErrorOutput:
         proc = run_cli(["train"], tmp_path)
         self.assert_one_json_line(proc, cli.EXIT_CONFIG)
         assert "--config" in proc.stderr
+
+
+def test_readme_synopsis_matches_the_parser():
+    # the code block under "## Command line" lists every option of each command
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        block = fh.read().split("## Command line", 1)[1].split("```", 2)[1]
+    documented = {}
+    for line in block.strip().splitlines():
+        _, command, *words = line.split()
+        documented[command] = {word.strip("[]") for word in words
+                               if word.startswith(("--", "[--"))}
+    commands = next(action for action in cli._build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    assert documented == {name: {option for action in parser._actions
+                                 for option in action.option_strings} - {"-h", "--help"}
+                          for name, parser in commands.items()}
 
 
 class TestDataErrors:
@@ -543,7 +582,30 @@ class TestOracleCheckCommand:
         assert out.count("PASS") == 6
         assert "FAIL" not in out
 
-    def test_detects_eigenvalue_perturbation(self, capsys):
-        code = cli.main(["oracle-check", "--perturb-top-eigenvalue", "1e-3"])
+    def test_detects_eigenvalue_perturbation(self, capsys, monkeypatch):
+        # the prediction battery must notice a cache whose top eigenvalue is
+        # off by one part in a thousand
+        from fmgp import regression as reg
+        build = reg.build_decomposition
+
+        def perturbed(*args):
+            decomp = build(*args)
+            decomp.lam[0] *= 1.0 + 1e-3
+            return decomp
+
+        monkeypatch.setattr(reg, "build_decomposition", perturbed)
+        code = cli.main(["oracle-check"])
         assert code == cli.EXIT_NUMERIC
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("args", [
+        ["oracle-check", "--perturb-top-eigenvalue", "1e-3"],
+        ["oracle-check", "--config", "run.json"],
+        ["oracle-check", "--out", "runs"],
+        ["spectral", "--config", "run.json", "--seed", "7"],
+    ], ids=["perturb_top_eigenvalue", "oracle_config", "oracle_out", "spectral_seed"])
+    def test_removed_options_are_config_errors(self, capsys, args):
+        assert cli.main(args) == cli.EXIT_CONFIG
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ConfigError"

@@ -121,12 +121,6 @@ def mll_parts(**args):
                                      "extra_noise": np.zeros((3, 1)), **args})
 
 
-def one_mll(**args):
-    # mll on three rows, with the args replaced
-    return reg.mll(**{"feature_map": FMAP, "log_sigma_f_sq": 0.0, "log_sigma_xi_sq": 0.0,
-                      "X": X_SMALL[:3], "y": np.zeros(3), "extra_noise": None, **args})
-
-
 def upstream_call(fmap):
     # the reverse mode of one pullback, applied to an upstream cotangent
     return lambda upstream: ft.pullback(fmap, X_SMALL)[1](upstream, np.empty(fmap.params.size))
@@ -298,12 +292,6 @@ ARRAYS = [
       for arg, value in (("phi_hat", PHI3), ("Y", np.zeros((3, 1))),
                          ("log_sigma_f_sq", np.zeros(1)), ("log_sigma_xi_sq", np.zeros(1)),
                          ("extra_noise", np.zeros((3, 1))))],
-    *[Row(f"mll.{arg}", "array", NumericError, lambda v, arg=arg: one_mll(**{arg: v}), value)
-      for arg, value in (("X", X_SMALL[:3]), ("y", np.zeros(3)), ("extra_noise", np.zeros(3)))],
-    # a log-variance is a scalar, so a 0-d one is the documented form
-    *[Row(f"mll.{arg}", "array", NumericError, lambda v, arg=arg: one_mll(**{arg: v}),
-          np.zeros(1), expect={"0d": FINITE})
-      for arg in ("log_sigma_f_sq", "log_sigma_xi_sq")],
     # an empty calibration set is refused for its size
     Row("recalibrate.X_cal", "array", NumericError, lambda v: reg.recalibrate(MODEL, v, Y5), X5,
         expect={"empty": DomainError}),
@@ -421,6 +409,7 @@ NOT_IN_TABLE = {
     "AdamState": "sized by train from the parameter vector it holds",
     "adam_step": "compares its three shapes with each other; test_features covers it",
     "FeatureDecomposition": "a record that decompose and the model file reader check",
+    "check_decompositions": "the model constructors' cache rule; test_regression covers it",
     "feature_map_document": "writes a map that its constructor checked",
     "read_feature_map": "reads a document; the model file tests cover bad documents",
     "save": "writes a model that its constructor checked",

@@ -1,14 +1,15 @@
 """Tests for GP regression: likelihood, fitting, prediction, recalibration."""
 
-import re
 import warnings
 
 import numpy as np
 import pytest
 
+from fmgp import classification as cls
 from fmgp import data as dt
 from fmgp import features as ft
 from fmgp import lowrank as lr
+from fmgp import model_file as mf
 from fmgp import oracle_check as oc
 from fmgp import regression as reg
 from fmgp.errors import (ConfigError, DataError, DomainError, NumericError, ShapeError,
@@ -29,6 +30,15 @@ def dense_mll(phi, y, sf2, noise):
     k = sf2 * (phi @ phi.T) + np.diag(np.broadcast_to(noise, (n,)).astype(float))
     return float(-0.5 * (y @ np.linalg.solve(k, y)) -
                  0.5 * np.linalg.slogdet(k)[1] - 0.5 * n * LOG_2PI)
+
+
+def one_column_mll(fmap, log_sf2, log_sxi2, X, y, extra_noise=None):
+    """The training objective _summed_mll on one target column: (value,
+    map gradient, d log sigma_f_sq, d log sigma_xi_sq)."""
+    grads = np.empty(fmap.params.size + 2)
+    value = reg._summed_mll(fmap, np.array([log_sf2]), np.array([log_sxi2]), X, y[:, None],
+                            None if extra_noise is None else extra_noise[:, None], grads)
+    return value, grads[:-2], grads[-2], grads[-1]
 
 
 def unsplit_dataset(X, y):
@@ -89,20 +99,6 @@ class TestMllValues:
         with pytest.raises(ShapeError):
             reg.gaussian_mll_parts(np.zeros((3, 2)), np.zeros((4, 1)), [0.0], [0.0])
 
-    @pytest.mark.parametrize("extra", [0.1, np.full((3, 2), 0.1)], ids=["scalar", "two_columns"])
-    def test_extra_noise_must_be_one_value_per_point(self, extra):
-        with pytest.raises(ShapeError, match="one value per data point"):
-            reg.mll(scalar_positive_map(), 0.0, 0.0, np.ones((3, 1)), np.zeros(3),
-                    extra_noise=extra)
-
-    @pytest.mark.parametrize("y", [0.0, np.zeros((3, 2)), np.zeros(4)],
-                             ids=["scalar", "two_columns", "wrong_length"])
-    def test_targets_must_be_one_value_per_point(self, y):
-        # the message reports the shape as given, not as reshaped inside
-        with pytest.raises(ShapeError, match=re.escape(
-                f"targets must be one value per data point, got shape {np.shape(y)}")):
-            reg.mll(scalar_positive_map(), 0.0, 0.0, np.ones((3, 1)), y)
-
 
 class TestMllGradients:
     @pytest.mark.parametrize("hetero", [False, True])
@@ -114,7 +110,7 @@ class TestMllGradients:
         y = rng.standard_normal(20)
         extra = rng.uniform(0.1, 1.0, size=20) if hetero else None
         lsf, lsx = np.log(1.4), np.log(0.3)
-        value, gmap, gsf, gsx = reg.mll(fmap, lsf, lsx, X, y, extra_noise=extra)
+        value, gmap, gsf, gsx = one_column_mll(fmap, lsf, lsx, X, y, extra_noise=extra)
         params = fmap.params
         h = 1e-5
         worst = 0.0
@@ -123,17 +119,17 @@ class TestMllGradients:
             plus[idx] += h
             minus = params.copy()
             minus[idx] -= h
-            fd = (reg.mll(fmap.replace_params(plus), lsf, lsx, X, y,
-                          extra_noise=extra)[0]
-                  - reg.mll(fmap.replace_params(minus), lsf, lsx, X, y,
-                            extra_noise=extra)[0]) / (2 * h)
+            fd = (one_column_mll(fmap.replace_params(plus), lsf, lsx, X, y,
+                                 extra_noise=extra)[0]
+                  - one_column_mll(fmap.replace_params(minus), lsf, lsx, X, y,
+                                   extra_noise=extra)[0]) / (2 * h)
             g = gmap[idx]
             worst = max(worst, abs(g - fd) / max(1e-3, abs(g), abs(fd)))
         for grad, bump in ((gsf, (h, 0.0)), (gsx, (0.0, h))):
-            fd = (reg.mll(fmap, lsf + bump[0], lsx + bump[1], X, y,
-                          extra_noise=extra)[0]
-                  - reg.mll(fmap, lsf - bump[0], lsx - bump[1], X, y,
-                            extra_noise=extra)[0]) / (2 * h)
+            fd = (one_column_mll(fmap, lsf + bump[0], lsx + bump[1], X, y,
+                                 extra_noise=extra)[0]
+                  - one_column_mll(fmap, lsf - bump[0], lsx - bump[1], X, y,
+                                   extra_noise=extra)[0]) / (2 * h)
             worst = max(worst, abs(grad - fd) / max(1e-3, abs(grad), abs(fd)))
         assert worst <= 1e-4
 
@@ -367,12 +363,40 @@ def test_model_refuses_a_non_finite_variance(field, bad):
                     gamma=values["gamma"])
 
 
-@pytest.mark.parametrize("decomp", [None, {"u": np.eye(1)}], ids=["none", "dict"])
-def test_model_refuses_anything_but_a_decomposition(decomp, tmp_path):
-    # without this refusal save_model raised a bare AttributeError
-    with pytest.raises(DomainError, match="decomp must be a FeatureDecomposition"):
-        reg.save_model(reg.GpModel(scalar_positive_map(), 1.0, 0.5, decomp),
-                       tmp_path / "model.json")
+def decomposition(p):
+    """A cache of p features."""
+    return lr.decompose(np.eye(p), np.zeros(p), 1)
+
+
+def two_class_classifier(fmap, caches):
+    return cls.DirichletClassifier(fmap, np.ones(2), np.ones(2), caches, 0.01)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda fmap: reg.GpModel(fmap, 1.0, 0.5, None), DomainError,
+     "decomp must be a FeatureDecomposition"),
+    (lambda fmap: reg.GpModel(fmap, 1.0, 0.5, {"u": np.eye(1)}), DomainError,
+     "decomp must be a FeatureDecomposition"),
+    (lambda fmap: two_class_classifier(fmap, [None, None]), DomainError,
+     r"caches\[0\] must be a FeatureDecomposition"),
+    # a cache of two features on a map of one: load_model refused the file
+    # that save_model wrote
+    (lambda fmap: reg.GpModel(fmap, 1.0, 0.5, decomposition(2)), ShapeError,
+     r"decomp.u must have shape \(1, 1\), got \(2, 2\)"),
+    # predict_proba raised numpy's ValueError from a matmul
+    (lambda fmap: two_class_classifier(fmap, [decomposition(1), decomposition(2)]),
+     ShapeError, r"caches\[1\].u must have shape \(1, 1\)"),
+], ids=["none", "dict", "classifier_none", "mismatch", "classifier_mismatch"])
+def test_model_refuses_anything_but_a_decomposition(build, error, message, tmp_path):
+    # without this refusal saving raised a bare AttributeError
+    with pytest.raises(error, match=message):
+        mf.save(build(scalar_positive_map()), tmp_path / "model.json")
+
+
+def test_train_refuses_a_map_of_another_input_width():
+    fmap = ft.init_params([3, 4, 2], seed=0)
+    with pytest.raises(ShapeError, match="feature map expects 3 inputs, data has 2"):
+        reg.train(fmap, np.ones((5, 2)), np.zeros((5, 1)), None, reg.FitConfig(iterations=1))
 
 
 class TestPredict:
