@@ -105,7 +105,7 @@ class DirichletClassifier:
         self.num_classes = len(self.caches)
         if self.num_classes < 2:
             raise DomainError("need at least two classes")
-        lr.check_decompositions(feature_map.output_dim, **{
+        lr.check_decompositions(ft._check_feature_map(feature_map).output_dim, **{
             f"caches[{c}]": cache for c, cache in enumerate(self.caches)})
         self.sigma_f_sq = check_array("sigma_f_sq", sigma_f_sq, (self.num_classes,))
         self.sigma_xi_sq = check_array("sigma_xi_sq", sigma_xi_sq, (self.num_classes,))

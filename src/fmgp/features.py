@@ -33,6 +33,16 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
+# The values of one row tile, 512 KB: the forward pass and reverse mode
+# form their elementwise products of an (n, width) array a tile at a
+# time in one buffer of this size, never in a full-size one
+TILE_VALUES = 1 << 16
+# tiles start at a multiple of this many rows, a multiple of BLAS's blocks
+TILE_ALIGN = 16
+
+# The values of one chunk of adam_step, whose work space is two chunks
+ADAM_CHUNK = 1 << 14
+
 
 def _check_normalization(normalization):
     if normalization not in NORMALIZATIONS:
@@ -190,6 +200,14 @@ class AdditiveFeatureMap(_FeatureMapPair):
 COMPOSITIONS = {pair.kind: pair for pair in (ProductFeatureMap, AdditiveFeatureMap)}
 
 
+def _check_feature_map(fmap):
+    """fmap, unless it is neither a FeatureMap nor a pair map: a DomainError."""
+    if not isinstance(fmap, (FeatureMap, _FeatureMapPair)):
+        raise DomainError("feature_map must be a FeatureMap or a pair map, "
+                          f"got {type(fmap).__name__}")
+    return fmap
+
+
 def init_params(widths, seed, normalization="none", rescale_to_unit=False):
     """Create a freshly initialized feature map.
 
@@ -223,12 +241,13 @@ class Workspace:
     buffer(key, shape) returns the first shape[0] rows of the array stored
     under key, and allocates a new one only when that array has fewer rows
     or another row shape; created counts those allocations.  The forward
-    pass keys what it keeps by the component map that keeps it, so the
-    two components of a pair keep theirs apart: one (n, width) array per
-    hidden layer and the features.  Its scratch is keyed by width alone
-    and shared: two buffers per width ("slot", used in turn), one bool
-    ReLU mask and reverse mode's matvec column, since the components run
-    one after the other.
+    pass keys what it keeps by the place in its pairs of the component
+    map that keeps it, so the two components of a pair keep theirs
+    apart: one (n, width) array per hidden layer and the features.  Its scratch is keyed by width alone
+    and shared, since the components run one after the other: one slot
+    per width for a step (two, used in turn, for a forward pass that
+    keeps nothing), one bool ReLU mask, reverse mode's matvec column,
+    and one tile buffer of about TILE_VALUES values for all widths.
     """
 
     def __init__(self):
@@ -243,6 +262,32 @@ class Workspace:
         return array[:shape[0]]
 
 
+def _tiles(work, n, width):
+    """(rows, tile) per row tile of an (n, width) array: rows a slice of
+    about TILE_VALUES values, tile that many rows of the workspace's one
+    tile buffer.  BLAS's matvec takes rows in blocks, and a row rounds
+    alike in every block but otherwise in a partial block or, as numpy's
+    dot product, alone.  So tiles start at multiples of TILE_ALIGN rows,
+    and a last row that would be a tile of its own joins the tile before:
+    on one BLAS thread the rows of a matvec then round as in one matvec
+    over all n."""
+    size = max(TILE_VALUES // width // TILE_ALIGN, 1) * TILE_ALIGN
+    flat = work.buffer(("tile",), ((size + 1) * width,))
+    start = 0
+    while start < n:
+        stop = n if n - start <= size + 1 else start + size
+        yield slice(start, stop), flat[:(stop - start) * width].reshape(-1, width)
+        start = stop
+
+
+def _row_squares(reduce, h, out, work):
+    """reduce (np.mean or np.sum) of h * h along each row into out (n, 1),
+    squaring one row tile of h at a time."""
+    for rows, tile in _tiles(work, *h.shape):
+        reduce(np.multiply(h[rows], h[rows], out=tile), axis=1, keepdims=True, out=out[rows])
+    return out
+
+
 def _ln_relu(xhat, gain, offset, out):
     """max(xhat * gain + offset, 0), a normalized layer's ReLU output, into
     out (which may be xhat).  The forward pass and its reverse mode both
@@ -253,7 +298,7 @@ def _ln_relu(xhat, gain, offset, out):
     return np.maximum(out, 0.0, out=out)
 
 
-def _forward_with_cache(fmap, inputs, keep=True, work=None):
+def _forward_with_cache(fmap, inputs, keep=True, work=None, owner=None):
     """Check parameters and inputs, then run the map, keeping what reverse
     mode needs unless keep is false: one (n, width) array per hidden layer.
 
@@ -262,24 +307,28 @@ def _forward_with_cache(fmap, inputs, keep=True, work=None):
     whose output reverse mode recomputes with _ln_relu from
     cache["ln"][l - 1] = (xhat, inv_sd); cache["ln"][l] is None on an
     unnormalized layer.  Every array is a buffer of work (a new Workspace
-    when None), and each layer works in place on its product.  The
-    features and what keep keeps belong to fmap.  A hidden layer's output
-    that is not kept goes into slot l % 2 of its width, so it never
-    overwrites the layer's input, and the other slot is its temporary.
+    when None), and each layer works in place on its product; the squares
+    behind the layer-norm variance and the rescale norm are formed a row
+    tile at a time.  The features and what keep keeps are keyed by owner
+    (fmap when None).  With keep, a normalized layer's ReLU output goes
+    into the one slot of its width, which the next layer reads before it
+    writes its own.  Without, a hidden layer's output goes into slot
+    l % 2 of its width, so it never overwrites the layer's input.
     """
     _check_finite_params(fmap)
     h = inputs = check_array("inputs", inputs, (None, fmap.input_dim), NumericError)
     work = Workspace() if work is None else work
+    owner = fmap if owner is None else owner
     n = inputs.shape[0]
     cache = {"ln": [], "act": [inputs], "rescale": None}
     last = len(fmap.layers) - 1
     for l, (weight, bias, *ln) in enumerate(fmap.layers):
         shape = (n, weight.shape[1])
-        slot = ("slot", shape[1], l % 2)
+        slot = ("slot", shape[1], 0 if keep else l % 2)
         if l == last:
-            key = (fmap, "phi")
+            key = (owner, "phi")
         elif keep:
-            key = (fmap, "xhat" if ln else "act", l)
+            key = (owner, "xhat" if ln else "act", l)
         else:
             key = slot
         h = np.matmul(h, weight, out=work.buffer(key, shape))
@@ -287,10 +336,9 @@ def _forward_with_cache(fmap, inputs, keep=True, work=None):
         if l == last:
             break
         if ln:
-            inv_sd = work.buffer((fmap, "inv_sd", l) if keep else ("col", 0), (n, 1))
-            tmp = work.buffer(("slot", shape[1], (l + 1) % 2), shape)
+            inv_sd = work.buffer((owner, "inv_sd", l) if keep else ("col", 0), (n, 1))
             h -= np.mean(h, axis=1, keepdims=True, out=inv_sd)
-            np.mean(np.multiply(h, h, out=tmp), axis=1, keepdims=True, out=inv_sd)
+            _row_squares(np.mean, h, inv_sd, work)
             inv_sd += LAYER_NORM_EPS
             np.sqrt(inv_sd, out=inv_sd)
             np.divide(1.0, inv_sd, out=inv_sd)
@@ -303,10 +351,9 @@ def _forward_with_cache(fmap, inputs, keep=True, work=None):
             cache["act"].append(np.maximum(h, 0.0, out=h))
     if not fmap.rescale_to_unit:
         return h, cache
-    tmp = work.buffer(("slot", h.shape[1], (last + 1) % 2), h.shape)
-    safe = work.buffer((fmap, "safe"), (n, 1))
-    zero = work.buffer((fmap, "zero"), (n, 1), bool)
-    np.sqrt(np.sum(np.multiply(h, h, out=tmp), axis=1, keepdims=True, out=safe), out=safe)
+    safe = work.buffer((owner, "safe"), (n, 1))
+    zero = work.buffer((owner, "zero"), (n, 1), bool)
+    np.sqrt(_row_squares(np.sum, h, safe, work), out=safe)
     np.logical_not(np.greater(safe, 0.0, out=zero), out=zero)
     np.copyto(safe, 1.0, where=zero)
     h /= safe
@@ -337,14 +384,24 @@ def pullback(fmap, inputs, work=None):
     Returns (phi, vjp): phi = forward(fmap, inputs), and vjp(upstream,
     out) writes the gradient of sum(upstream * phi) into out, a vector
     in the layout of ``params``, and returns out.  upstream is the (n, p)
-    cotangent of phi.  ReLU uses subgradient 0 at exactly 0.  With a
-    Workspace, phi and vjp run on its buffers and are valid only until
-    its next use; without, each call allocates its own.
+    cotangent of phi.  ReLU uses subgradient 0 at exactly 0.  vjp runs
+    once: it works in the arrays the forward pass kept, so a second call
+    is a DomainError.  With a Workspace, phi and vjp run on its buffers
+    and are valid only until its next use; without, each call allocates
+    its own.  A step holds one (n, width) array per hidden layer and
+    component and one slot per hidden width, and forms its other
+    elementwise products a row tile at a time.
     """
-    work = Workspace() if work is None else work
+    return _pullback(fmap, inputs, Workspace() if work is None else work, ())
+
+
+def _pullback(fmap, inputs, work, place):
+    """pullback, with what reverse mode needs kept under place, the map's
+    place in its pairs: each vjp spends what it keeps, so a map that is
+    two components keeps it twice."""
     if isinstance(fmap, _FeatureMapPair):
-        phi1, vjp1 = pullback(fmap.left, inputs, work=work)
-        phi2, vjp2 = pullback(fmap.right, inputs, work=work)
+        phi1, vjp1 = _pullback(fmap.left, inputs, work, place + ("left",))
+        phi2, vjp2 = _pullback(fmap.right, inputs, work, place + ("right",))
         phi = fmap.combine(phi1, phi2)
         cut = fmap.left.params.size
 
@@ -355,10 +412,16 @@ def pullback(fmap, inputs, work=None):
             return out
         return phi, vjp
 
-    phi, cache = _forward_with_cache(fmap, inputs, work=work)
+    phi, cache = _forward_with_cache(fmap, inputs, work=work, owner=place)
+    spent = False
 
     def vjp(upstream, out):
+        nonlocal spent
         g = check_array("upstream", upstream, phi.shape)
+        if spent:
+            raise DomainError("vjp runs once per pullback: its first call spent "
+                              "the arrays of the forward pass")
+        spent = True
         grads = fmap._views(out)
         n = g.shape[0]
         m1, m2 = work.buffer(("col", 0), (n, 1)), work.buffer(("col", 1), (n, 1))
@@ -366,15 +429,12 @@ def pullback(fmap, inputs, work=None):
         # times faster than a ufunc reduction over short rows
         ones = work.buffer(("ones",), (n,))
         ones.fill(1.0)
-        # the cotangent of layer l's output sits in slot (l + 1) % 2 of its
-        # width and the other slot is its temporary, so layer l can write
-        # its input's cotangent into slot l % 2 without overwriting its own
         last = len(fmap.layers) - 1
         if cache["rescale"] is not None:
             unit, safe, zero = cache["rescale"]
             # unit = raw / |raw|; zero rows pass the map unchanged, so their
             # cotangent passes through unchanged too
-            rows = work.buffer(("slot", g.shape[1], (last + 1) % 2), g.shape)
+            rows = work.buffer(("raw", g.shape[1]), g.shape)
             col = work.buffer(("matvec", g.shape[1]), (g.shape[1], 1))
             col.fill(1.0)
             dot = np.matmul(np.multiply(g, unit, out=rows), col, out=m1)
@@ -388,35 +448,43 @@ def pullback(fmap, inputs, work=None):
             d_weight, d_bias, *d_ln = grads[l]
             if l < last:
                 g *= mask
+                # layer l's kept output, spent once its mask is applied
+                # (unnormalized) or its gain gradient taken (normalized)
+                kept = cache["act"][l + 1]
                 if ln:
-                    xhat, inv_sd = cache["ln"][l]
-                    g_xhat = np.multiply(g, xhat, out=work.buffer(
-                        ("slot", g.shape[1], l % 2), g.shape))
-                    np.matmul(ones, g_xhat, out=d_ln[0])
+                    kept, inv_sd = cache["ln"][l]
                     np.matmul(ones, g, out=d_ln[1])
                     # the row means of dxhat = g * gain and of dxhat * xhat
                     col = work.buffer(("matvec", g.shape[1]), (g.shape[1], 1))
                     np.divide(ln[0], g.shape[1], out=col[:, 0])
-                    np.matmul(g, col, out=m1)
-                    np.matmul(g_xhat, col, out=m2)
-                    g *= ln[0]  # now dxhat
-                    g -= m1
-                    g -= np.multiply(xhat, m2, out=g_xhat)
-                    g *= inv_sd
+                    for r, g_xhat in _tiles(work, *g.shape):
+                        g_r, xhat = g[r], kept[r]
+                        np.multiply(g_r, xhat, out=g_xhat)
+                        np.matmul(g_r, col, out=m1[r])
+                        np.matmul(g_xhat, col, out=m2[r])
+                        g_r *= ln[0]  # now dxhat
+                        g_r -= m1[r]
+                        g_r -= np.multiply(xhat, m2[r], out=xhat)
+                        g_r *= inv_sd[r]
+                        # xhat's rows, now spent, keep g * xhat for the gain
+                        np.copyto(xhat, g_xhat)
+                    np.matmul(ones, kept, out=d_ln[0])
             act = cache["act"][l]
             if l > 0:
-                # the slot that takes the input's cotangent holds the
-                # recomputed input of layer l until its mask is taken
-                slot = work.buffer(("slot", weight.shape[0], l % 2), (n, weight.shape[0]))
+                # the recomputed input of layer l, then its cotangent, go
+                # into layer l's spent output when the widths agree, else
+                # into the one slot of the input's width: never where g is
+                into = (kept if l < last and kept.shape[1] == weight.shape[0] else
+                        work.buffer(("slot", weight.shape[0], 0), (n, weight.shape[0])))
                 if act is None:
                     _, _, gain, offset = fmap.layers[l - 1]
-                    act = _ln_relu(cache["ln"][l - 1][0], gain, offset, out=slot)
-                mask = np.greater(act, 0.0, out=work.buffer(("mask", slot.shape[1]),
-                                                            slot.shape, bool))
+                    act = _ln_relu(cache["ln"][l - 1][0], gain, offset, out=into)
+                mask = np.greater(act, 0.0, out=work.buffer(("mask", into.shape[1]),
+                                                            into.shape, bool))
             np.matmul(act.T, g, out=d_weight)
             np.matmul(ones, g, out=d_bias)
             if l > 0:
-                g = np.matmul(g, weight.T, out=slot)
+                g = np.matmul(g, weight.T, out=into)
         return out
     return phi, vjp
 
@@ -428,11 +496,12 @@ def backward(fmap, inputs, upstream):
 
 
 class AdamState:
-    """Adam's step count, (2, size) moments and (2, size) work space."""
+    """Adam's step count, (2, size) moments and a (2, ADAM_CHUNK) work space
+    (two chunks), or (2, size) when size is smaller."""
 
     def __init__(self, size, learning_rate):
         self.moments = np.zeros((2, size))
-        self.work = np.empty((2, size))
+        self.work = np.empty((2, min(size, ADAM_CHUNK)))
         self.step_count = 0
         self.learning_rate = float(learning_rate)
 
@@ -446,17 +515,23 @@ def adam_step(state, params, grads):
     if not params.shape == grads.shape == state.moments[0].shape:
         raise ShapeError("params, grads and state differ in shape")
     state.step_count += 1
-    m, v = state.moments
-    # the textbook update's operations in its order, in reused buffers: a
-    # fresh vector each step would be freed and faulted in again each step
-    step, denom = state.work
-    m *= ADAM_BETA1
-    m += np.multiply(grads, 1.0 - ADAM_BETA1, out=step)
-    v *= ADAM_BETA2
-    v += np.multiply(np.square(grads, out=denom), 1.0 - ADAM_BETA2, out=denom)
-    np.divide(v, 1.0 - ADAM_BETA2 ** state.step_count, out=denom)
-    np.sqrt(denom, out=denom)
-    denom += ADAM_EPSILON
-    np.divide(m, 1.0 - ADAM_BETA1 ** state.step_count, out=step)
-    step *= state.learning_rate
-    params -= np.divide(step, denom, out=step)
+    bias1 = 1.0 - ADAM_BETA1 ** state.step_count
+    bias2 = 1.0 - ADAM_BETA2 ** state.step_count
+    # the textbook update's operations in its order, a chunk at a time in
+    # reused buffers: a fresh vector each step would be freed and faulted
+    # in again each step
+    for start in range(0, params.size, ADAM_CHUNK):
+        chunk = slice(start, start + ADAM_CHUNK)
+        p, g = params[chunk], grads[chunk]
+        m, v = state.moments[:, chunk]
+        step, denom = state.work[:, :g.size]
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=step)
+        v *= ADAM_BETA2
+        v += np.multiply(np.square(g, out=denom), 1.0 - ADAM_BETA2, out=denom)
+        np.divide(v, bias2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPSILON
+        np.divide(m, bias1, out=step)
+        step *= state.learning_rate
+        p -= np.divide(step, denom, out=step)

@@ -55,14 +55,30 @@ def feature_map_document(fmap):
     }
 
 
+# what reading a damaged document raises, which load and read_feature_map
+# report as one DataError
+_DAMAGE = (FmgpError, LookupError, TypeError, ValueError, AttributeError, ArithmeticError)
+
+
+def _damage(exc):
+    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+
+
 def read_feature_map(doc):
-    """The plain or composite feature map of a feature-map document."""
+    """The plain or composite feature map of a feature-map document; a
+    damaged document is a DataError."""
+    try:
+        return _feature_map(doc)
+    except _DAMAGE as exc:
+        raise DataError(_damage(exc)) from None
+
+
+def _feature_map(doc):
     if doc.get("format") != FEATURE_MAP_FORMAT:
         raise DataError(f"unrecognized feature map format {doc.get('format')!r}")
     kind = doc.get("kind", ft.FeatureMap.kind)
     if kind in ft.COMPOSITIONS:
-        return ft.COMPOSITIONS[kind](read_feature_map(doc["left"]),
-                                     read_feature_map(doc["right"]))
+        return ft.COMPOSITIONS[kind](_feature_map(doc["left"]), _feature_map(doc["right"]))
     if kind != ft.FeatureMap.kind:
         raise DataError(f"unrecognized feature map kind {kind!r}")
     if doc.get("activation") != "relu":
@@ -204,7 +220,5 @@ def load(path, *model_types):
         fmap = read_feature_map(doc["feature_map"])
         return builders[task](feature_map=fmap, train_inputs_stats=stats,
                               **_TASKS[task][1](doc, fmap.output_dim))
-    except (FmgpError, LookupError, TypeError, ValueError, AttributeError,
-            ArithmeticError) as exc:
-        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-        raise DataError(f"bad model file {path}: {detail}") from None
+    except _DAMAGE as exc:
+        raise DataError(f"bad model file {path}: {_damage(exc)}") from None

@@ -67,7 +67,7 @@ class GpModel:
     def __init__(self, feature_map, sigma_f_sq, sigma_xi_sq, decomp,
                  train_inputs_stats=None, gamma=None, training_trace=None):
         check_positive(DomainError, sigma_f_sq=sigma_f_sq, sigma_xi_sq=sigma_xi_sq)
-        lr.check_decompositions(feature_map.output_dim, decomp=decomp)
+        lr.check_decompositions(ft._check_feature_map(feature_map).output_dim, decomp=decomp)
         self.feature_map = feature_map
         self.sigma_f_sq = float(sigma_f_sq)
         self.sigma_xi_sq = float(sigma_xi_sq)

@@ -5,7 +5,7 @@ import pytest
 
 from fmgp import features as ft
 from fmgp import model_file as mf
-from fmgp.errors import ConfigError, NumericError, ShapeError
+from fmgp.errors import ConfigError, DomainError, NumericError, ShapeError
 
 
 def random_map(widths, seed, normalization="layer_norm", rescale=True):
@@ -165,6 +165,59 @@ class TestBackward:
         assert grads.shape == fmap.params.shape
 
 
+def reference_pullback(fmap, X, upstream):
+    """phi and the gradient of sum(upstream * phi), by a plain reverse pass
+    with full-size temporaries in the order of operations that pullback
+    keeps: the reference for its row tiles and reused buffers."""
+    if isinstance(fmap, (ft.ProductFeatureMap, ft.AdditiveFeatureMap)):
+        phi1 = reference_pullback(fmap.left, X, None)[0]
+        phi2 = reference_pullback(fmap.right, X, None)[0]
+        d1, d2 = fmap.split(upstream, phi1, phi2)
+        return fmap.combine(phi1, phi2), np.concatenate(
+            [reference_pullback(fmap.left, X, d1)[1], reference_pullback(fmap.right, X, d2)[1]])
+    h, acts, lns = X, [X], []
+    last = len(fmap.layers) - 1
+    for l, (weight, bias, *ln) in enumerate(fmap.layers):
+        h = h @ weight + bias
+        if l == last:
+            break
+        if ln:
+            h = h - h.mean(axis=1, keepdims=True)
+            inv_sd = 1.0 / np.sqrt((h * h).mean(axis=1, keepdims=True) + ft.LAYER_NORM_EPS)
+            lns.append((h * inv_sd, inv_sd))
+            h = np.maximum(lns[-1][0] * ln[0] + ln[1], 0.0)
+        else:
+            lns.append(None)
+            h = np.maximum(h, 0.0)
+        acts.append(h)
+    if fmap.rescale_to_unit:
+        safe = np.sqrt((h * h).sum(axis=1, keepdims=True))
+        zero = ~(safe > 0.0)
+        safe[zero] = 1.0
+        h = h / safe
+    if upstream is None:
+        return h, None
+    g, ones, grads = upstream, np.ones(len(X)), []
+    if fmap.rescale_to_unit:
+        dot = (g * h) @ np.ones((h.shape[1], 1))
+        g = np.where(zero, g, (g - dot * h) / safe)
+    for l in range(last, -1, -1):
+        weight, _, *ln = fmap.layers[l]
+        d_ln = []
+        if l < last:
+            g = g * (acts[l + 1] > 0.0)
+            if ln:
+                xhat, inv_sd = lns[l]
+                g_xhat = g * xhat
+                col = (ln[0] / g.shape[1])[:, None]
+                m1, m2 = g @ col, g_xhat @ col
+                d_ln = [ones @ g_xhat, ones @ g]
+                g = (g * ln[0] - m1 - xhat * m2) * inv_sd
+        grads = [acts[l].T @ g, ones @ g, *d_ln] + grads
+        g = g @ weight.T
+    return h, np.concatenate([grad.ravel() for grad in grads])
+
+
 def per_array_adam(params, grads, first, second, t, lr, b1=0.9, b2=0.999, eps=1e-8):
     """Adam on a list of arrays, one array at a time: the reference for
     the in-place vector update."""
@@ -188,8 +241,14 @@ def flat(arrays):
 
 class TestAdamStep:
     def test_matches_per_array_update_bit_for_bit(self):
+        # a small map's layout, and a vector of several chunks and a remainder
+        for shapes in ([(3, 5), (5,), (5,), (5,), (5, 2), (2,)],
+                       [(ft.ADAM_CHUNK + 5,), (3, ft.ADAM_CHUNK // 2 + 7), (11,)]):
+            self.check_against_per_array_update(shapes)
+
+    @staticmethod
+    def check_against_per_array_update(shapes):
         rng = np.random.default_rng(13)
-        shapes = [(3, 5), (5,), (5,), (5,), (5, 2), (2,)]
         arrays = [rng.standard_normal(shape) for shape in shapes]
         first = [np.zeros(shape) for shape in shapes]
         second = [np.zeros(shape) for shape in shapes]
@@ -203,6 +262,7 @@ class TestAdamStep:
             assert np.array_equal(state.moments[0], flat(first))
             assert np.array_equal(state.moments[1], flat(second))
         assert state.step_count == 5
+        assert state.work.shape == (2, min(params.size, ft.ADAM_CHUNK))
 
     def test_first_step_is_signed_learning_rate(self):
         # with zero state, the bias-corrected update is lr * g / (|g| + eps)
@@ -352,3 +412,86 @@ class TestWorkspace:
             phi_w, vjp_w = ft.pullback(fmap, X, work=work)
             assert np.array_equal(phi_w, phi)
             assert np.array_equal(vjp_w(upstream, np.empty(fmap.params.size)), grads)
+
+
+class TestReversePass:
+    """pullback against reference_pullback, bit for bit.  Each map runs on
+    one row tile and on rows that span several tiles of each hidden width
+    and end in part of one; the row counts are multiples of 64, so a
+    matvec that BLAS splits among threads splits at whole blocks of rows
+    in both passes."""
+
+    # widths, normalization and rescale of each plain map
+    MAPS = {"equal": ([3, 256, 256, 8], "layer_norm", True),
+            "unequal": ([3, 16, 8, 4], "layer_norm", True),
+            "unequal_wide": ([3, 512, 128, 4], "layer_norm", True),
+            "unnormalized": ([3, 256, 256, 8], "none", True),
+            "unnormalized_raw": ([3, 256, 256, 8], "none", False),
+            "normalized_raw": ([3, 128, 256, 8], "layer_norm", False)}
+
+    @classmethod
+    def make_map(cls, kind, seed=0):
+        if kind in ft.COMPOSITIONS:
+            left = cls.make_map("unequal_wide", seed=1)
+            right = cls.make_map("unnormalized", seed=2)
+            return ft.COMPOSITIONS[kind](left, right)
+        widths, normalization, rescale = cls.MAPS[kind]
+        return ft.init_params(widths, seed, normalization=normalization,
+                              rescale_to_unit=rescale)
+
+    @pytest.mark.parametrize("kind, tall", [
+        ("equal", 1216), ("unequal", 8256), ("unequal_wide", 1216), ("unnormalized", 1216),
+        ("unnormalized_raw", 1216), ("normalized_raw", 1216), ("product", 1216),
+        ("additive", 1216)])
+    def test_matches_reference_bit_for_bit(self, kind, tall):
+        fmap = self.make_map(kind)
+        rng = np.random.default_rng(23)
+        # biases, gains and offsets away from their initial values
+        fmap = fmap.replace_params(fmap.params + 0.1 * rng.standard_normal(fmap.params.size))
+        hidden = [w for m in (getattr(fmap, "left", fmap), getattr(fmap, "right", fmap))
+                  for w in m.widths[1:-1]]
+        assert tall > ft.TILE_VALUES // min(hidden) and tall % (ft.TILE_VALUES // max(hidden))
+        work = ft.Workspace()
+        for n in (9, tall):
+            X = rng.standard_normal((n, 3))
+            upstream = rng.standard_normal((n, fmap.output_dim))
+            phi, vjp = ft.pullback(fmap, X, work=work)
+            ref_phi, ref_grads = reference_pullback(fmap, X, upstream)
+            assert np.array_equal(phi, ref_phi)
+            assert np.array_equal(vjp(upstream, np.empty(fmap.params.size)), ref_grads)
+
+    @pytest.mark.parametrize("kind", list(ft.COMPOSITIONS))
+    def test_one_map_as_both_components(self, kind):
+        # each component's vjp spends what it kept, so a map in both places
+        # keeps its arrays twice
+        fmap = self.make_map("unequal")
+        fmap = ft.COMPOSITIONS[kind](fmap, fmap)
+        rng = np.random.default_rng(29)
+        X, upstream = rng.standard_normal((9, 3)), rng.standard_normal((9, fmap.output_dim))
+        phi, vjp = ft.pullback(fmap, X)
+        ref_phi, ref_grads = reference_pullback(fmap, X, upstream)
+        assert np.array_equal(phi, ref_phi)
+        assert np.array_equal(vjp(upstream, np.empty(fmap.params.size)), ref_grads)
+
+    @pytest.mark.parametrize("kind", ["equal", "product"])
+    def test_second_vjp_call_raises(self, kind):
+        fmap = self.make_map(kind)
+        X = np.random.default_rng(3).standard_normal((5, 3))
+        upstream = np.ones((5, fmap.output_dim))
+        _, vjp = ft.pullback(fmap, X)
+        vjp(upstream, np.empty(fmap.params.size))
+        with pytest.raises(DomainError, match="vjp runs once"):
+            vjp(upstream, np.empty(fmap.params.size))
+
+    @pytest.mark.parametrize("width", [1, 8, 100, 512, 5000])
+    def test_tiles_start_at_whole_blocks_and_end_in_more_than_one_row(self, width):
+        # one row at the end joins the tile before, as a lone row's matvec
+        # is numpy's dot product, which rounds otherwise
+        size = max(ft.TILE_VALUES // width // ft.TILE_ALIGN, 1) * ft.TILE_ALIGN
+        for n in (1, 2, size - 1, size, size + 1, 2 * size + 1, 3 * size + 5):
+            tiles = list(ft._tiles(ft.Workspace(), n, width))
+            starts = [rows.start for rows, _ in tiles]
+            assert starts == list(range(0, n, size))[:len(tiles)]
+            assert [rows.stop for rows, _ in tiles] == starts[1:] + [n]
+            assert all(tile.shape == (rows.stop - rows.start, width) for rows, tile in tiles)
+            assert n == 1 or all(rows.stop - rows.start > 1 for rows, _ in tiles)

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from fmgp import classification as cls
+from fmgp import features as ft
+from fmgp import model_file as mf
 from fmgp import regression as reg
 from fmgp.errors import DataError
 
@@ -89,3 +91,24 @@ def test_damaged_feature_map_is_refused_naming_the_file(edit, message, tmp_path)
     path = edited_copy("regression_additive", lambda doc: edit(doc["feature_map"]), tmp_path)
     with pytest.raises(DataError, match=f"bad model file {re.escape(str(path))}: {message}"):
         reg.load_model(path)
+
+
+def mlp_document(widths):
+    return mf.feature_map_document(ft.init_params(widths, seed=0))
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([1], "'list' object has no attribute 'get'"),
+    ({**mlp_document([2, 3, 1]), "widths": None}, "object of type 'NoneType' has no len"),
+    ({key: value for key, value in mlp_document([2, 3, 1]).items() if key != "widths"},
+     "missing key 'widths'"),
+    ({**mlp_document([2, 3, 1]), "layers": [{"weight": [[1.0]], "bias": [0.0] * 3},
+                                            mlp_document([2, 3, 1])["layers"][1]]},
+     r"weight must have shape \(2, 3\), got \(1, 1\)"),
+    ({"format": mf.FEATURE_MAP_FORMAT, "kind": "product", "left": mlp_document([2, 3, 1]),
+      "right": mlp_document([3, 3, 1])}, "component maps must share the input dimension"),
+], ids=["list", "widths_null", "widths_missing", "weight_shape", "pair_inputs"])
+def test_read_feature_map_refuses_a_damaged_document(doc, message):
+    # inside load, and called directly, a damaged document is a DataError
+    with pytest.raises(DataError, match=message):
+        mf.read_feature_map(doc)

@@ -295,9 +295,14 @@ class TestFitting:
         assert seen[0][1] > 0
         assert [created for _, created in seen] == [seen[0][1]] * 5
 
-    def test_training_keeps_one_array_per_hidden_layer(self, monkeypatch):
-        # each 16-wide normalized hidden layer keeps its xhat, and reverse
-        # mode recomputes its ReLU output into one of the two 16-wide slots
+    @pytest.mark.parametrize("composite", [False, True])
+    def test_training_holds_one_array_per_hidden_layer_and_width(self, monkeypatch,
+                                                                  composite):
+        # 1600 rows are several row tiles at each width, and the step's
+        # full-size products are formed a tile at a time; past the tile
+        # buffer the arrays of hidden width are the one each hidden layer
+        # keeps (xhat, or an unnormalized layer's ReLU output) and the one
+        # slot of each width that reverse mode recomputes into
         seen = []
         run = reg._summed_mll
 
@@ -306,14 +311,23 @@ class TestFitting:
             return run(*args, **kwargs)
 
         monkeypatch.setattr(reg, "_summed_mll", captured)
-        X = np.random.default_rng(0).standard_normal((60, 2))
-        reg.train(None, X, np.sin(X[:, :1]), None,
-                  self.small_config(hidden_widths=(16, 16), output_dim=4, iterations=3,
-                                    subset_size=50, num_subsets=2,
-                                    normalization="layer_norm"))
-        wide = [a for a in seen[-1]._arrays.values()
-                if a.dtype == np.float64 and a.shape[1:] == (16,)]
-        assert len(wide) == 4
+        n = 1600
+        fmap = ft.init_params([2, 256, 128, 4], seed=0, normalization="layer_norm",
+                              rescale_to_unit=True)
+        kept = [256, 128]
+        if composite:
+            fmap = ft.ProductFeatureMap(fmap, ft.init_params([2, 128, 128, 3], seed=1,
+                                                             rescale_to_unit=True))
+            kept += [128, 128]
+        assert n > 3 * ft.TILE_VALUES // min(kept)
+        X = np.random.default_rng(0).standard_normal((n, 2))
+        reg.train(fmap, X, np.sin(X[:, :1]), None,
+                  self.small_config(iterations=2, subset_size=n, num_subsets=1))
+        arrays = [a for a in seen[-1]._arrays.values() if a.dtype == np.float64]
+        wide = sum(a.nbytes for a in arrays if a.ndim == 2 and a.shape[1] in kept)
+        assert wide == 8 * n * (sum(kept) + sum(set(kept)))
+        scratch = [a.size for a in arrays if a.ndim == 1 and a.size != n]
+        assert len(scratch) == 1 and scratch[0] <= ft.TILE_VALUES + max(kept)
 
     @pytest.mark.parametrize("composite", [False, True])
     def test_cache_batches_share_one_workspace(self, monkeypatch, composite):
@@ -391,6 +405,18 @@ def test_model_refuses_anything_but_a_decomposition(build, error, message, tmp_p
     # without this refusal saving raised a bare AttributeError
     with pytest.raises(error, match=message):
         mf.save(build(scalar_positive_map()), tmp_path / "model.json")
+
+
+@pytest.mark.parametrize("feature_map", [None, "mlp"], ids=["none", "string"])
+@pytest.mark.parametrize("build", [
+    lambda fmap: reg.GpModel(fmap, 1.0, 0.5, decomposition(1)),
+    lambda fmap: two_class_classifier(fmap, [decomposition(1)] * 2)],
+    ids=["regression", "classifier"])
+def test_model_refuses_anything_but_a_feature_map(build, feature_map):
+    # without this refusal the cache rule raised a bare AttributeError
+    with pytest.raises(DomainError, match="feature_map must be a FeatureMap or a pair "
+                                          f"map, got {type(feature_map).__name__}"):
+        build(feature_map)
 
 
 def test_train_refuses_a_map_of_another_input_width():
