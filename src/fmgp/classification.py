@@ -91,7 +91,8 @@ class DirichletClassifier:
 
     caches[c] is a FeatureDecomposition of the class's noise-whitened
     feature Gram, with proj_targets = U^T Phi_w^T y_w; there is one cache
-    per class, so num_classes is len(caches).  Immutable after fit; use
+    per class, so num_classes is len(caches).  Each attribute is the
+    constructor argument of its name.  Immutable after fit; use
     with_temperature to derive a re-tempered copy.
     """
 
@@ -102,10 +103,9 @@ class DirichletClassifier:
                  label_map=None):
         self.feature_map = feature_map
         self.caches = list(caches)
-        self.num_classes = len(self.caches)
         if self.num_classes < 2:
             raise DomainError("need at least two classes")
-        lr.check_decompositions(ft._check_feature_map(feature_map).output_dim, **{
+        lr.check_decompositions(ft._check_feature_map(feature_map, "feature_map").output_dim, **{
             f"caches[{c}]": cache for c, cache in enumerate(self.caches)})
         self.sigma_f_sq = check_array("sigma_f_sq", sigma_f_sq, (self.num_classes,))
         self.sigma_xi_sq = check_array("sigma_xi_sq", sigma_xi_sq, (self.num_classes,))
@@ -117,13 +117,12 @@ class DirichletClassifier:
         self.training_trace = training_trace
         self.label_map = label_map
 
+    @property
+    def num_classes(self):
+        return len(self.caches)
+
     def with_temperature(self, temperature):
-        return DirichletClassifier(self.feature_map, self.sigma_f_sq,
-                                   self.sigma_xi_sq, self.caches, self.alpha_eps,
-                                   temperature=temperature,
-                                   train_inputs_stats=self.train_inputs_stats,
-                                   training_trace=self.training_trace,
-                                   label_map=self.label_map)
+        return type(self)(**(vars(self) | {"temperature": temperature}))
 
 
 @dataclass

@@ -27,7 +27,7 @@ import warnings
 
 # errors loads no numpy, so loading it here leaves numpy to the thread cap
 from .errors import (ConfigError, DataError, DomainError, FmgpError, NumericError,
-                     ShapeError, check_count)
+                     ShapeError, check_count, read_json)
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -114,7 +114,7 @@ def _read_block(block, factory, context, skip=()):
             for key, value in block.items()}
 
 
-def kernel_spec_from_json(doc, context="kernel"):
+def kernel_spec_from_json(doc, context):
     """Declarative kernel description to a spectral-module kernel spec: a
     kind plus keyword arguments of that kind's dataclass."""
     from . import spectral as sp
@@ -211,17 +211,6 @@ class RunConfig:
         return dt.load_csv(path, task=self.task)
 
 
-def load_config(path, seed_override=None):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except ValueError as exc:  # not JSON, not UTF-8, or an over-long integer
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-    return RunConfig(doc, seed_override)
-
-
 def build_dataset(config):
     """Dataset described by the config's data block, split and whitened."""
     from . import data as dt
@@ -316,10 +305,11 @@ def cmd_eval(model_path, config, out_dir):
     if model.feature_map.input_dim != X_test.shape[1]:
         raise ConfigError(f"model expects {model.feature_map.input_dim} "
                           f"features, data has {X_test.shape[1]}")
-    # a shifted CSV or another split seed changes the whitening statistics
+    # a shifted CSV or another split seed changes the whitening statistics;
+    # a stored block must hold every one of them
     stored, current = model.train_inputs_stats, dataset.stats_dict()
-    for key in stored or ():
-        if stored[key] != current.get(key):
+    for key in current if stored else ():
+        if stored.get(key) != current[key]:
             raise DataError(f"eval data normalization differs from the model's "
                             f"in {key!r}: check data.path and the split seed")
     if task == "regression":
@@ -358,7 +348,7 @@ def cmd_spectral(config, out_dir):
     return reports
 
 
-def cmd_oracle_check(seed=0):
+def cmd_oracle_check(seed):
     """Dense-oracle equivalence batteries; nonzero exit on any failure."""
     from . import oracle_check as oc
 
@@ -406,12 +396,6 @@ def _build_parser():
     return parser
 
 
-def _resolve_out_dir(args, config):
-    out = args.out or config.output_dir
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def main(argv=None):
     # an error prints one JSON line on stderr, so warnings (numpy overflow
     # in a diverging fit, say) are shown only when the command succeeds
@@ -430,8 +414,10 @@ def _run(argv):
         if args.command == "oracle-check":
             cmd_oracle_check(seed=_typed(args.seed, 0, "--seed"))
             return 0
-        config = load_config(args.config, getattr(args, "seed", None))
-        out_dir = _resolve_out_dir(args, config)
+        config = RunConfig(read_json(args.config, ConfigError, "config"),
+                           getattr(args, "seed", None))
+        out_dir = args.out or config.output_dir
+        os.makedirs(out_dir, exist_ok=True)
         if args.command == "train":
             cmd_train(config, out_dir)
         elif args.command == "eval":

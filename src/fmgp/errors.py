@@ -1,13 +1,16 @@
-"""Exception types shared across the package, and the three argument rules.
+"""Exception types shared across the package, the three argument rules,
+and the one JSON-file reader.
 
 The CLI maps these onto process exit codes; library code raises them
 directly so callers can distinguish bad configuration from bad data and
-from numerical failure.  Every count, positive real and array a public
-call takes is checked by check_count, check_positive or check_array,
-which raise the error class the caller names.  The CLI loads this module
-before it caps the BLAS threads, so it imports no numpy at load time.
+from numerical failure.  check_count, check_positive and check_array
+check every count, positive real and array a public call takes, and
+read_json reads every JSON file; each raises the error class its caller
+names.  The CLI loads this module before it caps the BLAS threads, so it
+imports no numpy at load time.
 """
 
+import json
 import numbers
 
 
@@ -41,6 +44,18 @@ class TrainingError(NumericError):
     def __init__(self, message, iteration=None):
         super().__init__(message)
         self.iteration = iteration
+
+
+def read_json(path, error, what):
+    """The JSON document at path; an unreadable file or a document that is
+    not JSON raises error, naming what the file holds and its path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from None
+    except ValueError as exc:  # not JSON, not UTF-8, or an over-long integer
+        raise error(f"{what} {path} is not valid JSON: {exc}") from None
 
 
 def check_count(error, low=1, **values):

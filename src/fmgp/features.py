@@ -130,6 +130,8 @@ class _FeatureMapPair:
     cotangents)."""
 
     def __init__(self, left, right):
+        for name, part in (("left", left), ("right", right)):
+            _check_feature_map(part, name)
         if left.input_dim != right.input_dim:
             raise ShapeError("component maps must share the input dimension")
         self.left = left
@@ -200,10 +202,11 @@ class AdditiveFeatureMap(_FeatureMapPair):
 COMPOSITIONS = {pair.kind: pair for pair in (ProductFeatureMap, AdditiveFeatureMap)}
 
 
-def _check_feature_map(fmap):
-    """fmap, unless it is neither a FeatureMap nor a pair map: a DomainError."""
+def _check_feature_map(fmap, name):
+    """fmap, unless it is neither a FeatureMap nor a pair map: a DomainError
+    that names the argument."""
     if not isinstance(fmap, (FeatureMap, _FeatureMapPair)):
-        raise DomainError("feature_map must be a FeatureMap or a pair map, "
+        raise DomainError(f"{name} must be a FeatureMap or a pair map, "
                           f"got {type(fmap).__name__}")
     return fmap
 

@@ -72,8 +72,8 @@ def run_grams(phi, noise):
 class GramAccumulator:
     """Streaming accumulator for C whitened Grams and Phi^T (W o Y).
 
-    Row i weighs w_ic = 1 / noise[i, c] in column c (None: unit noise,
-    weights 1.0; each noise finite and positive): gram[c] sums the
+    Row i weighs w_ic = 1 / noise[i, c] in column c (each noise finite
+    and positive; unit noise gives weights 1.0): gram[c] sums the
     training MLL's run Grams with those weights.  Batches are added in a
     fixed order; the sums are exact in that order, which is what makes
     partitioning-invariance hold to rounding error.
@@ -85,12 +85,11 @@ class GramAccumulator:
         self.gram = np.zeros((num_outputs, p, p))
         self.phi_t_y = np.zeros((p, num_outputs))
 
-    def add(self, phi_batch, y_batch, noise=None):
+    def add(self, phi_batch, y_batch, noise):
         phi_batch = check_array("batch", phi_batch, (None, self.p))
         shape = (len(phi_batch), self.phi_t_y.shape[1])
         y_batch = check_array("targets", y_batch, shape)
-        noise = check_array("noise", np.broadcast_to(1.0, shape) if noise is None else noise,
-                            shape)
+        noise = check_array("noise", noise, shape)
         check_positive(DomainError, noise=noise)
         bounds, grams = run_grams(phi_batch, noise)
         wts = 1.0 / noise[bounds[:-1]]

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import features as ft
 from . import lowrank as lr
-from .errors import DataError, FmgpError, NumericError, check_array
+from .errors import DataError, FmgpError, NumericError, check_array, read_json
 
 SCHEMA = "fmgp/model@1"
 FEATURE_MAP_FORMAT = "fmgp/feature-map@1"
@@ -90,8 +90,11 @@ def _feature_map(doc):
     params = [_read(layer, key, shape).ravel()
               for layer, layer_shapes in zip(doc["layers"], shapes)
               for key, shape in zip(ft.LAYER_KEYS, layer_shapes)]
+    rescale = doc["rescale_to_unit"]
+    if not isinstance(rescale, bool):
+        raise DataError(f"rescale_to_unit must be true or false, got {json.dumps(rescale)}")
     return ft.FeatureMap(widths, np.concatenate(params), normalization=normalization,
-                         rescale_to_unit=doc["rescale_to_unit"])
+                         rescale_to_unit=rescale)
 
 
 def _decomposition_document(decomp):
@@ -153,16 +156,15 @@ def _classifier_fields(doc, p):
 
 
 def _read_label_map(doc, num_classes):
-    """The raw label to class index map, or None; each index must be a
-    distinct integer in [0, num_classes), so no two raw labels share a class."""
+    """The raw label to class index map, or None; its indices must be
+    0 to num_classes - 1, each once: each class has one raw label."""
     if doc is None:
         return None
     label_map = {float(k): _read(doc, k) for k in doc}
     indices = list(label_map.values())
-    if (any(i != int(i) or not 0 <= i < num_classes for i in indices)
-            or len(set(indices)) != len(indices)):
-        raise DataError(f"label_map values must be distinct class indices in "
-                        f"[0, {num_classes}), got {indices}")
+    if sorted(indices) != list(range(num_classes)):
+        raise DataError(f"label_map values must be the class indices 0 to "
+                        f"{num_classes - 1}, each once, got {indices}")
     return {k: int(i) for k, i in label_map.items()}
 
 
@@ -199,13 +201,7 @@ def load(path, *model_types):
     file.
     """
     builders = {kind.task: kind for kind in model_types}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read model {path}: {exc}") from None
-    except ValueError as exc:  # not JSON, not UTF-8, or an over-long integer
-        raise DataError(f"model {path} is not valid JSON: {exc}") from None
+    doc = read_json(path, DataError, "model")
     try:
         if doc.get("schema") != SCHEMA:
             raise DataError(f"unrecognized model schema {doc.get('schema')!r}")

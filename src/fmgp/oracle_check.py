@@ -24,6 +24,8 @@ PREDICTION_VAR_TOL = 1e-8
 PRODUCT_TOL = 1e-12
 ADDITIVE_TOL = 1e-9
 MAJORIZATION_TOL = 1e-9
+INSTANCES = 100  # random instances per battery
+COMPOSITION_INSTANCES = 50  # for the product and additive batteries
 
 
 def _report(name, instances, max_err, tol):
@@ -102,12 +104,12 @@ def _mll_at(phi, y, sigma_xi_sq, extra_noise=None):
         None if extra_noise is None else extra_noise[:, None])[0]
 
 
-def check_woodbury(num_instances=100, seed=0):
+def check_woodbury(seed=0):
     """Quadratic form y^T K^{-1} y of the training MLL, which is -2 times
     the MLL's change from 0 to y, against a dense solve; relative error."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for trial in range(num_instances):
+    for trial in range(INSTANCES):
         # every fifth instance has fewer rows than features
         phi, y, s2 = _random_instance(rng, 200, 16, force_wide=trial % 5 == 4)
         n = phi.shape[0]
@@ -115,15 +117,15 @@ def check_woodbury(num_instances=100, seed=0):
         q_dense = float(y @ np.linalg.solve(dense, y))
         q_low = -2.0 * (_mll_at(phi, y, s2) - _mll_at(phi, np.zeros(n), s2))
         worst = max(worst, abs(q_low - q_dense) / max(abs(q_dense), 1e-300))
-    return _report("woodbury", num_instances, worst, WOODBURY_TOL)
+    return _report("woodbury", INSTANCES, worst, WOODBURY_TOL)
 
 
-def check_logdet(num_instances=100, seed=0):
+def check_logdet(seed=0):
     """Log-determinant of the training MLL against a dense Cholesky
     log-determinant, with and without per-point noise; absolute error."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for trial in range(num_instances):
+    for trial in range(INSTANCES):
         phi, y, s2 = _random_instance(rng, 200, 16, force_wide=trial % 5 == 4)
         n = phi.shape[0]
         # y is unused at y = 0, so its squares give per-point noise
@@ -134,17 +136,17 @@ def check_logdet(num_instances=100, seed=0):
             dense_ld = 2.0 * np.sum(np.log(np.diag(np.linalg.cholesky(dense))))
             low = -2.0 * _mll_at(phi, np.zeros(n), s2, extra) - n * reg.LOG_2PI
             worst = max(worst, abs(low - dense_ld))
-    return _report("logdet", num_instances, worst, LOGDET_TOL)
+    return _report("logdet", INSTANCES, worst, LOGDET_TOL)
 
 
-def check_prediction(num_instances=100, seed=0):
+def check_prediction(seed=0):
     """Cached low-rank predictions against the dense exact-GP oracle: the
     relative mean error against PREDICTION_MEAN_TOL, and the absolute
     latent and observation variance errors (var_max_err) against
     PREDICTION_VAR_TOL."""
     rng = np.random.default_rng(seed)
     worst_mean = worst_var = 0.0
-    for trial in range(num_instances):
+    for trial in range(INSTANCES):
         d = int(rng.integers(1, 9))
         p = int(rng.integers(1, 33))
         n = int(rng.integers(1, 33)) if trial % 7 == 6 else int(rng.integers(8, 501))
@@ -171,17 +173,17 @@ def check_prediction(num_instances=100, seed=0):
         worst_var = max(worst_var, float(np.max(np.abs(pred.variance - oracle.variance))))
         worst_var = max(worst_var, float(np.max(np.abs(
             pred.observation_variance - oracle.observation_variance))))
-    report = _report("prediction", num_instances, worst_mean, PREDICTION_MEAN_TOL)
+    report = _report("prediction", INSTANCES, worst_mean, PREDICTION_MEAN_TOL)
     report.update(var_max_err=worst_var, var_tol=PREDICTION_VAR_TOL,
                   passed=report["passed"] and worst_var <= PREDICTION_VAR_TOL)
     return report
 
 
-def check_product(num_instances=50, seed=0):
+def check_product(seed=0):
     """Columnwise-product features reproduce the Hadamard Gram exactly."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(num_instances):
+    for _ in range(COMPOSITION_INSTANCES):
         n = int(rng.integers(2, 40))
         p1 = int(rng.integers(1, 9))
         p2 = int(rng.integers(1, 9))
@@ -196,15 +198,15 @@ def check_product(num_instances=50, seed=0):
         column = xi[:, i - 1 + (j - 1) * p1]
         worst = max(worst, float(np.max(np.abs(
             column - phi1[:, i - 1] * phi2[:, j - 1]))))
-    return _report("product", num_instances, worst, PRODUCT_TOL)
+    return _report("product", COMPOSITION_INSTANCES, worst, PRODUCT_TOL)
 
 
-def check_additive(num_instances=50, seed=0):
+def check_additive(seed=0):
     """Posterior mean on additive (stacked) features against the dense
     GP with the sum of the two kernels, at the training inputs."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(num_instances):
+    for _ in range(COMPOSITION_INSTANCES):
         n = int(rng.integers(2, 60))
         p1 = int(rng.integers(1, 9))
         p2 = int(rng.integers(1, 9))
@@ -218,7 +220,7 @@ def check_additive(num_instances=50, seed=0):
         decomp = lr.decompose(phi.T @ phi, phi.T @ v, n)
         mean_low = reg.posterior(phi, [decomp], [s2], [1.0])[0][:, 0]
         worst = max(worst, _rel(mean_low, mean_dense))
-    return _report("additive", num_instances, worst, ADDITIVE_TOL)
+    return _report("additive", COMPOSITION_INSTANCES, worst, ADDITIVE_TOL)
 
 
 def _random_unit_diag_psd(rng, n):
@@ -228,11 +230,11 @@ def _random_unit_diag_psd(rng, n):
     return k / np.outer(d, d)
 
 
-def check_majorization(num_pairs=100, seed=0):
+def check_majorization(seed=0):
     """Partial-sum and tail-sum Hadamard spectral bounds on random pairs."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for trial in range(num_pairs):
+    for trial in range(INSTANCES):
         n = int(rng.integers(2, 33))
         if trial % 2 == 0:
             k1 = _random_unit_diag_psd(rng, n)
@@ -245,7 +247,7 @@ def check_majorization(num_pairs=100, seed=0):
             k2 = sp.build_gram(sp.RbfKernel(ell2), X)
         violation = -min(np.min(slack) for slack in sp.hadamard_slacks(k1, k2))
         worst = max(worst, float(violation))
-    return _report("majorization", num_pairs, worst, MAJORIZATION_TOL)
+    return _report("majorization", INSTANCES, worst, MAJORIZATION_TOL)
 
 
 def run_all(seed=0):

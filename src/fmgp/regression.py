@@ -59,7 +59,8 @@ class GpModel:
     Holds the feature map, the two variances (with their ratio gamma =
     sigma_xi_sq / sigma_f_sq cached so recalibration leaves predictions
     bit-identical), the full-training-set feature decomposition, and the
-    normalization metadata of the training inputs.  Immutable after fit.
+    normalization metadata of the training inputs.  Each attribute is the
+    constructor argument of its name.  Immutable after fit.
     """
 
     task = "regression"
@@ -67,7 +68,8 @@ class GpModel:
     def __init__(self, feature_map, sigma_f_sq, sigma_xi_sq, decomp,
                  train_inputs_stats=None, gamma=None, training_trace=None):
         check_positive(DomainError, sigma_f_sq=sigma_f_sq, sigma_xi_sq=sigma_xi_sq)
-        lr.check_decompositions(ft._check_feature_map(feature_map).output_dim, decomp=decomp)
+        p = ft._check_feature_map(feature_map, "feature_map").output_dim
+        lr.check_decompositions(p, decomp=decomp)
         self.feature_map = feature_map
         self.sigma_f_sq = float(sigma_f_sq)
         self.sigma_xi_sq = float(sigma_xi_sq)
@@ -266,12 +268,11 @@ def training_rows(dataset):
     return dataset.subset_arrays("train")
 
 
-def _summed_mll(feature_map, log_sf2, log_sxi2, X, Y, extra_noise, grads, work=None):
+def _summed_mll(feature_map, log_sf2, log_sxi2, X, Y, extra_noise, grads, work):
     """The MLL of the C columns of Y (n, C) at the rows X with extra noise
     (n, C), in one gaussian_mll_parts call.  Its gradient fills grads: the
     map's, then the (2, C) log-variances.  The step's (n, p) arrays are
-    buffers of work, a features.Workspace (a new one when None)."""
-    work = ft.Workspace() if work is None else work
+    buffers of work, a features.Workspace."""
     num_outputs = Y.shape[1]
     phi, vjp = ft.pullback(feature_map, X, work=work)
     total, d_phi, grads[-2 * num_outputs:-num_outputs], grads[-num_outputs:] = \
@@ -433,10 +434,8 @@ def recalibrate(model, X_cal, y_cal):
     alpha = float(np.mean((y_cal - pred.mean) ** 2 / pred.observation_variance))
     if not alpha > 0:
         raise NumericError(f"recalibration factor must be positive, got {alpha}")
-    return GpModel(model.feature_map, alpha * model.sigma_f_sq,
-                   alpha * model.sigma_xi_sq, model.decomp,
-                   train_inputs_stats=model.train_inputs_stats,
-                   gamma=model.gamma, training_trace=model.training_trace)
+    return type(model)(**(vars(model) | {"sigma_f_sq": alpha * model.sigma_f_sq,
+                                         "sigma_xi_sq": alpha * model.sigma_xi_sq}))
 
 
 def mean_nll(pred, y):

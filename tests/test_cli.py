@@ -546,6 +546,18 @@ class TestDataErrors:
                          "--model", str(tmp_path / "model.json")])
         self.assert_normalization_error(capsys, code)
 
+    def test_eval_rejects_a_model_without_one_statistic(self, tmp_path, capsys,
+                                                        trained_regression):
+        # every statistic of a stored normalization block is checked
+        config, doc = trained_regression
+        doc = copy.deepcopy(doc)
+        del doc["normalization"]["feature_means"]
+        (tmp_path / "model.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = cli.main(["eval", "--config", config, "--model", str(tmp_path / "model.json"),
+                         "--out", str(tmp_path)])
+        self.assert_normalization_error(capsys, code)
+
     def test_non_utf8_model_file(self, tmp_path):
         config = write_config(tmp_path, regression_doc(tmp_path))
         (tmp_path / "model.json").write_bytes(b"\xff\xfe{}")

@@ -69,6 +69,8 @@ BAD_VALUES = {
     "array": lambda row: [("nan", np.full(np.shape(row.valid), np.nan), row.error),
                           ("inf", np.full(np.shape(row.valid), np.inf), row.error),
                           *shape_values(row)],
+    # neither a FeatureMap nor a pair map
+    "feature_map": lambda row: [("none", None), ("string", "mlp")],
 }
 
 X_SMALL = np.random.default_rng(0).standard_normal((12, 2))
@@ -338,7 +340,14 @@ ARRAYS = [
         expect={"empty": DataError}),
 ]
 
-ROWS = COUNTS + POSITIVE_REALS + REALS + LABEL_VECTORS + PROBABILITY_ROWS + ARRAYS
+FEATURE_MAPS = [
+    Row(f"{pair.__name__}.{side}", "feature_map", DomainError,
+        lambda v, pair=pair, side=side: pair(**{"left": FMAP, "right": FMAP, side: v}), FMAP)
+    for pair in (ft.ProductFeatureMap, ft.AdditiveFeatureMap) for side in ("left", "right")
+]
+
+ROWS = (COUNTS + POSITIVE_REALS + REALS + LABEL_VECTORS + PROBABILITY_ROWS + ARRAYS
+        + FEATURE_MAPS)
 
 
 def strict(call, *args):
@@ -402,8 +411,6 @@ NOT_IN_TABLE = {
     "Dataset": "a record that prepare builds from checked arrays",
     "load_csv": "reads a file; test_data and the CLI table cover bad files, by row and column",
     "sample_gp_path": "the generators' helper, on a Gram that build_gram checked",
-    "ProductFeatureMap": "takes two maps; test_features covers unequal input widths",
-    "AdditiveFeatureMap": "takes two maps; test_features covers unequal input widths",
     "Workspace": "a store of scratch arrays, sized by its callers",
     "backward": "pullback's one-call form, kept for the benchmark's tracer; pullback has rows",
     "AdamState": "sized by train from the parameter vector it holds",

@@ -68,7 +68,7 @@ class TestGramAccumulator:
         y = rng.standard_normal((30, 1))
         acc = lr.GramAccumulator(5, 1)
         for start in range(0, 30, 7):
-            acc.add(phi[start:start + 7], y[start:start + 7])
+            acc.add(phi[start:start + 7], y[start:start + 7], np.ones_like(y[start:start + 7]))
         np.testing.assert_allclose(acc.gram[0], phi.T @ phi, atol=1e-12)
         np.testing.assert_allclose(acc.phi_t_y, phi.T @ y, atol=1e-12)
 
@@ -81,7 +81,8 @@ class TestGramAccumulator:
         for size in (1, 5, 16, 64):
             acc = lr.GramAccumulator(4, 1)
             for start in range(0, 64, size):
-                acc.add(phi[start:start + size], y[start:start + size])
+                acc.add(phi[start:start + size], y[start:start + size],
+                        np.ones_like(y[start:start + size]))
             grams.append(acc.gram)
         for gram in grams[1:]:
             np.testing.assert_allclose(gram, grams[0], rtol=1e-9)
@@ -112,7 +113,7 @@ class TestGramAccumulator:
     def test_rejects_wrong_width(self):
         acc = lr.GramAccumulator(3, 1)
         with pytest.raises(ShapeError):
-            acc.add(np.zeros((4, 2)), np.zeros((4, 1)))
+            acc.add(np.zeros((4, 2)), np.zeros((4, 1)), np.ones((4, 1)))
 
 
 class TestProductFeatures:

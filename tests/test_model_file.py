@@ -5,6 +5,7 @@ The files in tests/data were written by tests/data/make_legacy_models.py
 with the fmgp of commit 61fdecb, beside its predictions on inputs.npy.
 """
 
+import inspect
 import json
 import os
 import re
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from fmgp import classification as cls
+from fmgp import data as dt
 from fmgp import features as ft
 from fmgp import model_file as mf
 from fmgp import regression as reg
@@ -71,13 +73,39 @@ def edited_copy(name, edit, tmp_path):
 
 @pytest.mark.parametrize("label_map", [{"3.0": 0.7, "5.0": 0.2, "9.0": 2},
                                        {"3.0": 0, "5.0": 0, "9.0": 2},
-                                       {"3.0": 0, "5.0": 1, "9.0": 3}])
+                                       {"3.0": 0, "5.0": 1, "9.0": 3},
+                                       {"5.0": 0, "7.0": 2}])
 def test_classifier_label_map_must_hold_distinct_class_indices(label_map, tmp_path):
-    # fractional, repeated or out-of-range class indices
+    # fractional, repeated or out-of-range class indices, or a class
+    # without a raw label
     path = edited_copy("classifier_3class", lambda doc: doc.update(label_map=label_map),
                        tmp_path)
     with pytest.raises(DataError, match="label_map"):
         cls.load_classifier(path)
+
+
+def derived_models(task, tmp_path):
+    """A small fitted model of the task, and the models derived from it:
+    recalibrated or re-tempered, and reloaded."""
+    config = dict(hidden_widths=(4,), output_dim=3, iterations=2, subset_size=100)
+    if task == "regression":
+        dataset = dt.prepare(dt.synth_gp_sample(n=120, d=2), test_n=20, recal_n=20)
+        fitted = reg.fit(dataset, reg.FitConfig(**config))
+        copied = reg.recalibrate(fitted, *dataset.subset_arrays("recalibration"))
+    else:
+        dataset = dt.prepare(dt.synth_blobs(n=120, num_classes=3), test_n=20, recal_n=20)
+        fitted = cls.fit_classifier(dataset, cls.ClassifierConfig(**config))
+        copied = fitted.with_temperature(2.0)
+    mf.save(copied, tmp_path / "model.json")
+    return {"fitted": fitted, "copied": copied,
+            "reloaded": mf.load(tmp_path / "model.json", type(fitted))}
+
+
+@pytest.mark.parametrize("task", ["regression", "classification"])
+def test_every_model_attribute_is_a_constructor_argument(task, tmp_path):
+    # so that type(m)(**(vars(m) | changes)) copies every field
+    for stage, model in derived_models(task, tmp_path).items():
+        assert set(vars(model)) == set(inspect.signature(type(model)).parameters), stage
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -86,7 +114,12 @@ def test_classifier_label_map_must_hold_distinct_class_indices(label_map, tmp_pa
     (lambda fmap: fmap["left"].update(activation="tanh"), "unsupported activation 'tanh'"),
     # the left map's hidden layer holds layer norm's gain and offset
     (lambda fmap: fmap["left"].update(normalization="none"), "parameter layout does not match"),
-], ids=["format", "kind", "activation", "layout"])
+    # a JSON boolean, not a value that Python's bool() would take
+    *[(lambda fmap, value=value: fmap["right"].update(rescale_to_unit=value),
+       f"rescale_to_unit must be true or false, got {re.escape(json.dumps(value))}")
+      for value in ("zz", 0, None)],
+], ids=["format", "kind", "activation", "layout", "rescale_string", "rescale_zero",
+        "rescale_null"])
 def test_damaged_feature_map_is_refused_naming_the_file(edit, message, tmp_path):
     path = edited_copy("regression_additive", lambda doc: edit(doc["feature_map"]), tmp_path)
     with pytest.raises(DataError, match=f"bad model file {re.escape(str(path))}: {message}"):

@@ -37,7 +37,8 @@ def one_column_mll(fmap, log_sf2, log_sxi2, X, y, extra_noise=None):
     map gradient, d log sigma_f_sq, d log sigma_xi_sq)."""
     grads = np.empty(fmap.params.size + 2)
     value = reg._summed_mll(fmap, np.array([log_sf2]), np.array([log_sxi2]), X, y[:, None],
-                            None if extra_noise is None else extra_noise[:, None], grads)
+                            None if extra_noise is None else extra_noise[:, None], grads,
+                            ft.Workspace())
     return value, grads[:-2], grads[-2], grads[-1]
 
 
@@ -592,7 +593,7 @@ class TestExactOracle:
     def test_prediction_battery_reads_variance_tolerance(self, monkeypatch):
         # the variance errors are nonzero, so a zero tolerance must fail
         monkeypatch.setattr(oc, "PREDICTION_VAR_TOL", 0.0)
-        report = oc.check_prediction(num_instances=10, seed=0)
+        report = oc.check_prediction(seed=0)
         assert report["var_max_err"] > 0.0
         assert not report["passed"]
 
