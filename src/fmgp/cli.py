@@ -312,6 +312,9 @@ def cmd_eval(model_path, config, out_dir):
         if stored.get(key) != current[key]:
             raise DataError(f"eval data normalization differs from the model's "
                             f"in {key!r}: check data.path and the split seed")
+    # a renamed raw label would be scored as the class its index had in training
+    if task == "classification" and model.label_map not in (None, dataset.label_map):
+        raise DataError("eval data label_map differs from the model's: check data.path")
     if task == "regression":
         started = time.perf_counter()
         pred = reg.predict(model, X_test)

@@ -41,7 +41,7 @@ class NumericError(FmgpError):
 class TrainingError(NumericError):
     """Optimization diverged; carries the iteration at which it happened."""
 
-    def __init__(self, message, iteration=None):
+    def __init__(self, message, iteration):
         super().__init__(message)
         self.iteration = iteration
 

@@ -283,11 +283,19 @@ def _tiles(work, n, width):
         start = stop
 
 
-def _row_squares(reduce, h, out, work):
-    """reduce (np.mean or np.sum) of h * h along each row into out (n, 1),
-    squaring one row tile of h at a time."""
+def _row_squares(h, out, work):
+    """The sum of h * h along each row into out (n, 1), squaring one row
+    tile of h at a time."""
     for rows, tile in _tiles(work, *h.shape):
-        reduce(np.multiply(h[rows], h[rows], out=tile), axis=1, keepdims=True, out=out[rows])
+        np.sum(np.multiply(h[rows], h[rows], out=tile), axis=1, keepdims=True, out=out[rows])
+    return out
+
+
+def _row_mean(x, out):
+    """The mean of each row of x into out (k, 1), with np.mean's arithmetic
+    (a row sum, then a division by the width) but not its wrapper."""
+    np.add.reduce(x, axis=1, keepdims=True, out=out)
+    out /= x.shape[1]
     return out
 
 
@@ -310,10 +318,13 @@ def _forward_with_cache(fmap, inputs, keep=True, work=None, owner=None):
     whose output reverse mode recomputes with _ln_relu from
     cache["ln"][l - 1] = (xhat, inv_sd); cache["ln"][l] is None on an
     unnormalized layer.  Every array is a buffer of work (a new Workspace
-    when None), and each layer works in place on its product; the squares
-    behind the layer-norm variance and the rescale norm are formed a row
-    tile at a time.  The features and what keep keeps are keyed by owner
-    (fmap when None).  With keep, a normalized layer's ReLU output goes
+    when None), and each layer works in place on its product.  The matmul
+    runs whole, since a row-tiled one may round otherwise; the rest of a
+    normalized layer (bias, centring, variance, scale, ReLU) runs a row
+    tile at a time, its squares in the tile buffer, as do the rescale
+    norm's squares.  Layer-norm statistics are per row, so each tile
+    needs no other rows.  The features and what keep keeps are keyed by
+    owner (fmap when None).  With keep, a normalized layer's ReLU output goes
     into the one slot of its width, which the next layer reads before it
     writes its own.  Without, a hidden layer's output goes into slot
     l % 2 of its width, so it never overwrites the layer's input.
@@ -335,28 +346,32 @@ def _forward_with_cache(fmap, inputs, keep=True, work=None, owner=None):
         else:
             key = slot
         h = np.matmul(h, weight, out=work.buffer(key, shape))
-        h += bias
-        if l == last:
-            break
-        if ln:
-            inv_sd = work.buffer((owner, "inv_sd", l) if keep else ("col", 0), (n, 1))
-            h -= np.mean(h, axis=1, keepdims=True, out=inv_sd)
-            _row_squares(np.mean, h, inv_sd, work)
-            inv_sd += LAYER_NORM_EPS
-            np.sqrt(inv_sd, out=inv_sd)
-            np.divide(1.0, inv_sd, out=inv_sd)
-            h *= inv_sd
-            cache["ln"].append((h, inv_sd))
-            cache["act"].append(None)
-            h = _ln_relu(h, ln[0], ln[1], out=work.buffer(slot, shape))
-        else:
-            cache["ln"].append(None)
-            cache["act"].append(np.maximum(h, 0.0, out=h))
+        if not ln:
+            h += bias
+            if l < last:
+                cache["ln"].append(None)
+                cache["act"].append(np.maximum(h, 0.0, out=h))
+            continue
+        inv_sd = work.buffer((owner, "inv_sd", l) if keep else ("col", 0), (n, 1))
+        relu = work.buffer(slot, shape)
+        for rows, tile in _tiles(work, *shape):
+            x, s = h[rows], inv_sd[rows]
+            x += bias
+            x -= _row_mean(x, s)
+            _row_mean(np.multiply(x, x, out=tile), s)
+            s += LAYER_NORM_EPS
+            np.sqrt(s, out=s)
+            np.divide(1.0, s, out=s)
+            x *= s
+            _ln_relu(x, ln[0], ln[1], out=relu[rows])
+        cache["ln"].append((h, inv_sd))
+        cache["act"].append(None)
+        h = relu
     if not fmap.rescale_to_unit:
         return h, cache
     safe = work.buffer((owner, "safe"), (n, 1))
     zero = work.buffer((owner, "zero"), (n, 1), bool)
-    np.sqrt(_row_squares(np.sum, h, safe, work), out=safe)
+    np.sqrt(_row_squares(h, safe, work), out=safe)
     np.logical_not(np.greater(safe, 0.0, out=zero), out=zero)
     np.copyto(safe, 1.0, where=zero)
     h /= safe

@@ -104,7 +104,7 @@ def _mll_at(phi, y, sigma_xi_sq, extra_noise=None):
         None if extra_noise is None else extra_noise[:, None])[0]
 
 
-def check_woodbury(seed=0):
+def check_woodbury(seed):
     """Quadratic form y^T K^{-1} y of the training MLL, which is -2 times
     the MLL's change from 0 to y, against a dense solve; relative error."""
     rng = np.random.default_rng(seed)
@@ -120,7 +120,7 @@ def check_woodbury(seed=0):
     return _report("woodbury", INSTANCES, worst, WOODBURY_TOL)
 
 
-def check_logdet(seed=0):
+def check_logdet(seed):
     """Log-determinant of the training MLL against a dense Cholesky
     log-determinant, with and without per-point noise; absolute error."""
     rng = np.random.default_rng(seed)
@@ -139,7 +139,7 @@ def check_logdet(seed=0):
     return _report("logdet", INSTANCES, worst, LOGDET_TOL)
 
 
-def check_prediction(seed=0):
+def check_prediction(seed):
     """Cached low-rank predictions against the dense exact-GP oracle: the
     relative mean error against PREDICTION_MEAN_TOL, and the absolute
     latent and observation variance errors (var_max_err) against
@@ -179,7 +179,7 @@ def check_prediction(seed=0):
     return report
 
 
-def check_product(seed=0):
+def check_product(seed):
     """Columnwise-product features reproduce the Hadamard Gram exactly."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -201,7 +201,7 @@ def check_product(seed=0):
     return _report("product", COMPOSITION_INSTANCES, worst, PRODUCT_TOL)
 
 
-def check_additive(seed=0):
+def check_additive(seed):
     """Posterior mean on additive (stacked) features against the dense
     GP with the sum of the two kernels, at the training inputs."""
     rng = np.random.default_rng(seed)
@@ -230,7 +230,7 @@ def _random_unit_diag_psd(rng, n):
     return k / np.outer(d, d)
 
 
-def check_majorization(seed=0):
+def check_majorization(seed):
     """Partial-sum and tail-sum Hadamard spectral bounds on random pairs."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -250,7 +250,7 @@ def check_majorization(seed=0):
     return _report("majorization", INSTANCES, worst, MAJORIZATION_TOL)
 
 
-def run_all(seed=0):
+def run_all(seed):
     """All batteries in a fixed order; returns their report dicts."""
     return [
         check_woodbury(seed=seed),

@@ -13,7 +13,10 @@ reloading model.json), a small additive-map fit built by the CLI
 fit (trace, fitted temperature at 64 samples, two full blocks, and at
 100, three full blocks and a partial one, probabilities, ECE and its bin
 counts, model.json, probabilities after reloading it), the six
-oracle_check.run_all(seed=2) errors and the two Hadamard-product slacks.
+oracle_check.run_all(seed=2) errors, the two Hadamard-product slacks, and
+the features of a 6-512-512-64 layer-norm, unit-rescaled map at 1000 rows,
+the default map's prediction shape, whose hidden layers span eight row
+tiles each (every fit above runs its hidden layers in one tile).
 Floats are printed as float hex; arrays and files as the first 16 hex
 digits of their SHA-256.  BLAS runs on one thread, so that its rounding
 does not depend on the machine's core count.
@@ -41,7 +44,7 @@ KEYS = ("regression_trace", "regression_mean", "regression_variance",
         "reloaded_prediction", "additive_model_json", "additive_reloaded_prediction",
         "classifier_trace", "classifier_model_json", "temperature", "temperature_100_samples",
         "probabilities", "reloaded_probabilities", "ece", "ece_bin_counts", "oracle_max_err",
-        "hadamard_partial", "hadamard_tail")
+        "hadamard_partial", "hadamard_tail", "tiled_forward")
 
 
 # Each key of out holds (digest, values): its digest as printed by default,
@@ -167,6 +170,17 @@ def _spectral(out):
     out.update(hadamard_partial=_array(partial), hadamard_tail=_array(tail))
 
 
+def _tiled_forward(out):
+    import numpy as np
+    from fmgp import features as ft
+    fmap = ft.init_params([6, 512, 512, 64], 10, normalization="layer_norm",
+                          rescale_to_unit=True)
+    rng = np.random.default_rng(11)
+    # biases, gains and offsets away from their initial values
+    fmap = fmap.replace_params(fmap.params + 0.1 * rng.standard_normal(fmap.params.size))
+    out["tiled_forward"] = _array(ft.forward(fmap, rng.standard_normal((1000, 6))))
+
+
 def _largest_moves(base, values):
     """Per key, the largest relative move of its floats from base's."""
     import numpy as np
@@ -206,6 +220,7 @@ def main(argv=None):
         _additive(out, tmp)
         _classifier(out, tmp)
         _spectral(out)
+        _tiled_forward(out)
     values = {key: out[key][1] for key in KEYS}
     if args.against:
         with open(args.against) as fh:

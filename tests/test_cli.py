@@ -519,13 +519,13 @@ class TestDataErrors:
                        "test_n": 20, "recal_n": 20}
         return write_config(tmp_path, doc, csv_name + ".config.json")
 
-    def assert_normalization_error(self, capsys, code):
+    def assert_data_error(self, capsys, code, name="'feature_means'"):
         assert code == cli.EXIT_DATA
         err_lines = capsys.readouterr().err.strip().splitlines()
         assert len(err_lines) == 1
         err = json.loads(err_lines[0])
         assert err["error"] == "DataError"
-        assert "'feature_means'" in err["message"]
+        assert name in err["message"]
 
     def test_eval_rejects_shifted_data(self, tmp_path, capsys):
         config = self.csv_config(tmp_path, "a.csv")
@@ -534,7 +534,7 @@ class TestDataErrors:
         capsys.readouterr()
         code = cli.main(["eval", "--config", shifted,
                          "--model", str(tmp_path / "model.json")])
-        self.assert_normalization_error(capsys, code)
+        self.assert_data_error(capsys, code)
 
     def test_eval_rejects_other_split_seed(self, tmp_path, capsys):
         config = self.csv_config(tmp_path, "a.csv")
@@ -544,7 +544,7 @@ class TestDataErrors:
         capsys.readouterr()
         code = cli.main(["eval", "--config", config, "--seed", "9",
                          "--model", str(tmp_path / "model.json")])
-        self.assert_normalization_error(capsys, code)
+        self.assert_data_error(capsys, code)
 
     def test_eval_rejects_a_model_without_one_statistic(self, tmp_path, capsys,
                                                         trained_regression):
@@ -556,7 +556,30 @@ class TestDataErrors:
         capsys.readouterr()
         code = cli.main(["eval", "--config", config, "--model", str(tmp_path / "model.json"),
                          "--out", str(tmp_path)])
-        self.assert_normalization_error(capsys, code)
+        self.assert_data_error(capsys, code)
+
+    def test_eval_rejects_renamed_labels(self, tmp_path, capsys):
+        # the same rows with raw label 9 renamed to 12: the whitening
+        # statistics match, but the data's label_map is {3: 0, 12: 1}
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((200, 2))
+        labels = np.where(X[:, 0] > 0, 9, 3)
+        configs = []
+        for name, renamed in (("a.csv", 9), ("b.csv", 12)):
+            rows = [f"{a:.17g},{b:.17g},{renamed if t == 9 else t}"
+                    for (a, b), t in zip(X, labels)]
+            (tmp_path / name).write_text("x1,x2,y\n" + "\n".join(rows) + "\n")
+            doc = classification_doc(tmp_path)
+            doc["data"] = {"kind": "csv", "path": str(tmp_path / name),
+                           "test_n": 40, "recal_n": 40}
+            configs.append(write_config(tmp_path, doc, name + ".config.json"))
+        assert cli.main(["train", "--config", configs[0]]) == 0
+        assert cli.main(["eval", "--config", configs[0],
+                         "--model", str(tmp_path / "model.json")]) == 0
+        capsys.readouterr()
+        code = cli.main(["eval", "--config", configs[1],
+                         "--model", str(tmp_path / "model.json")])
+        self.assert_data_error(capsys, code, "label_map")
 
     def test_non_utf8_model_file(self, tmp_path):
         config = write_config(tmp_path, regression_doc(tmp_path))

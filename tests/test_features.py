@@ -415,11 +415,11 @@ class TestWorkspace:
 
 
 class TestReversePass:
-    """pullback against reference_pullback, bit for bit.  Each map runs on
-    one row tile and on rows that span several tiles of each hidden width
-    and end in part of one; the row counts are multiples of 64, so a
-    matvec that BLAS splits among threads splits at whole blocks of rows
-    in both passes."""
+    """pullback and forward against reference_pullback, bit for bit.  Each
+    map runs on one row tile and on rows that span several tiles of each
+    hidden width and end in part of one; the row counts are multiples of
+    64, so a matvec that BLAS splits among threads splits at whole blocks
+    of rows in both passes."""
 
     # widths, normalization and rescale of each plain map
     MAPS = {"equal": ([3, 256, 256, 8], "layer_norm", True),
@@ -459,6 +459,9 @@ class TestReversePass:
             ref_phi, ref_grads = reference_pullback(fmap, X, upstream)
             assert np.array_equal(phi, ref_phi)
             assert np.array_equal(vjp(upstream, np.empty(fmap.params.size)), ref_grads)
+            # the forward pass that keeps nothing, on its own arrays and on work's
+            assert np.array_equal(ft.forward(fmap, X), ref_phi)
+            assert np.array_equal(ft.forward(fmap, X, work=work), ref_phi)
 
     @pytest.mark.parametrize("kind", list(ft.COMPOSITIONS))
     def test_one_map_as_both_components(self, kind):
