@@ -51,7 +51,7 @@ def main():
     rng_X = np.random.default_rng(99).uniform(size=(256, 2))
     for p in (4, 16, 64):
         spec = sp.MlpKernel(hidden_widths=(32,), output_dim=p, seed=5)
-        report = sp.spectrum(sp.build_gram(spec, rng_X), spec.label, 2, 5)
+        report = sp.spectrum(sp.build_gram(spec, rng_X), spec.label, seed=5)
         print(f"  p={p:3d}: numeric rank {report.numeric_rank:3d}")
 
     out = Path(tempfile.mkdtemp()) / "spectra.csv"

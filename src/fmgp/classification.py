@@ -379,12 +379,11 @@ def fit_temperature(clf, X_hold, y_hold, num_samples=DEFAULT_NUM_SAMPLES, seed=0
 class CalibrationReport:
     """Binned calibration summary over top-label confidences."""
 
-    def __init__(self, ece, bin_confidences, bin_accuracies, bin_counts, num_bins):
+    def __init__(self, ece, bin_confidences, bin_accuracies, bin_counts):
         self.ece = float(ece)
         self.bin_confidences = bin_confidences
         self.bin_accuracies = bin_accuracies
         self.bin_counts = bin_counts
-        self.num_bins = int(num_bins)
 
 
 def compute_ece(probs, labels, num_bins=DEFAULT_ECE_BINS):
@@ -408,7 +407,7 @@ def compute_ece(probs, labels, num_bins=DEFAULT_ECE_BINS):
     bin_acc = np.where(filled, acc_sum / np.maximum(counts, 1.0), 0.0)
     total = float(counts.sum())
     ece = float(np.sum(counts / total * np.abs(bin_acc - bin_conf)))
-    return CalibrationReport(ece, bin_conf, bin_acc, counts, num_bins)
+    return CalibrationReport(ece, bin_conf, bin_acc, counts)
 
 
 def save_classifier(clf, path):

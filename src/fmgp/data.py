@@ -64,8 +64,7 @@ class Dataset:
     """
 
     def __init__(self, X, targets, split, feature_means, feature_stds,
-                 target_mean=0.0, target_std=1.0, task="regression",
-                 label_map=None):
+                 target_mean=0.0, target_std=1.0, label_map=None):
         self.X = np.asarray(X, dtype=np.float64)
         self.targets = np.asarray(targets)
         self.split = {k: np.asarray(v, dtype=np.int64) for k, v in split.items()}
@@ -73,7 +72,6 @@ class Dataset:
         self.feature_stds = np.asarray(feature_stds, dtype=np.float64)
         self.target_mean = float(target_mean)
         self.target_std = float(target_std)
-        self.task = task
         self.label_map = label_map
 
     def stats_dict(self):
@@ -87,7 +85,7 @@ class Dataset:
 
     def apply_input_normalization(self, X_raw):
         """Whiten new raw inputs with the stored training statistics."""
-        X_raw = np.asarray(X_raw, dtype=np.float64)
+        X_raw = check_array("X_raw", X_raw, (None, len(self.feature_means)))
         return (X_raw - self.feature_means) / self.feature_stds
 
     def normalize_targets(self, y_raw):
@@ -272,7 +270,7 @@ def prepare(raw, seed=0, test_n=TEST_N_DEFAULT, recal_n=RECAL_N_DEFAULT):
             target_std = 1.0
         targets = (targets.astype(np.float64) - target_mean) / target_std
     return Dataset(X_white, targets, split, means, stds, target_mean, target_std,
-                   task=raw.task, label_map=raw.label_map)
+                   label_map=raw.label_map)
 
 
 def sample_gp_path(gram, rng):

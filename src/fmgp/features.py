@@ -246,11 +246,12 @@ class Workspace:
     or another row shape; created counts those allocations.  The forward
     pass keys what it keeps by the place in its pairs of the component
     map that keeps it, so the two components of a pair keep theirs
-    apart: one (n, width) array per hidden layer and the features.  Its scratch is keyed by width alone
-    and shared, since the components run one after the other: one slot
-    per width for a step (two, used in turn, for a forward pass that
-    keeps nothing), one bool ReLU mask, reverse mode's matvec column,
-    and one tile buffer of about TILE_VALUES values for all widths.
+    apart: one (n, width) array per hidden layer and the features.  Its
+    scratch is keyed by width alone and shared, since the components run
+    one after the other: one slot per width for a step (two, used in
+    turn, for a forward pass that keeps nothing), one bool ReLU mask per
+    hidden width, reverse mode's matvec column, and one tile buffer of
+    about TILE_VALUES values for all widths.
     """
 
     def __init__(self):

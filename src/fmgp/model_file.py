@@ -22,7 +22,7 @@ import numpy as np
 
 from . import features as ft
 from . import lowrank as lr
-from .errors import DataError, FmgpError, NumericError, check_array, read_json
+from .errors import DataError, FmgpError, NumericError, check_array, check_count, read_json
 
 SCHEMA = "fmgp/model@1"
 FEATURE_MAP_FORMAT = "fmgp/feature-map@1"
@@ -55,22 +55,8 @@ def feature_map_document(fmap):
     }
 
 
-# what reading a damaged document raises, which load and read_feature_map
-# report as one DataError
+# what reading a damaged document raises, which load reports as one DataError
 _DAMAGE = (FmgpError, LookupError, TypeError, ValueError, AttributeError, ArithmeticError)
-
-
-def _damage(exc):
-    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-
-
-def read_feature_map(doc):
-    """The plain or composite feature map of a feature-map document; a
-    damaged document is a DataError."""
-    try:
-        return _feature_map(doc)
-    except _DAMAGE as exc:
-        raise DataError(_damage(exc)) from None
 
 
 def _feature_map(doc):
@@ -103,12 +89,22 @@ def _decomposition_document(decomp):
             "trace_phi_sq": decomp.trace_phi_sq}
 
 
+def _nonnegative(doc, key, shape=()):
+    value = _read(doc, key, shape)
+    if np.any(value < 0):
+        raise DataError(f"{key} must be >= 0, got {float(np.min(value))!r}")
+    return value
+
+
 def _read_decomposition(doc, p):
+    # decompose clamps eigenvalues to >= 0 and counts n rows, so a file
+    # that breaks either rule is damaged
+    check_count(DataError, n=doc["n"])
     # decompose keeps eigh's Fortran order; the same layout makes products
     # with u, and so predictions, bit-identical after a reload
     return lr.FeatureDecomposition(
-        _read(doc, "u", (p, p), order="F"), _read(doc, "eigenvalues", (p,)),
-        _read(doc, "proj_targets", (p,)), _read(doc, "n"), _read(doc, "trace_phi_sq"))
+        _read(doc, "u", (p, p), order="F"), _nonnegative(doc, "eigenvalues", (p,)),
+        _read(doc, "proj_targets", (p,)), doc["n"], _nonnegative(doc, "trace_phi_sq"))
 
 
 def _regression_document(model):
@@ -213,8 +209,9 @@ def load(path, *model_types):
             raise DataError("model normalization must be an object or null")
         for key in stats or ():  # checked, but kept as stored for the re-save
             _read(stats, key, np.shape(stats[key]))
-        fmap = read_feature_map(doc["feature_map"])
+        fmap = _feature_map(doc["feature_map"])
         return builders[task](feature_map=fmap, train_inputs_stats=stats,
                               **_TASKS[task][1](doc, fmap.output_dim))
     except _DAMAGE as exc:
-        raise DataError(f"bad model file {path}: {_damage(exc)}") from None
+        damage = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise DataError(f"bad model file {path}: {damage}") from None

@@ -170,11 +170,9 @@ def build_gram(spec, X):
 class SpectrumReport:
     """Descending clamped eigenvalues of one Gram matrix."""
 
-    def __init__(self, eigenvalues, kernel_label, n, d, seed):
+    def __init__(self, eigenvalues, kernel_label, seed):
         self.eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
         self.kernel_label = kernel_label
-        self.n = int(n)
-        self.d = int(d)
         self.seed = seed
 
     @property
@@ -193,7 +191,7 @@ class SpectrumReport:
         return float(self.eigenvalues[after_index:].sum() / total)
 
 
-def spectrum(gram, kernel_label="", d=0, seed=None):
+def spectrum(gram, kernel_label="", *, seed=None):
     """Eigen-decompose a symmetric PSD Gram into a SpectrumReport."""
     gram = check_array("gram", gram, ("n", "n"), NumericError)
     import scipy.linalg
@@ -202,7 +200,7 @@ def spectrum(gram, kernel_label="", d=0, seed=None):
     except scipy.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
     lam = np.maximum(lam[::-1], 0.0)
-    return SpectrumReport(lam, kernel_label, gram.shape[0], d, seed)
+    return SpectrumReport(lam, kernel_label, seed)
 
 
 @dataclass
@@ -232,7 +230,7 @@ def decay_experiment(config):
         X = np.random.default_rng(seed).uniform(size=(config.n, config.d))
         for spec in config.specs:
             gram = build_gram(spec, X)
-            reports.append(spectrum(gram, spec.label, config.d, seed))
+            reports.append(spectrum(gram, spec.label, seed=seed))
     return reports
 
 

@@ -13,8 +13,9 @@ reloading model.json), a small additive-map fit built by the CLI
 fit (trace, fitted temperature at 64 samples, two full blocks, and at
 100, three full blocks and a partial one, probabilities, ECE and its bin
 counts, model.json, probabilities after reloading it), the six
-oracle_check.run_all(seed=2) errors, the two Hadamard-product slacks, and
-the features of a 6-512-512-64 layer-norm, unit-rescaled map at 1000 rows,
+oracle_check.run_all(seed=2) errors, the two Hadamard-product slacks, the
+spectra.csv of a two-seed decay experiment over one kernel of each of the
+seven kinds (its values are the eigenvalues), and the features of a 6-512-512-64 layer-norm, unit-rescaled map at 1000 rows,
 the default map's prediction shape, whose hidden layers span eight row
 tiles each (every fit above runs its hidden layers in one tile).
 Floats are printed as float hex; arrays and files as the first 16 hex
@@ -44,7 +45,7 @@ KEYS = ("regression_trace", "regression_mean", "regression_variance",
         "reloaded_prediction", "additive_model_json", "additive_reloaded_prediction",
         "classifier_trace", "classifier_model_json", "temperature", "temperature_100_samples",
         "probabilities", "reloaded_probabilities", "ece", "ece_bin_counts", "oracle_max_err",
-        "hadamard_partial", "hadamard_tail", "tiled_forward")
+        "hadamard_partial", "hadamard_tail", "spectra", "tiled_forward")
 
 
 # Each key of out holds (digest, values): its digest as printed by default,
@@ -159,7 +160,7 @@ def _classifier(out, tmp):
                ece_bin_counts=([int(c) for c in report.bin_counts], _hexes(report.bin_counts)))
 
 
-def _spectral(out):
+def _spectral(out, tmp):
     import numpy as np
     from fmgp import oracle_check as oc, spectral as sp
     errors = _hexes([r["max_err"] for r in oc.run_all(seed=2)])
@@ -168,6 +169,17 @@ def _spectral(out):
     k1, k2 = sp.build_gram(sp.ExpKernel(0.4), X), sp.build_gram(sp.RbfKernel(0.8), X)
     partial, tail = sp.hadamard_slacks(k1, k2)
     out.update(hadamard_partial=_array(partial), hadamard_tail=_array(tail))
+    config = sp.DecayConfig(specs=(
+        sp.RbfKernel(0.5), sp.ExpKernel(0.4), sp.Matern32Kernel(0.6), sp.PeriodicKernel(0.7, 0.8),
+        sp.MlpKernel(hidden_widths=(16,), output_dim=8, seed=1),
+        sp.NystromKernel(sp.ExpKernel(0.5), 12, seed=2),
+        sp.ProductKernel(sp.RbfKernel(0.9), sp.ExpKernel(0.3))), n=48, seeds=(0, 1))
+    reports = sp.decay_experiment(config)
+    path = os.path.join(tmp, "spectra.csv")
+    sp.write_spectra_csv(reports, path)
+    with open(path, "rb") as fh:
+        out["spectra"] = (_digest(fh.read()),
+                          [value for report in reports for value in _hexes(report.eigenvalues)])
 
 
 def _tiled_forward(out):
@@ -219,7 +231,7 @@ def main(argv=None):
         _regression(out, tmp)
         _additive(out, tmp)
         _classifier(out, tmp)
-        _spectral(out)
+        _spectral(out, tmp)
         _tiled_forward(out)
     values = {key: out[key][1] for key in KEYS}
     if args.against:

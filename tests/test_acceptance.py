@@ -141,7 +141,7 @@ class TestAcceptance:
                 spec = sp.MlpKernel(hidden_widths=(32,), output_dim=p,
                                     seed=seed)
                 rank = sp.spectrum(sp.build_gram(spec, X), spec.label,
-                                   2, seed).numeric_rank
+                                   seed=seed).numeric_rank
                 worst_excess = max(worst_excess, rank - p)
         rank_ok = worst_excess <= 0
 

@@ -198,6 +198,7 @@ BAD_INPUTS = [
                  id="classification_on_synth_gp"),
     pytest.param("spectral.kernels", {"kind": "rbf"}, cli.EXIT_CONFIG,
                  id="spectral_kernels_not_a_list"),
+    pytest.param("spectral.kernels", [], cli.EXIT_CONFIG, id="spectral_kernels_empty"),
     pytest.param("data", {"kind": "csv"}, cli.EXIT_CONFIG, id="csv_without_path"),
     pytest.param("architecture", [16, 16], cli.EXIT_CONFIG, id="architecture_not_an_object"),
     pytest.param("data", {"kind": "csv", "path": "ragged.csv"}, cli.EXIT_DATA,

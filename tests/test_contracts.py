@@ -338,6 +338,9 @@ ARRAYS = [
     # fewer targets than rows is a DataError, as test_data pins
     Row("prepare.targets", "array", DataError, lambda v: prepared(targets=v), RAW.targets,
         expect={"empty": DataError}),
+    # 0 raw rows in, 0 whitened rows out
+    Row("Dataset.apply_input_normalization.X_raw", "shape", ShapeError,
+        lambda v: prepared().apply_input_normalization(v), RAW.X, expect={"empty": FINITE}),
 ]
 
 FEATURE_MAPS = [
@@ -408,7 +411,6 @@ def test_library_errors_replace_numpy_and_scipy_errors(call, error):
 # public callables without a row, and why
 NOT_IN_TABLE = {
     "RawTable": "a record of what it is given; prepare checks its arrays",
-    "Dataset": "a record that prepare builds from checked arrays",
     "load_csv": "reads a file; test_data and the CLI table cover bad files, by row and column",
     "sample_gp_path": "the generators' helper, on a Gram that build_gram checked",
     "Workspace": "a store of scratch arrays, sized by its callers",
@@ -418,7 +420,6 @@ NOT_IN_TABLE = {
     "FeatureDecomposition": "a record that decompose and the model file reader check",
     "check_decompositions": "the model constructors' cache rule; test_regression covers it",
     "feature_map_document": "writes a map that its constructor checked",
-    "read_feature_map": "reads a document; the model file tests cover bad documents",
     "save": "writes a model that its constructor checked",
     "load": "reads a file; the model file tests and the CLI table cover bad files",
     "PredictiveDistribution": "a record that predict builds",
@@ -460,6 +461,12 @@ def test_mean_nll_refuses_a_column_of_targets():
     y = np.linspace(-1.0, 1.0, 5)
     with pytest.raises(ShapeError, match=r"must have shape \(5\), got \(5, 1\)"):
         reg.mean_nll(PRED, y[:, None])
+
+
+def test_apply_input_normalization_refuses_another_width():
+    # (3, 5) against two whitening columns would not broadcast
+    with pytest.raises(ShapeError, match=r"X_raw must have shape \(\*, 2\), got \(3, 5\)"):
+        prepared().apply_input_normalization(np.zeros((3, 5)))
 
 
 def test_a_non_finite_scalar_is_named_by_its_value():

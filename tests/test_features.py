@@ -51,7 +51,7 @@ class TestConstruction:
 
     def test_serialization_round_trip(self):
         fmap = random_map([2, 4, 3], seed=3)
-        clone = mf.read_feature_map(mf.feature_map_document(fmap))
+        clone = mf._feature_map(mf.feature_map_document(fmap))
         X = np.random.default_rng(0).standard_normal((6, 2))
         np.testing.assert_array_equal(ft.forward(fmap, X), ft.forward(clone, X))
 
@@ -357,7 +357,7 @@ class TestComposites:
     def test_composite_serialization_round_trip(self, kind):
         cls = ft.ProductFeatureMap if kind == "product" else ft.AdditiveFeatureMap
         comp = cls(self.left, self.right)
-        clone = mf.read_feature_map(mf.feature_map_document(comp))
+        clone = mf._feature_map(mf.feature_map_document(comp))
         np.testing.assert_array_equal(ft.forward(comp, self.X),
                                       ft.forward(clone, self.X))
 

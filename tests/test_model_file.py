@@ -126,6 +126,51 @@ def test_damaged_feature_map_is_refused_naming_the_file(edit, message, tmp_path)
         reg.load_model(path)
 
 
+def cache_edit(key, value):
+    """An edit that sets key of a model file's first cache to value (for
+    eigenvalues, its last one); a callable value is of the document."""
+    def edit(doc):
+        cache = doc["decomposition"] if "decomposition" in doc else doc["per_class"][0]["cache"]
+        new = value(doc) if callable(value) else value
+        if key == "eigenvalues":
+            cache[key][-1] = new
+        else:
+            cache[key] = new
+    return edit
+
+
+# values that decompose never writes: it clamps eigenvalues to >= 0 and
+# counts n rows; an eigenvalue of -gamma made predict divide by zero
+DAMAGED_CACHES = [
+    ("regression_mlp", "eigenvalues", lambda doc: -doc["gamma"], "eigenvalues must be >= 0"),
+    *[(name, "eigenvalues", value, f"eigenvalues must be >= 0, got {value}")
+      for name, value in (("regression_mlp", -0.001), ("classifier_3class", -0.5))],
+    *[(name, "n", value, re.escape(f"n must be an integer >= 1, got {value!r}"))
+      for name in ("regression_mlp", "classifier_3class") for value in (2.5, 0, -5, 1e308, True)],
+    *[(name, "trace_phi_sq", -1, "trace_phi_sq must be >= 0, got -1.0")
+      for name in ("regression_mlp", "classifier_3class")],
+]
+
+
+@pytest.mark.parametrize("name, key, value, message", DAMAGED_CACHES, ids=[
+    f"{name.split('_')[0]}-{key}-{'minus_gamma' if callable(value) else value}"
+    for name, key, value, _ in DAMAGED_CACHES])
+def test_damaged_cache_is_refused_naming_the_key(name, key, value, message, tmp_path):
+    path = edited_copy(name, cache_edit(key, value), tmp_path)
+    with pytest.raises(DataError, match=f"bad model file {re.escape(str(path))}: {message}"):
+        mf.load(path, reg.GpModel, cls.DirichletClassifier)
+
+
+@pytest.mark.parametrize("name", ["regression_mlp", "classifier_3class"])
+@pytest.mark.parametrize("key, value", [("eigenvalues", -0.0), ("trace_phi_sq", 1e308)])
+def test_cache_values_at_the_edge_load_and_resave(name, key, value, tmp_path):
+    # -0.0 is >= 0, and a finite trace is not checked against the eigenvalues
+    path = edited_copy(name, cache_edit(key, value), tmp_path)
+    model = mf.load(path, reg.GpModel, cls.DirichletClassifier)
+    mf.save(model, tmp_path / "resaved.json")
+    assert (tmp_path / "resaved.json").read_bytes() == path.read_bytes()
+
+
 def mlp_document(widths):
     return mf.feature_map_document(ft.init_params(widths, seed=0))
 
@@ -141,7 +186,8 @@ def mlp_document(widths):
     ({"format": mf.FEATURE_MAP_FORMAT, "kind": "product", "left": mlp_document([2, 3, 1]),
       "right": mlp_document([3, 3, 1])}, "component maps must share the input dimension"),
 ], ids=["list", "widths_null", "widths_missing", "weight_shape", "pair_inputs"])
-def test_read_feature_map_refuses_a_damaged_document(doc, message):
-    # inside load, and called directly, a damaged document is a DataError
-    with pytest.raises(DataError, match=message):
-        mf.read_feature_map(doc)
+def test_read_feature_map_refuses_a_damaged_document(doc, message, tmp_path):
+    # the whole feature map replaced, where the test above edits one key
+    path = edited_copy("regression_mlp", lambda model: model.update(feature_map=doc), tmp_path)
+    with pytest.raises(DataError, match=f"bad model file {re.escape(str(path))}: {message}"):
+        reg.load_model(path)

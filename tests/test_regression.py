@@ -100,6 +100,10 @@ class TestMllValues:
         with pytest.raises(ShapeError):
             reg.gaussian_mll_parts(np.zeros((3, 2)), np.zeros((4, 1)), [0.0], [0.0])
 
+    def test_zero_rows_raise(self):
+        with pytest.raises(DomainError, match="need at least one data point"):
+            reg.gaussian_mll_parts(np.zeros((0, 2)), np.zeros((0, 1)), [0.0], [0.0])
+
 
 class TestMllGradients:
     @pytest.mark.parametrize("hetero", [False, True])
@@ -539,6 +543,13 @@ class TestRecalibrate:
         model = self.build_flat_model()
         with pytest.raises(DomainError):
             reg.recalibrate(model, np.empty((0, 1)), np.empty(0))
+
+    def test_zero_residuals_raise(self):
+        # alpha = 0 would scale both variances to zero
+        model = self.build_flat_model()
+        X_cal = np.array([[1.0], [2.0]])
+        with pytest.raises(NumericError, match="recalibration factor must be positive, got 0.0"):
+            reg.recalibrate(model, X_cal, reg.predict(model, X_cal).mean)
 
 
 class TestExactOracle:

@@ -65,6 +65,17 @@ class TestKernelValues:
         with pytest.raises(NumericError):
             sp.build_gram(sp.RbfKernel(1.0), X)
 
+    @pytest.mark.parametrize("spec, label", [
+        (sp.Matern32Kernel(0.5), "matern32(l=0.5)"),
+        (sp.PeriodicKernel(2.0, 0.25), "periodic(p=2,l=0.25)"),
+        (sp.NystromKernel(sp.RbfKernel(0.5), 16), "nystrom(rbf(l=0.5),m=16)"),
+        (sp.ProductKernel(sp.RbfKernel(1.0), sp.ExpKernel(0.25)),
+         "product(rbf(l=1),exp(l=0.25))"),
+    ], ids=["matern32", "periodic", "nystrom", "product"])
+    def test_label_names_the_kernel_and_its_parameters(self, spec, label):
+        # spectra.csv writes it in its kernel_label column
+        assert spec.label == label
+
     def test_rejects_one_dimensional_input(self):
         with pytest.raises(ShapeError):
             sp.build_gram(sp.RbfKernel(1.0), np.zeros(5))
@@ -133,13 +144,13 @@ class TestNystromKernel:
 
 class TestSpectrum:
     def test_identity_matrix_spectrum(self):
-        report = sp.spectrum(np.eye(6), "identity", d=1, seed=0)
+        report = sp.spectrum(np.eye(6), "identity", seed=0)
         np.testing.assert_allclose(report.eigenvalues, np.ones(6), atol=1e-12)
         assert report.numeric_rank == 6
 
     def test_rank_one_constant_matrix(self):
         n = 8
-        report = sp.spectrum(np.ones((n, n)), "ones", d=1, seed=0)
+        report = sp.spectrum(np.ones((n, n)), "ones", seed=0)
         np.testing.assert_allclose(report.eigenvalues[0], n, rtol=1e-12)
         np.testing.assert_allclose(report.eigenvalues[1:], 0.0, atol=1e-10)
         assert report.numeric_rank == 1
@@ -147,13 +158,18 @@ class TestSpectrum:
     def test_eigenvalues_sorted_and_clamped(self):
         X = unit_box_inputs(30, 2, 11)
         gram = sp.build_gram(sp.RbfKernel(0.4), X)
-        report = sp.spectrum(gram, "rbf", d=2, seed=11)
+        report = sp.spectrum(gram, "rbf", seed=11)
         assert np.all(np.diff(report.eigenvalues) <= 0)
         assert report.eigenvalues.min() >= 0.0
 
+    def test_zero_spectrum_has_rank_and_tail_zero(self):
+        report = sp.spectrum(np.zeros((4, 4)))
+        assert report.numeric_rank == 0
+        assert report.tail_mass(1) == 0.0
+
     def test_tail_mass_decreases(self):
         X = unit_box_inputs(30, 2, 12)
-        report = sp.spectrum(sp.build_gram(sp.ExpKernel(0.4), X), "exp", 2, 12)
+        report = sp.spectrum(sp.build_gram(sp.ExpKernel(0.4), X), "exp", seed=12)
         assert report.tail_mass(1) >= report.tail_mass(10) >= report.tail_mass(29)
         # tail_mass is a fraction of the trace
         np.testing.assert_allclose(report.tail_mass(0), 1.0, rtol=1e-12)
@@ -189,6 +205,10 @@ class TestDecayExperiment:
         reports = sp.decay_experiment(cfg)
         np.testing.assert_array_equal(reports[0].eigenvalues,
                                       reports[1].eigenvalues)
+
+    def test_no_specs_raise(self):
+        with pytest.raises(DomainError, match="no kernel specs given"):
+            sp.decay_experiment(sp.DecayConfig(n=8))
 
     def test_csv_round_trip(self, tmp_path):
         cfg = sp.DecayConfig(specs=(sp.RbfKernel(0.5),), n=16, d=2, seeds=(0,))
