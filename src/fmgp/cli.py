@@ -231,6 +231,21 @@ def build_feature_map(config, input_dim):
     return ft.COMPOSITIONS[config.composition](*maps)
 
 
+def _output_paths(out_dir, *names):
+    """The paths of names in out_dir, which is created if need be: checked
+    before any work, so an out_dir that cannot be a directory, or a name
+    that is one, is a ConfigError and not a fit lost at the end."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from None
+    paths = [os.path.join(out_dir, name) for name in names]
+    for path in paths:
+        if os.path.isdir(path):
+            raise ConfigError(f"output {path} is a directory")
+    return paths
+
+
 def _write_json(path, payload):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -251,6 +266,8 @@ def cmd_train(config, out_dir):
     from . import model_file as mf
     from . import regression as reg
 
+    model_path, trace_path, metrics_path = _output_paths(
+        out_dir, "model.json", "training_trace.csv", "train_metrics.json")
     dataset = build_dataset(config)
     fmap = build_feature_map(config, dataset.X.shape[1])
     has_recal = dataset.split["recalibration"].size > 0
@@ -268,8 +285,8 @@ def cmd_train(config, out_dir):
                 model, X_cal, y_cal, config.classification["num_samples"], seed=config.fit.seed))
     train_time = time.perf_counter() - started
     trace = model.training_trace or []
-    mf.save(model, os.path.join(out_dir, "model.json"))
-    _write_trace_csv(os.path.join(out_dir, "training_trace.csv"), trace)
+    mf.save(model, model_path)
+    _write_trace_csv(trace_path, trace)
     metrics = {
         "task": config.task,
         "n_train": int(dataset.split["train"].size),
@@ -277,7 +294,7 @@ def cmd_train(config, out_dir):
         "final_loss": float(trace[-1]) if trace else None,
         "timings": {"train_s": train_time},
     }
-    _write_json(os.path.join(out_dir, "train_metrics.json"), metrics)
+    _write_json(metrics_path, metrics)
     print(f"trained {config.task} model: {metrics['n_train']} points, "
           f"{metrics['iterations']} iterations, {train_time:.2f}s")
     return metrics
@@ -291,6 +308,7 @@ def cmd_eval(model_path, config, out_dir):
     from . import model_file as mf
     from . import regression as reg
 
+    metrics_path, = _output_paths(out_dir, "metrics.json")
     model = mf.load(model_path, reg.GpModel, cls.DirichletClassifier)
     task = model.task
     if task != config.task:
@@ -308,7 +326,7 @@ def cmd_eval(model_path, config, out_dir):
     # a shifted CSV or another split seed changes the whitening statistics;
     # a stored block must hold every one of them
     stored, current = model.train_inputs_stats, dataset.stats_dict()
-    for key in current if stored else ():
+    for key in current if stored is not None else ():
         if stored.get(key) != current[key]:
             raise DataError(f"eval data normalization differs from the model's "
                             f"in {key!r}: check data.path and the split seed")
@@ -333,7 +351,7 @@ def cmd_eval(model_path, config, out_dir):
         metrics["temperature"] = model.temperature
     metrics["timings"] = {"predict_s": elapsed,
                           "per_point_s": elapsed / X_test.shape[0]}
-    _write_json(os.path.join(out_dir, "metrics.json"), metrics)
+    _write_json(metrics_path, metrics)
     summary = {k: v for k, v in metrics.items() if k != "timings"}
     print(json.dumps(summary, sort_keys=True))
     return metrics
@@ -343,8 +361,8 @@ def cmd_spectral(config, out_dir):
     """Eigenvalue-decay experiment over the configured kernel zoo."""
     from . import spectral as sp
 
+    path, = _output_paths(out_dir, "spectra.csv")
     reports = sp.decay_experiment(config.decay)
-    path = os.path.join(out_dir, "spectra.csv")
     sp.write_spectra_csv(reports, path)
     print(f"wrote {sum(r.eigenvalues.size for r in reports)} eigenvalues "
           f"for {len(reports)} spectra to {path}")
@@ -420,7 +438,6 @@ def _run(argv):
         config = RunConfig(read_json(args.config, ConfigError, "config"),
                            getattr(args, "seed", None))
         out_dir = args.out or config.output_dir
-        os.makedirs(out_dir, exist_ok=True)
         if args.command == "train":
             cmd_train(config, out_dir)
         elif args.command == "eval":

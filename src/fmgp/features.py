@@ -243,15 +243,8 @@ class Workspace:
 
     buffer(key, shape) returns the first shape[0] rows of the array stored
     under key, and allocates a new one only when that array has fewer rows
-    or another row shape; created counts those allocations.  The forward
-    pass keys what it keeps by the place in its pairs of the component
-    map that keeps it, so the two components of a pair keep theirs
-    apart: one (n, width) array per hidden layer and the features.  Its
-    scratch is keyed by width alone and shared, since the components run
-    one after the other: one slot per width for a step (two, used in
-    turn, for a forward pass that keeps nothing), one bool ReLU mask per
-    hidden width, reverse mode's matvec column, and one tile buffer of
-    about TILE_VALUES values for all widths.
+    or another row shape; created counts those allocations.  The feature
+    map's keys are listed, with what each holds, in _forward_with_cache.
     """
 
     def __init__(self):
@@ -310,50 +303,47 @@ def _ln_relu(xhat, gain, offset, out):
     return np.maximum(out, 0.0, out=out)
 
 
-def _forward_with_cache(fmap, inputs, keep=True, work=None, owner=None):
-    """Check parameters and inputs, then run the map, keeping what reverse
-    mode needs unless keep is false: one (n, width) array per hidden layer.
+def _forward_with_cache(fmap, inputs, work, place=None):
+    """Check parameters and inputs, then run the map in work's buffers,
+    keeping what reverse mode needs under place, the map's place in its
+    pairs, or nothing when place is None.  Returns (phi, kept, rescale):
+    kept[l] is hidden layer l's (relu_out, None), or (xhat, inv_sd) when
+    it is normalized; rescale is (phi, norms, zero_rows), or None.
 
-    cache["act"][l] is the input of layer l: the inputs, the ReLU output
-    of an unnormalized hidden layer, or None after a layer-normalized one,
-    whose output reverse mode recomputes with _ln_relu from
-    cache["ln"][l - 1] = (xhat, inv_sd); cache["ln"][l] is None on an
-    unnormalized layer.  Every array is a buffer of work (a new Workspace
-    when None), and each layer works in place on its product.  The matmul
-    runs whole, since a row-tiled one may round otherwise; the rest of a
-    normalized layer (bias, centring, variance, scale, ReLU) runs a row
-    tile at a time, its squares in the tile buffer, as do the rescale
-    norm's squares.  Layer-norm statistics are per row, so each tile
-    needs no other rows.  The features and what keep keeps are keyed by
-    owner (fmap when None).  With keep, a normalized layer's ReLU output goes
-    into the one slot of its width, which the next layer reads before it
-    writes its own.  Without, a hidden layer's output goes into slot
-    l % 2 of its width, so it never overwrites the layer's input.
+    Each layer works in place on its product.  The matmul runs whole, as
+    a row-tiled one may round otherwise; the rest of a normalized layer
+    and the rescale norm's squares run a row tile at a time (layer-norm
+    statistics are per row).  The keys of work, owner being place, or
+    fmap when nothing is kept, so a pair's components keep theirs apart:
+    - (owner, l): layer l's output, phi for the last layer and, when
+      kept, a hidden layer's (xhat when normalized);
+    - (owner, l, "sd"): a normalized layer's inv_sd; (owner, "safe") and
+      (owner, "zero"): the rescale's norms and zero rows;
+    - ("slot", width, i), shared, as components run in turn.  Kept, slot
+      0 takes a normalized layer's ReLU output, which the next layer
+      reads before it writes its own, then reverse mode's recomputed
+      inputs and cotangents.  Not kept, hidden layer l's output goes into
+      slot l % 2, so it never overwrites its input;
+    - ("tile",), the row tile buffer (_tiles), and reverse mode's ("col",
+      i), ("ones",), ("raw", p), ("matvec", width) and ("mask", width).
     """
     _check_finite_params(fmap)
     h = inputs = check_array("inputs", inputs, (None, fmap.input_dim), NumericError)
-    work = Workspace() if work is None else work
-    owner = fmap if owner is None else owner
+    owner = fmap if place is None else place
     n = inputs.shape[0]
-    cache = {"ln": [], "act": [inputs], "rescale": None}
+    kept = []
     last = len(fmap.layers) - 1
     for l, (weight, bias, *ln) in enumerate(fmap.layers):
         shape = (n, weight.shape[1])
-        slot = ("slot", shape[1], 0 if keep else l % 2)
-        if l == last:
-            key = (owner, "phi")
-        elif keep:
-            key = (owner, "xhat" if ln else "act", l)
-        else:
-            key = slot
+        slot = ("slot", shape[1], l % 2 if place is None else 0)
+        key = slot if place is None and l < last else (owner, l)
         h = np.matmul(h, weight, out=work.buffer(key, shape))
         if not ln:
             h += bias
             if l < last:
-                cache["ln"].append(None)
-                cache["act"].append(np.maximum(h, 0.0, out=h))
+                kept.append((np.maximum(h, 0.0, out=h), None))
             continue
-        inv_sd = work.buffer((owner, "inv_sd", l) if keep else ("col", 0), (n, 1))
+        inv_sd = work.buffer((owner, l, "sd"), (n, 1))
         relu = work.buffer(slot, shape)
         for rows, tile in _tiles(work, *shape):
             x, s = h[rows], inv_sd[rows]
@@ -365,19 +355,17 @@ def _forward_with_cache(fmap, inputs, keep=True, work=None, owner=None):
             np.divide(1.0, s, out=s)
             x *= s
             _ln_relu(x, ln[0], ln[1], out=relu[rows])
-        cache["ln"].append((h, inv_sd))
-        cache["act"].append(None)
+        kept.append((h, inv_sd))
         h = relu
     if not fmap.rescale_to_unit:
-        return h, cache
+        return h, kept, None
     safe = work.buffer((owner, "safe"), (n, 1))
     zero = work.buffer((owner, "zero"), (n, 1), bool)
     np.sqrt(_row_squares(h, safe, work), out=safe)
     np.logical_not(np.greater(safe, 0.0, out=zero), out=zero)
     np.copyto(safe, 1.0, where=zero)
     h /= safe
-    cache["rescale"] = (h, safe, zero)
-    return h, cache
+    return h, kept, (h, safe, zero)
 
 
 def forward(fmap, inputs, work=None):
@@ -394,7 +382,7 @@ def forward(fmap, inputs, work=None):
                             forward(fmap.right, inputs, work=work))
     # kept intermediates double the working set, and freeing that much at once
     # lets the allocator return the pages to the OS, to fault in every call
-    return _forward_with_cache(fmap, inputs, keep=False, work=work)[0]
+    return _forward_with_cache(fmap, inputs, work=Workspace() if work is None else work)[0]
 
 
 def pullback(fmap, inputs, work=None):
@@ -408,16 +396,16 @@ def pullback(fmap, inputs, work=None):
     is a DomainError.  With a Workspace, phi and vjp run on its buffers
     and are valid only until its next use; without, each call allocates
     its own.  A step holds one (n, width) array per hidden layer and
-    component and one slot per hidden width, and forms its other
-    elementwise products a row tile at a time.
+    component and one slot per hidden width (_forward_with_cache).
     """
-    return _pullback(fmap, inputs, Workspace() if work is None else work, ())
+    return _pullback(fmap, np.asarray(inputs, dtype=np.float64),
+                     Workspace() if work is None else work, ())
 
 
 def _pullback(fmap, inputs, work, place):
-    """pullback, with what reverse mode needs kept under place, the map's
-    place in its pairs: each vjp spends what it keeps, so a map that is
-    two components keeps it twice."""
+    """pullback on float64 inputs, with what reverse mode needs kept under
+    place, the map's place in its pairs: each vjp spends what it keeps, so
+    a map that is two components keeps it twice."""
     if isinstance(fmap, _FeatureMapPair):
         phi1, vjp1 = _pullback(fmap.left, inputs, work, place + ("left",))
         phi2, vjp2 = _pullback(fmap.right, inputs, work, place + ("right",))
@@ -431,7 +419,7 @@ def _pullback(fmap, inputs, work, place):
             return out
         return phi, vjp
 
-    phi, cache = _forward_with_cache(fmap, inputs, work=work, owner=place)
+    phi, kept, rescale = _forward_with_cache(fmap, inputs, work=work, place=place)
     spent = False
 
     def vjp(upstream, out):
@@ -449,8 +437,8 @@ def _pullback(fmap, inputs, work, place):
         ones = work.buffer(("ones",), (n,))
         ones.fill(1.0)
         last = len(fmap.layers) - 1
-        if cache["rescale"] is not None:
-            unit, safe, zero = cache["rescale"]
+        if rescale is not None:
+            unit, safe, zero = rescale
             # unit = raw / |raw|; zero rows pass the map unchanged, so their
             # cotangent passes through unchanged too
             rows = work.buffer(("raw", g.shape[1]), g.shape)
@@ -469,15 +457,14 @@ def _pullback(fmap, inputs, work, place):
                 g *= mask
                 # layer l's kept output, spent once its mask is applied
                 # (unnormalized) or its gain gradient taken (normalized)
-                kept = cache["act"][l + 1]
+                h, inv_sd = kept[l]
                 if ln:
-                    kept, inv_sd = cache["ln"][l]
                     np.matmul(ones, g, out=d_ln[1])
                     # the row means of dxhat = g * gain and of dxhat * xhat
                     col = work.buffer(("matvec", g.shape[1]), (g.shape[1], 1))
                     np.divide(ln[0], g.shape[1], out=col[:, 0])
                     for r, g_xhat in _tiles(work, *g.shape):
-                        g_r, xhat = g[r], kept[r]
+                        g_r, xhat = g[r], h[r]
                         np.multiply(g_r, xhat, out=g_xhat)
                         np.matmul(g_r, col, out=m1[r])
                         np.matmul(g_xhat, col, out=m2[r])
@@ -487,17 +474,19 @@ def _pullback(fmap, inputs, work, place):
                         g_r *= inv_sd[r]
                         # xhat's rows, now spent, keep g * xhat for the gain
                         np.copyto(xhat, g_xhat)
-                    np.matmul(ones, kept, out=d_ln[0])
-            act = cache["act"][l]
+                    np.matmul(ones, h, out=d_ln[0])
+            act = inputs
             if l > 0:
-                # the recomputed input of layer l, then its cotangent, go
-                # into layer l's spent output when the widths agree, else
-                # into the one slot of the input's width: never where g is
-                into = (kept if l < last and kept.shape[1] == weight.shape[0] else
+                # layer l's input, then its cotangent, go into its spent output
+                # if the widths agree, else into the input width's slot: not g
+                into = (h if l < last and h.shape[1] == weight.shape[0] else
                         work.buffer(("slot", weight.shape[0], 0), (n, weight.shape[0])))
-                if act is None:
-                    _, _, gain, offset = fmap.layers[l - 1]
-                    act = _ln_relu(cache["ln"][l - 1][0], gain, offset, out=into)
+                act, inv_sd = kept[l - 1]
+                # a normalized layer's ReLU output is recomputed, except a plain
+                # map's last: only a pair's other component writes that slot
+                if inv_sd is not None:
+                    act = (into if l == last and place == () else
+                           _ln_relu(act, *fmap.layers[l - 1][2:], out=into))
                 mask = np.greater(act, 0.0, out=work.buffer(("mask", into.shape[1]),
                                                             into.shape, bool))
             np.matmul(act.T, g, out=d_weight)

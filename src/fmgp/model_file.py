@@ -26,6 +26,9 @@ from .errors import DataError, FmgpError, NumericError, check_array, check_count
 
 SCHEMA = "fmgp/model@1"
 FEATURE_MAP_FORMAT = "fmgp/feature-map@1"
+# the one surrogate noise policy of a classifier, which its file names
+NOISE_KIND = "dirichlet-lognormal"
+NOISE_COMPOSITION = "added-to-learned-noise"
 
 def _read(doc, key, shape=(), order="C"):
     """doc[key] as a float64 array of the given shape (a float when the
@@ -124,8 +127,8 @@ def _classifier_document(clf):
     return {
         "num_classes": clf.num_classes,
         "temperature": clf.temperature,
-        "surrogate_noise_policy": {"kind": "dirichlet-lognormal", "alpha_eps": clf.alpha_eps,
-                                   "composition": "added-to-learned-noise"},
+        "surrogate_noise_policy": {"kind": NOISE_KIND, "alpha_eps": clf.alpha_eps,
+                                   "composition": NOISE_COMPOSITION},
         "per_class": [{"sigma_f_sq": float(clf.sigma_f_sq[c]),
                        "sigma_xi_sq": float(clf.sigma_xi_sq[c]),
                        "cache": _decomposition_document(clf.caches[c])}
@@ -138,14 +141,20 @@ def _classifier_document(clf):
 
 def _classifier_fields(doc, p):
     per_class = doc["per_class"]
-    if _read(doc, "num_classes") != len(per_class):
+    check_count(DataError, num_classes=doc["num_classes"])
+    if doc["num_classes"] != len(per_class):
         raise DataError(f"num_classes is {doc['num_classes']}, but per_class "
                         f"holds {len(per_class)} classes")
+    policy = doc["surrogate_noise_policy"]
+    for key, value in (("kind", NOISE_KIND), ("composition", NOISE_COMPOSITION)):
+        if policy[key] != value:
+            raise DataError(f"surrogate_noise_policy.{key} must be {json.dumps(value)}, "
+                            f"got {json.dumps(policy[key])}")
     return {
         "sigma_f_sq": np.array([_read(entry, "sigma_f_sq") for entry in per_class]),
         "sigma_xi_sq": np.array([_read(entry, "sigma_xi_sq") for entry in per_class]),
         "caches": [_read_decomposition(entry["cache"], p) for entry in per_class],
-        "alpha_eps": _read(doc["surrogate_noise_policy"], "alpha_eps"),
+        "alpha_eps": _read(policy, "alpha_eps"),
         "temperature": _read(doc, "temperature"),
         "label_map": _read_label_map(doc.get("label_map"), len(per_class)),
     }
@@ -156,12 +165,13 @@ def _read_label_map(doc, num_classes):
     0 to num_classes - 1, each once: each class has one raw label."""
     if doc is None:
         return None
-    label_map = {float(k): _read(doc, k) for k in doc}
+    check_count(DataError, low=0, **{f"label_map[{k}]": i for k, i in doc.items()})
+    label_map = {float(k): i for k, i in doc.items()}
     indices = list(label_map.values())
     if sorted(indices) != list(range(num_classes)):
         raise DataError(f"label_map values must be the class indices 0 to "
                         f"{num_classes - 1}, each once, got {indices}")
-    return {k: int(i) for k, i in label_map.items()}
+    return label_map
 
 
 # per task: the document of a model, and its constructor's fields from one

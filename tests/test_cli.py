@@ -559,6 +559,18 @@ class TestDataErrors:
                          "--out", str(tmp_path)])
         self.assert_data_error(capsys, code)
 
+    def test_eval_rejects_a_model_with_an_empty_normalization(self, tmp_path, capsys,
+                                                              trained_regression):
+        # an empty block is a stored block, so each statistic is missing from it
+        config, doc = trained_regression
+        doc = copy.deepcopy(doc)
+        doc["normalization"] = {}
+        (tmp_path / "model.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = cli.main(["eval", "--config", config, "--model", str(tmp_path / "model.json"),
+                         "--out", str(tmp_path)])
+        self.assert_data_error(capsys, code)
+
     def test_eval_rejects_renamed_labels(self, tmp_path, capsys):
         # the same rows with raw label 9 renamed to 12: the whitening
         # statistics match, but the data's label_map is {3: 0, 12: 1}
@@ -594,6 +606,45 @@ class TestDataErrors:
         code = cli.main(["eval", "--config", config,
                          "--model", str(tmp_path / "absent_model.json")])
         assert code == cli.EXIT_DATA
+
+
+# the files each command writes into its --out directory
+OUTPUT_NAMES = {"train": ("model.json", "training_trace.csv", "train_metrics.json"),
+                "eval": ("metrics.json",), "spectral": ("spectra.csv",)}
+OUTPUT_CASES = [(command, case) for command, names in OUTPUT_NAMES.items()
+                for case in ("under_a_file", "a_file", *names)]
+
+
+@pytest.mark.parametrize("command, case", OUTPUT_CASES,
+                         ids=[f"{command}-{case}" for command, case in OUTPUT_CASES])
+def test_unwritable_output_exits_before_any_work(tmp_path, capsys, command, case):
+    # --out under a regular file, a regular file itself, or a directory in
+    # the place of an output file; the data file and the model do not
+    # exist, so exit 2 and not 3 shows that the outputs are checked first
+    (tmp_path / "afile").write_text("")
+    if command == "spectral":
+        doc = spectral_doc(tmp_path)
+    else:
+        doc = regression_doc(tmp_path)
+        doc["data"] = {"kind": "csv", "path": str(tmp_path / "absent.csv")}
+    out = {"under_a_file": tmp_path / "afile" / "sub", "a_file": tmp_path / "afile"}.get(
+        case, tmp_path / "out")
+    if case in OUTPUT_NAMES[command]:
+        (out / case).mkdir(parents=True)
+    args = [command, "--config", write_config(tmp_path, doc), "--out", str(out)]
+    if command == "eval":
+        args += ["--model", str(tmp_path / "absent_model.json")]
+    capsys.readouterr()
+    assert cli.main(args) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    report = json.loads(lines[0])
+    assert report["error"] == "ConfigError"
+    expected = (f"output {out / case} is a directory" if case in OUTPUT_NAMES[command]
+                else f"cannot create output directory {out}: ")
+    assert report["message"].startswith(expected)
 
 
 class TestSpectralCommand:

@@ -476,6 +476,30 @@ class TestReversePass:
         assert np.array_equal(phi, ref_phi)
         assert np.array_equal(vjp(upstream, np.empty(fmap.params.size)), ref_grads)
 
+    @pytest.mark.parametrize("kind", ["plain", "product"])
+    def test_reverse_mode_recomputes_all_but_a_plain_maps_last_relu_output(
+            self, monkeypatch, kind):
+        # the forward pass leaves a map's last hidden ReLU output in the slot
+        # of its width; in a pair the other component writes that slot first
+        maps = [ft.init_params([3, 8, 8, 4], seed, normalization="layer_norm")
+                for seed in (0, 1)]
+        fmap = maps[0] if kind == "plain" else ft.ProductFeatureMap(*maps)
+        X = np.random.default_rng(5).standard_normal((9, 3))
+        _, vjp = ft.pullback(fmap, X)
+        gains = []
+        run = ft._ln_relu
+
+        def counted(xhat, gain, offset, out):
+            gains.append(gain)
+            return run(xhat, gain, offset, out)
+
+        monkeypatch.setattr(ft, "_ln_relu", counted)
+        vjp(np.ones((9, fmap.output_dim)), np.empty(fmap.params.size))
+        for part in maps[:1] if kind == "plain" else maps:
+            own = sum(any(gain is layer[2] for layer in part.layers[:-1]) for gain in gains)
+            assert own == (1 if kind == "plain" else 2)
+        assert len(gains) == (1 if kind == "plain" else 4)
+
     @pytest.mark.parametrize("kind", ["equal", "product"])
     def test_second_vjp_call_raises(self, kind):
         fmap = self.make_map(kind)

@@ -84,6 +84,38 @@ def test_classifier_label_map_must_hold_distinct_class_indices(label_map, tmp_pa
         cls.load_classifier(path)
 
 
+# classifier fields that a writer never writes: counts as floats or
+# booleans, and another surrogate noise policy than the one there is
+DAMAGED_CLASSIFIER_FIELDS = {
+    "num_classes_float": (lambda doc: doc.update(num_classes=3.0),
+                          "num_classes must be an integer >= 1, got 3.0"),
+    "num_classes_true": (lambda doc: doc.update(num_classes=True),
+                         "num_classes must be an integer >= 1, got True"),
+    "label_map_floats": (lambda doc: doc.update(label_map={"3.0": 0.0, "5.0": 1.0, "9.0": 2.0}),
+                         re.escape("label_map[3.0] must be a nonnegative integer, got 0.0")),
+    "label_map_one_float": (lambda doc: doc.update(label_map={"3.0": 0, "5.0": 1.0, "9.0": 2}),
+                            re.escape("label_map[5.0] must be a nonnegative integer, got 1.0")),
+    "label_map_true": (lambda doc: doc.update(label_map={"3.0": 0, "5.0": True, "9.0": 2}),
+                       re.escape("label_map[5.0] must be a nonnegative integer, got True")),
+    "noise_kind": (lambda doc: doc["surrogate_noise_policy"].update(kind="zz"),
+                   'surrogate_noise_policy.kind must be "dirichlet-lognormal", got "zz"'),
+    "noise_composition": (lambda doc: doc["surrogate_noise_policy"].update(composition=None),
+                          "surrogate_noise_policy.composition must be "
+                          '"added-to-learned-noise", got null'),
+    "noise_kind_missing": (lambda doc: doc["surrogate_noise_policy"].pop("kind"),
+                           "missing key 'kind'"),
+}
+
+
+@pytest.mark.parametrize("edit, message", DAMAGED_CLASSIFIER_FIELDS.values(),
+                         ids=DAMAGED_CLASSIFIER_FIELDS)
+def test_damaged_classifier_field_is_refused_naming_the_key(edit, message, tmp_path):
+    # each would load and re-save as other bytes: 3, 0, 1, 2, or the policy there is
+    path = edited_copy("classifier_3class", edit, tmp_path)
+    with pytest.raises(DataError, match=f"bad model file {re.escape(str(path))}: {message}"):
+        cls.load_classifier(path)
+
+
 def derived_models(task, tmp_path):
     """A small fitted model of the task, and the models derived from it:
     recalibrated or re-tempered, and reloaded."""
