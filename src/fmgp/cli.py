@@ -27,7 +27,7 @@ import warnings
 
 # errors loads no numpy, so loading it here leaves numpy to the thread cap
 from .errors import (ConfigError, DataError, DomainError, FmgpError, NumericError,
-                     ShapeError, check_count, read_json)
+                     ShapeError, check_count, read_json, write_file)
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -247,17 +247,7 @@ def _output_paths(out_dir, *names):
 
 
 def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_trace_csv(path, trace):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "loss"])
-        for i, loss in enumerate(trace):
-            writer.writerow([i, repr(float(loss))])
+    write_file(path, lambda fh: fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n"))
 
 
 def cmd_train(config, out_dir):
@@ -286,7 +276,8 @@ def cmd_train(config, out_dir):
     train_time = time.perf_counter() - started
     trace = model.training_trace or []
     mf.save(model, model_path)
-    _write_trace_csv(trace_path, trace)
+    write_file(trace_path, lambda fh: csv.writer(fh).writerows(
+        [["iteration", "loss"], *([i, repr(float(loss))] for i, loss in enumerate(trace))]))
     metrics = {
         "task": config.task,
         "n_train": int(dataset.split["train"].size),
@@ -323,11 +314,11 @@ def cmd_eval(model_path, config, out_dir):
     if model.feature_map.input_dim != X_test.shape[1]:
         raise ConfigError(f"model expects {model.feature_map.input_dim} "
                           f"features, data has {X_test.shape[1]}")
-    # a shifted CSV or another split seed changes the whitening statistics;
-    # a stored block must hold every one of them
+    # a shifted CSV or another split seed changes the whitening statistics,
+    # of which load checked that a stored block holds every one
     stored, current = model.train_inputs_stats, dataset.stats_dict()
     for key in current if stored is not None else ():
-        if stored.get(key) != current[key]:
+        if stored[key] != current[key]:
             raise DataError(f"eval data normalization differs from the model's "
                             f"in {key!r}: check data.path and the split seed")
     # a renamed raw label would be scored as the class its index had in training

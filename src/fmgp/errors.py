@@ -1,17 +1,18 @@
 """Exception types shared across the package, the three argument rules,
-and the one JSON-file reader.
+the one JSON-file reader and the one file writer.
 
 The CLI maps these onto process exit codes; library code raises them
 directly so callers can distinguish bad configuration from bad data and
 from numerical failure.  check_count, check_positive and check_array
 check every count, positive real and array a public call takes, and
 read_json reads every JSON file; each raises the error class its caller
-names.  The CLI loads this module before it caps the BLAS threads, so it
-imports no numpy at load time.
+names.  write_file writes every file.  The CLI loads this module before
+it caps the BLAS threads, so it imports no numpy at load time.
 """
 
 import json
 import numbers
+import os
 
 
 class FmgpError(Exception):
@@ -56,6 +57,24 @@ def read_json(path, error, what):
         raise error(f"cannot read {what} {path}: {exc}") from None
     except ValueError as exc:  # not JSON, not UTF-8, or an over-long integer
         raise error(f"{what} {path} is not valid JSON: {exc}") from None
+
+
+def write_file(path, fill):
+    """fill(fh) writes a text file beside path, path.tmp, that one rename
+    then puts at path, so a failure leaves any earlier file there.  Any
+    exception removes path.tmp; an OSError is a ConfigError naming path."""
+    temp = f"{path}.tmp"
+    try:
+        fh = open(temp, "w", encoding="utf-8", newline="")
+        try:
+            with fh:
+                fill(fh)
+            os.replace(temp, path)
+        except BaseException:
+            os.remove(temp)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
 def check_count(error, low=1, **values):

@@ -16,13 +16,13 @@ parses as infinity) is damaged.
 from __future__ import annotations
 
 import json
-import os
 
 import numpy as np
 
 from . import features as ft
 from . import lowrank as lr
-from .errors import DataError, FmgpError, NumericError, check_array, check_count, read_json
+from .errors import (DataError, FmgpError, NumericError, check_array, check_count,
+                     check_positive, read_json, write_file)
 
 SCHEMA = "fmgp/model@1"
 FEATURE_MAP_FORMAT = "fmgp/feature-map@1"
@@ -134,7 +134,7 @@ def _classifier_document(clf):
                        "cache": _decomposition_document(clf.caches[c])}
                       for c in range(clf.num_classes)],
         "normalization": clf.train_inputs_stats,
-        "label_map": ({str(k): int(v) for k, v in clf.label_map.items()}
+        "label_map": ({str(float(k)): int(v) for k, v in clf.label_map.items()}
                       if clf.label_map else None),
     }
 
@@ -166,12 +166,42 @@ def _read_label_map(doc, num_classes):
     if doc is None:
         return None
     check_count(DataError, low=0, **{f"label_map[{k}]": i for k, i in doc.items()})
-    label_map = {float(k): i for k, i in doc.items()}
+    label_map = {_label(k): i for k, i in doc.items()}
     indices = list(label_map.values())
     if sorted(indices) != list(range(num_classes)):
         raise DataError(f"label_map values must be the class indices 0 to "
                         f"{num_classes - 1}, each once, got {indices}")
     return label_map
+
+
+def _label(key):
+    """The raw label of a label_map key, which must be a finite float as
+    str writes it: the writer's form, so a re-save gives the same bytes."""
+    try:
+        label = float(key)
+    except ValueError:
+        label = np.nan
+    if not np.isfinite(label) or str(label) != key:
+        raise DataError(f"label_map[{key}] must be a finite number as str(float) writes it")
+    return label
+
+
+def _read_normalization(stats, d):
+    """The normalization block, checked and kept as stored for the re-save:
+    null, or exactly the four statistics that Dataset.stats_dict writes for
+    d input columns, every standard deviation > 0."""
+    if stats is None:
+        return None
+    if not isinstance(stats, dict):
+        raise DataError("model normalization must be an object or null")
+    unknown = sorted(set(stats) - {"feature_means", "feature_stds", "target_mean", "target_std"})
+    if unknown:
+        raise DataError(f"unknown normalization key(s) {unknown}")
+    _read(stats, "feature_means", (d,))
+    _read(stats, "target_mean")
+    check_positive(DataError, feature_stds=_read(stats, "feature_stds", (d,)),
+                   target_std=_read(stats, "target_std"))
+    return stats
 
 
 # per task: the document of a model, and its constructor's fields from one
@@ -180,19 +210,17 @@ _TASKS = {"regression": (_regression_document, _regression_fields),
 
 
 def save(model, path):
-    """Write the model to path under its class's task; a NaN or infinity
-    fails here and the partial file is removed, so a bad model is never
-    saved."""
+    """Write the model to path under its class's task, through
+    errors.write_file; a NaN or infinity fails here and leaves any
+    earlier file at path as it was, so a bad model is never saved."""
     doc = {"schema": SCHEMA, "task": model.task,
            "feature_map": feature_map_document(model.feature_map),
            **_TASKS[model.task][0](model)}
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            # one dumps call runs CPython's C encoder; json.dump streams
-            # through the pure-Python one, for the same bytes
-            fh.write(json.dumps(doc, allow_nan=False))
+        # one dumps call runs CPython's C encoder; json.dump streams
+        # through the pure-Python one, for the same bytes
+        write_file(path, lambda fh: fh.write(json.dumps(doc, allow_nan=False)))
     except ValueError as exc:
-        os.remove(path)
         raise NumericError(f"cannot save model to {path}: {exc}") from None
 
 
@@ -214,12 +242,8 @@ def load(path, *model_types):
         task = doc.get("task")
         if task not in builders:
             raise DataError(f"expected a {' or '.join(builders)} model, got task {task!r}")
-        stats = doc.get("normalization")
-        if not isinstance(stats, (dict, type(None))):
-            raise DataError("model normalization must be an object or null")
-        for key in stats or ():  # checked, but kept as stored for the re-save
-            _read(stats, key, np.shape(stats[key]))
         fmap = _feature_map(doc["feature_map"])
+        stats = _read_normalization(doc.get("normalization"), fmap.input_dim)
         return builders[task](feature_map=fmap, train_inputs_stats=stats,
                               **_TASKS[task][1](doc, fmap.output_dim))
     except _DAMAGE as exc:

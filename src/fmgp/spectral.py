@@ -23,7 +23,7 @@ import numpy as np
 
 from . import features as ft
 from .errors import (ConfigError, DomainError, NumericError, check_array, check_count,
-                     check_positive)
+                     check_positive, write_file)
 
 NUMERIC_RANK_RTOL = 1e-10
 DEFAULT_SPECTRUM_N = 512
@@ -236,13 +236,10 @@ def decay_experiment(config):
 
 def write_spectra_csv(reports, path):
     """One row per eigenvalue: kernel_label, seed, eigen_index, eigenvalue."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kernel_label", "seed", "eigen_index", "eigenvalue"])
-        for report in reports:
-            for i, lam in enumerate(report.eigenvalues, start=1):
-                writer.writerow([report.kernel_label, report.seed, i,
-                                 repr(float(lam))])
+    write_file(path, lambda fh: csv.writer(fh).writerows(
+        [["kernel_label", "seed", "eigen_index", "eigenvalue"],
+         *([report.kernel_label, report.seed, i, repr(float(lam))]
+           for report in reports for i, lam in enumerate(report.eigenvalues, start=1))]))
 
 
 def hadamard_slacks(gram1, gram2):

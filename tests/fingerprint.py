@@ -15,7 +15,10 @@ fit (trace, fitted temperature at 64 samples, two full blocks, and at
 counts, model.json, probabilities after reloading it), the six
 oracle_check.run_all(seed=2) errors, the two Hadamard-product slacks, the
 spectra.csv of a two-seed decay experiment over one kernel of each of the
-seven kinds (its values are the eigenvalues), and the features of a 6-512-512-64 layer-norm, unit-rescaled map at 1000 rows,
+seven kinds (its values are the eigenvalues), the training_trace.csv,
+train_metrics.json and metrics.json of a small fmgp train and eval run
+through cli.main, with the timings blocks emptied (its values are the
+losses and the JSON numbers), and the features of a 6-512-512-64 layer-norm, unit-rescaled map at 1000 rows,
 the default map's prediction shape, whose hidden layers span eight row
 tiles each (every fit above runs its hidden layers in one tile).
 Floats are printed as float hex; arrays and files as the first 16 hex
@@ -33,9 +36,12 @@ saved --values line, printing per key the largest relative move
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
+import re
 import sys
 import tempfile
 import warnings
@@ -45,7 +51,7 @@ KEYS = ("regression_trace", "regression_mean", "regression_variance",
         "reloaded_prediction", "additive_model_json", "additive_reloaded_prediction",
         "classifier_trace", "classifier_model_json", "temperature", "temperature_100_samples",
         "probabilities", "reloaded_probabilities", "ece", "ece_bin_counts", "oracle_max_err",
-        "hadamard_partial", "hadamard_tail", "spectra", "tiled_forward")
+        "hadamard_partial", "hadamard_tail", "spectra", "cli_outputs", "tiled_forward")
 
 
 # Each key of out holds (digest, values): its digest as printed by default,
@@ -182,6 +188,30 @@ def _spectral(out, tmp):
                           [value for report in reports for value in _hexes(report.eigenvalues)])
 
 
+def _cli_outputs(out, tmp):
+    from fmgp import cli
+    config, out_dir = os.path.join(tmp, "config.json"), os.path.join(tmp, "cli")
+    with open(config, "w", encoding="utf-8") as fh:
+        json.dump({"data": {"kind": "synth_gp", "n": 200, "d": 2, "test_n": 40, "recal_n": 40},
+                   "architecture": {"hidden_widths": [8], "output_dim": 4},
+                   "training": {"iterations": 5, "seed": 12}}, fh)
+    for args in (["train"], ["eval", "--model", os.path.join(out_dir, "model.json")]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli.main([*args, "--config", config, "--out", out_dir]) != 0:
+                sys.exit(f"fmgp {args[0]} failed")
+    files, values = b"", []
+    for name in ("training_trace.csv", "train_metrics.json", "metrics.json"):
+        with open(os.path.join(out_dir, name), "rb") as fh:
+            data = fh.read()
+        if name.endswith(".json"):
+            data = re.sub(rb'"timings": \{[^}]*\}', b'"timings": {}', data)
+            values += _hexes(_numbers(json.loads(data)))
+        else:
+            values += _hexes([row.split(",")[1] for row in data.decode().split()[1:]])
+        files += data
+    out["cli_outputs"] = (_digest(files), values)
+
+
 def _tiled_forward(out):
     import numpy as np
     from fmgp import features as ft
@@ -232,6 +262,7 @@ def main(argv=None):
         _additive(out, tmp)
         _classifier(out, tmp)
         _spectral(out, tmp)
+        _cli_outputs(out, tmp)
         _tiled_forward(out)
     values = {key: out[key][1] for key in KEYS}
     if args.against:

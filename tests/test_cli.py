@@ -3,6 +3,7 @@ where stderr must be seen as a user sees it."""
 
 import argparse
 import copy
+import errno
 import json
 import os
 import subprocess
@@ -645,6 +646,47 @@ def test_unwritable_output_exits_before_any_work(tmp_path, capsys, command, case
     expected = (f"output {out / case} is a directory" if case in OUTPUT_NAMES[command]
                 else f"cannot create output directory {out}: ")
     assert report["message"].startswith(expected)
+
+
+OUTPUT_FILES = [(command, name) for command, names in OUTPUT_NAMES.items() for name in names]
+
+
+@pytest.mark.parametrize("command, name", OUTPUT_FILES,
+                         ids=[f"{command}-{name}" for command, name in OUTPUT_FILES])
+def test_dangling_symlink_output_is_replaced_by_the_file(tmp_path, trained_regression,
+                                                         command, name):
+    # opening the link would follow it into a directory that does not exist
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / name).symlink_to(tmp_path / "absent" / name)
+    config, doc = trained_regression
+    args = ["--out", str(out)]
+    if command == "spectral":
+        config = write_config(tmp_path, spectral_doc(out))
+    if command == "eval":
+        (tmp_path / "model.json").write_text(json.dumps(doc))
+        args += ["--model", str(tmp_path / "model.json")]
+    assert cli.main([command, "--config", config, *args]) == 0
+    assert (out / name).is_file() and not (out / name).is_symlink()
+    assert sorted(os.listdir(out)) == sorted(OUTPUT_NAMES[command])
+
+
+def test_failed_write_exits_2_with_one_json_line(tmp_path, capsys, monkeypatch):
+    def full_disk(src, dst):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), src)
+
+    monkeypatch.setattr(os, "replace", full_disk)
+    config = write_config(tmp_path, regression_doc(tmp_path))
+    capsys.readouterr()
+    assert cli.main(["train", "--config", config]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    report = json.loads(lines[0])
+    assert report["error"] == "ConfigError"
+    assert report["message"].startswith(f"cannot write {tmp_path / 'model.json'}: ")
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestSpectralCommand:

@@ -5,6 +5,7 @@ The files in tests/data were written by tests/data/make_legacy_models.py
 with the fmgp of commit 61fdecb, beside its predictions on inputs.npy.
 """
 
+import errno
 import inspect
 import json
 import os
@@ -18,7 +19,7 @@ from fmgp import data as dt
 from fmgp import features as ft
 from fmgp import model_file as mf
 from fmgp import regression as reg
-from fmgp.errors import DataError
+from fmgp.errors import ConfigError, DataError, NumericError
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 NAMES = ["regression_mlp", "regression_product", "regression_additive",
@@ -85,7 +86,8 @@ def test_classifier_label_map_must_hold_distinct_class_indices(label_map, tmp_pa
 
 
 # classifier fields that a writer never writes: counts as floats or
-# booleans, and another surrogate noise policy than the one there is
+# booleans, label_map keys that are not str of a finite float, and
+# another surrogate noise policy than the one there is
 DAMAGED_CLASSIFIER_FIELDS = {
     "num_classes_float": (lambda doc: doc.update(num_classes=3.0),
                           "num_classes must be an integer >= 1, got 3.0"),
@@ -97,6 +99,10 @@ DAMAGED_CLASSIFIER_FIELDS = {
                             re.escape("label_map[5.0] must be a nonnegative integer, got 1.0")),
     "label_map_true": (lambda doc: doc.update(label_map={"3.0": 0, "5.0": True, "9.0": 2}),
                        re.escape("label_map[5.0] must be a nonnegative integer, got True")),
+    **{f"label_map_key_{key}": (
+        lambda doc, key=key: doc.update(label_map={key: 0, "5.0": 1, "9.0": 2}),
+        re.escape(f"label_map[{key}] must be a finite number as str(float) writes it"))
+       for key in ("3", "nan", "1e999")},
     "noise_kind": (lambda doc: doc["surrogate_noise_policy"].update(kind="zz"),
                    'surrogate_noise_policy.kind must be "dirichlet-lognormal", got "zz"'),
     "noise_composition": (lambda doc: doc["surrogate_noise_policy"].update(composition=None),
@@ -110,10 +116,58 @@ DAMAGED_CLASSIFIER_FIELDS = {
 @pytest.mark.parametrize("edit, message", DAMAGED_CLASSIFIER_FIELDS.values(),
                          ids=DAMAGED_CLASSIFIER_FIELDS)
 def test_damaged_classifier_field_is_refused_naming_the_key(edit, message, tmp_path):
-    # each would load and re-save as other bytes: 3, 0, 1, 2, or the policy there is
+    # each would load, and re-save as other bytes (3, 0, 1, 2, a label 3.0
+    # or inf, or the policy there is) or with a label no class can have (nan)
     path = edited_copy("classifier_3class", edit, tmp_path)
     with pytest.raises(DataError, match=f"bad model file {re.escape(str(path))}: {message}"):
         cls.load_classifier(path)
+
+
+# normalization blocks that Dataset.stats_dict never writes
+DAMAGED_NORMALIZATIONS = {
+    "target_std_negative": (lambda stats: stats.update(target_std=-1.0),
+                            "target_std must be finite and positive"),
+    "feature_means_missing": (lambda stats: stats.pop("feature_means"),
+                              "missing key 'feature_means'"),
+    "empty": (lambda stats: stats.clear(), "missing key 'feature_means'"),
+    "feature_stds_zero": (lambda stats: stats.update(feature_stds=[0.0, 0.0]),
+                          "feature_stds must be finite and positive"),
+    "feature_means_one_entry": (lambda stats: stats.update(feature_means=[0.0]),
+                                re.escape("feature_means must have shape (2), got (1,)")),
+    "extra_key": (lambda stats: stats.update(extra=1.0),
+                  re.escape("unknown normalization key(s) ['extra']")),
+}
+
+
+@pytest.mark.parametrize("edit, message", DAMAGED_NORMALIZATIONS.values(),
+                         ids=DAMAGED_NORMALIZATIONS)
+def test_damaged_normalization_is_refused_naming_the_key(edit, message, tmp_path):
+    path = edited_copy("regression_mlp", lambda doc: edit(doc["normalization"]), tmp_path)
+    with pytest.raises(DataError, match=f"bad model file {re.escape(str(path))}: {message}"):
+        reg.load_model(path)
+
+
+def full_disk(src, dst):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), src)
+
+
+@pytest.mark.parametrize("failure, error, message", [
+    ("nan_variance", NumericError, "cannot save model to"),
+    ("full_disk", ConfigError, "cannot write"),
+])
+def test_failed_save_leaves_the_earlier_file(failure, error, message, tmp_path, monkeypatch):
+    # the model is written beside the earlier file and renamed over it only whole
+    model, save, _ = load("regression_mlp")
+    if failure == "nan_variance":
+        model.sigma_xi_sq = float("nan")
+    else:
+        monkeypatch.setattr(os, "replace", full_disk)
+    path = tmp_path / "model.json"
+    path.write_bytes(b"earlier")
+    with pytest.raises(error, match=f"{message} {re.escape(str(path))}: "):
+        save(model, path)
+    assert path.read_bytes() == b"earlier"
+    assert os.listdir(tmp_path) == ["model.json"]
 
 
 def derived_models(task, tmp_path):

@@ -618,8 +618,9 @@ class TestPersistence:
         y = rng.standard_normal(30)
         phi = ft.forward(fmap, X)
         dec = lr.decompose(phi.T @ phi, phi.T @ y, 30)
-        model = reg.GpModel(fmap, 1.2, 0.4, dec,
-                            train_inputs_stats={"feature_means": [0.0, 0.0]})
+        stats = {"feature_means": [0.0, 0.0], "feature_stds": [1.0, 2.0],
+                 "target_mean": 0.5, "target_std": 3.0}
+        model = reg.GpModel(fmap, 1.2, 0.4, dec, train_inputs_stats=stats)
         path = tmp_path / "model.json"
         reg.save_model(model, path)
         loaded = reg.load_model(path)
